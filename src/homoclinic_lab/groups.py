@@ -11,8 +11,6 @@ Every function takes the group name explicitly so callers cannot mix the two
 by accident; mixing types raises :class:`GroupMismatch`.
 """
 
-from collections import deque
-
 F2 = "f2"
 Z2 = "z2"
 
@@ -76,6 +74,11 @@ def multiply(group, g, h):
     check_element(group, h)
     if group == Z2:
         return (g[0] + h[0], g[1] + h[1])
+    return f2_multiply(g, h)
+
+
+def f2_multiply(g, h):
+    """Product of two reduced f2 words, without validation (inner loops)."""
     # only the seam between the two reduced words can cancel
     i = len(g)
     j = 0
@@ -197,6 +200,28 @@ def positive_monoid(group, radius):
     )
 
 
+def positive_children(group, g):
+    """g*a and g*b, without validation (inner loops)."""
+    if group == Z2:
+        return ((g[0] + 1, g[1]), (g[0], g[1] + 1))
+    return (f2_multiply(g, "a"), f2_multiply(g, "b"))
+
+
+def positive_cone_sites(group, t, depth):
+    """Sites t*p for positive monoid words p up to the given length,
+    deduplicated, in discovery order (level by level, a before b)."""
+    check_element(group, t)
+    out = {t: None}
+    frontier = [t]
+    for _ in range(depth):
+        # z2 words reach a site many ways; one copy per site keeps a level
+        # polynomial in size without changing the order of first discovery
+        frontier = list(dict.fromkeys(
+            c for s in frontier for c in positive_children(group, s)))
+        out.update(dict.fromkeys(frontier))
+    return list(out)
+
+
 def format_element(group, g):
     """Serialized form: the reduced word itself (empty string = identity)
     for f2, "(i,j)" for z2."""
@@ -226,10 +251,6 @@ class WindowTooLarge(ValueError):
     """A requested ball or window exceeds the configured element budget."""
 
 
-def is_in_ball(group, g, radius):
-    return word_length(group, g) <= radius
-
-
 def cayley_neighbors(group, g):
     """g times each of a, b, a^-1, b^-1 in that order."""
     check_element(group, g)
@@ -238,22 +259,3 @@ def cayley_neighbors(group, g):
         return [(i + 1, j), (i, j + 1), (i - 1, j), (i, j - 1)]
     return [multiply(F2, g, c) for c in LETTERS]
 
-
-def bfs_distances(group, sources, radius):
-    """Word metric distance from a set of sources, out to radius."""
-    dist = {}
-    q = deque()
-    for s in sources:
-        check_element(group, s)
-        dist[s] = 0
-        q.append(s)
-    while q:
-        g = q.popleft()
-        d = dist[g]
-        if d == radius:
-            continue
-        for h in cayley_neighbors(group, g):
-            if h not in dist:
-                dist[h] = d + 1
-                q.append(h)
-    return dist

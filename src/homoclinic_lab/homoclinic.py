@@ -1,24 +1,20 @@
 """The homoclinic kernel w = (f*)^-1, the map phi(d) = pi(d . w), membership
 residuals for X_f windows, and the 4-cover lift.
 
-Coordinates of phi on finite-support inputs are exact rationals; windowed
+Coordinates of phi on finite-support inputs are exact rationals, computed as
+integer numerators over one power of M (ring.kernel_convolution); windowed
 inputs get rigorous interval enclosures whose tails come from the geometric
 series of the kernel.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 import math
 
 from . import groups
 from .groups import F2, Z2, check_group
-from .ring import PolyF, RingElement
+from .ring import PolyF, RingElement, kernel_convolution
 
-
-@lru_cache(maxsize=None)
-def _standard_poly(M, group):
-    return PolyF.standard(M, group)
 
 F_STAR_INVERSE = "f_star_inverse"
 F_INVERSE = "f_inverse"
@@ -56,7 +52,7 @@ class Kernel:
 
     @property
     def _poly(self):
-        return _standard_poly(self.M, self.group)
+        return PolyF.standard(self.M, self.group)
 
     def coefficient(self, el):
         """Exact coefficient at el; zero off the support monoid."""
@@ -235,47 +231,45 @@ class TorusValue:
         return f"TorusValue([{self.lo}, {self.hi}])"
 
 
+def _phi_numerators(d, window, M):
+    """Integer numerators of phi(d) = d . w on the window, over M^(E+1)."""
+    f = kernel(M, d.group)._poly
+    window = list(window)
+    nums, E = kernel_convolution(f, d.values, window, star=True)
+    return window, nums, M ** (E + 1)
+
+
 def phi_exact(d, window, M):
     """Exact torus coordinates of phi(d) = pi(d . w) on the window.
 
     d is treated as zero outside its own window (finite support).
     """
-    kern = kernel(M, d.group)
-    group = d.group
-    out = {}
-    for s in window:
-        total = Fraction(0)
-        for t, v in d.values.items():
-            if v:
-                u = groups.multiply(group, groups.inverse(group, t), s)
-                total += v * kern.coefficient(u)
-        out[s] = TorusValue.exact(total)
-    return out
+    window, nums, den = _phi_numerators(d, window, M)
+    return {s: TorusValue.exact(Fraction(n, den)) for s, n in zip(window, nums)}
 
 
 def _cone_tail(group, s, window, M, max_len):
     """Exact kernel mass sum_t K(t^-1 s) over sites t = s.v (v positive)
     lying outside the window.
 
-    Walks the positive monoid; once a site is outside the window at monoid
-    depth beyond max_len + |s|, every deeper site has word length > max_len,
-    so the whole subtree contributes the closed geometric form.
+    Sites at monoid depth beyond limit = max_len + |s| have word length
+    > max_len, so they are all outside: the 2^(limit+1) subtrees rooted at
+    depth limit+1 contribute the closed form M^-(limit+1) / (M-2) each.
+    Shallower sites are counted level by level, with multiplicity (the
+    number of monoid words reaching a z2 site), as integers.
     """
-    gens = groups.generators(group)
-    s_len = groups.word_length(group, s)
-    limit = max_len + s_len
-
-    def walk(site, depth):
-        inside = site in window
-        if not inside and depth > limit:
-            # full subtree: sum_j 2^j M^-(depth+j+1) = M^-(depth+1) * M/(M-2)
-            return Fraction(1, M**depth) * Fraction(1, M - 2)
-        mass = Fraction(0) if inside else Fraction(1, M ** (depth + 1))
-        for c in gens:
-            mass += walk(groups.multiply(group, site, c), depth + 1)
-        return mass
-
-    return walk(s, 0)
+    limit = max_len + groups.word_length(group, s)
+    level = {s: 1}
+    num = 0  # sum over depths d <= limit of outside(d) * M^(limit-d)
+    for depth in range(limit + 1):
+        num = num * M + sum(n for t, n in level.items() if t not in window)
+        if depth < limit:
+            nxt = {}
+            for t, n in level.items():
+                for tc in groups.positive_children(group, t):
+                    nxt[tc] = nxt.get(tc, 0) + n
+            level = nxt
+    return Fraction((M - 2) * num + 2 ** (limit + 1), (M - 2) * M ** (limit + 1))
 
 
 def phi_windowed(d, eval_window, M):
@@ -287,17 +281,13 @@ def phi_windowed(d, eval_window, M):
     is the alphabet range.
     """
     group = d.group
-    kern = kernel(M, group)
+    eval_window, nums, den = _phi_numerators(d, eval_window, M)
     window = d.window()
     max_len = max((groups.word_length(group, el) for el in window), default=-1)
     alo, ahi = d.alphabet
     out = {}
-    for s in eval_window:
-        exact = Fraction(0)
-        for t, v in d.values.items():
-            if v:
-                u = groups.multiply(group, groups.inverse(group, t), s)
-                exact += v * kern.coefficient(u)
+    for s, n in zip(eval_window, nums):
+        exact = Fraction(n, den)
         tail = _cone_tail(group, s, window, M, max_len)
         out[s] = TorusValue.enclosure(exact + alo * tail, exact + ahi * tail)
     return out

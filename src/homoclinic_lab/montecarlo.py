@@ -27,7 +27,7 @@ from . import groups, rng, symbolic
 from .groups import F2, Z2
 from .homoclinic import Configuration, phi_windowed
 from .intervals import PI_HI
-from .ring import NotDivisible, PolyF, divide_by_f, quotient_coordinates
+from .ring import NotDivisible, PolyF, divide_by_f, kernel_convolution
 
 
 class EnclosureTooWide(ValueError):
@@ -413,24 +413,6 @@ def haar_window_test(cfg, max_extra=12, p_threshold=1e-3,
     }
 
 
-def _positive_cone_sites(group, t, depth):
-    """Sites t*p for monoid words p up to the given length, deduplicated,
-    in discovery order."""
-    out = {t: None}
-    frontier = [t]
-    gens = groups.generators(group)
-    for _ in range(depth):
-        nxt = []
-        for s in frontier:
-            for g in gens:
-                sg = groups.multiply(group, s, g)
-                if sg not in out:
-                    out[sg] = None
-                nxt.append(sg)
-        frontier = nxt
-    return list(out)
-
-
 def _fourier_plan(g, f, radius):
     """Included sites (union of capped forward cones from supp g), their
     exact quotient coordinates as integers over a common denominator, and
@@ -442,8 +424,7 @@ def _fourier_plan(g, f, radius):
         cap = radius - groups.word_length(group, t)
         if cap < 0:
             raise ValueError("sample radius smaller than the support of g")
-        for s in _positive_cone_sites(group, t, cap):
-            site_set[s] = None
+        site_set.update(dict.fromkeys(groups.positive_cone_sites(group, t, cap)))
         tail += abs(c) * f.tail_l1_beyond(cap)
     sites = list(site_set)
     try:
@@ -454,18 +435,13 @@ def _fourier_plan(g, f, radius):
             tail = Fraction(0)
     except NotDivisible:
         pass
-    coords = quotient_coordinates(g, f, sites)
-    den = 1
-    for v in coords.values():
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    kept_sites = []
-    nums = []
-    for s in sites:
-        n = int(coords[s] * den)
-        if n != 0:
-            kept_sites.append(s)
-            nums.append(n)
-    return kept_sites, nums, den, tail
+    nums, E = kernel_convolution(f, {t: int(c) for t, c in g.terms.items()}, sites)
+    # coordinates are nums / M^(E+1); dividing out the common factor gives
+    # the lcm of their reduced denominators
+    power = f.M ** (E + 1)
+    common = math.gcd(power, *nums)
+    kept_sites = [s for s, n in zip(sites, nums) if n]
+    return kept_sites, [n // common for n in nums if n], power // common, tail
 
 
 def _fourier_chunk(cfg, lo, hi, ids_list, nums_list, den):
@@ -561,16 +537,11 @@ def _tau_variant(cfg, root, index_lo, eval_sites):
     cone = _Cone(F2, root, M, direction="negative")
     level_ids = [cone.level_ids(l) for l in range(R + 1)]
 
-    def kernel_coeff(word):
-        # coefficient of the fundamental kernel at a negative-monoid word
-        if any(c in "ab" for c in word):
-            return Fraction(0)
-        return Fraction(1, M ** (len(word) + 1))
-
-    root_inv = groups.inverse(F2, root)
-    rhs = {}
-    for s in eval_sites:
-        rhs[s] = kernel_coeff(groups.multiply(F2, root_inv, s))
+    # the homoclinic coordinate at the carry site: the kernel of phi,
+    # 1/f*, translated to root, as integers over M^(E+1)
+    f = PolyF.standard(M, F2)
+    nums, E = kernel_convolution(f, {root: 1}, eval_sites, star=True)
+    rhs = {s: Fraction(n, M ** (E + 1)) for s, n in zip(eval_sites, nums)}
 
     depth2 = []
     for l in range(min(2, R) + 1):
@@ -587,55 +558,28 @@ def _tau_variant(cfg, root, index_lo, eval_sites):
 
     for i in range(N):
         index = index_lo + i
-        values = [rng.symbols(cfg.seed, index, level_ids[l], M).astype(np.int64)
-                  for l in range(R + 1)]
-        fired = [values[0] == M - 1]
-        for l in range(1, R + 1):
-            parent = np.repeat(fired[l - 1], 2)
-            fired.append((values[l] == M - 1) & parent)
-        if bool(fired[R].any()):
+        values, fired, img = _tau_cascade(cfg, index, level_ids)
+        if img is None:
             discarded += 1
             continue
-        img = [v.copy() for v in values]
-        if fired[0][0]:
-            img[0][0] = 0
-        else:
-            img[0][0] += 1
-        for l in range(R):
-            if not fired[l].any():
-                break
-            recv = np.repeat(fired[l], 2)
-            bump = recv & ~fired[l + 1]
-            img[l + 1][bump] += 1
-            img[l + 1][fired[l + 1]] = 0
         retained += 1
 
         for si, (l, p) in enumerate(depth2):
             freq[si, int(img[l][p])] += 1
 
-        delta = []
-        delta.append((0, 0, int(img[0][0]) - int(values[0][0])))
+        # the exact identity: the change of symbols convolved with 1/f*,
+        # minus the translated kernel (the -1 at root), is 0 mod 1
+        diff = {root: int(img[0][0]) - int(values[0][0]) - 1}
         for l in range(R):
             if not fired[l].any():
                 break
             for p in np.nonzero(np.repeat(fired[l], 2))[0]:
                 d = int(img[l + 1][p]) - int(values[l + 1][p])
                 if d:
-                    delta.append((l + 1, int(p), d))
-        terms = []
-        for (l, p, d) in delta:
-            u = _word_of_position(l, p)
-            t = groups.multiply(F2, root, u)
-            terms.append((groups.inverse(F2, t), d))
-        ok = True
-        for s in eval_sites:
-            total = Fraction(0)
-            for (t_inv, d) in terms:
-                total += d * kernel_coeff(groups.multiply(F2, t_inv, s))
-            if (total - rhs[s]).denominator != 1:
-                ok = False
-                break
-        if ok:
+                    t = groups.multiply(F2, root, _word_of_position(l + 1, int(p)))
+                    diff[t] = d
+        nums, E = kernel_convolution(f, diff, eval_sites, star=True)
+        if all(n % M ** (E + 1) == 0 for n in nums):
             exact_matches += 1
 
         h = hashlib.sha256()
@@ -650,8 +594,8 @@ def _tau_variant(cfg, root, index_lo, eval_sites):
     # a digest collision is only a real collision if the raw image windows
     # agree; regenerate both deterministically and compare
     for idx_a, idx_b in recheck:
-        img_a = _tau_image(cfg, root, idx_a, level_ids)
-        img_b = _tau_image(cfg, root, idx_b, level_ids)
+        img_a = _tau_cascade(cfg, idx_a, level_ids)[2]
+        img_b = _tau_cascade(cfg, idx_b, level_ids)[2]
         if img_a is not None and img_b is not None and \
                 all(np.array_equal(x, y) for x, y in zip(img_a, img_b)):
             collisions += 1
@@ -688,7 +632,13 @@ def _tau_variant(cfg, root, index_lo, eval_sites):
     }
 
 
-def _tau_image(cfg, root, index, level_ids):
+def _tau_cascade(cfg, index, level_ids):
+    """Add 1 at the root of the sampled cone levels and carry.
+
+    Returns (values, fired, img): the sampled symbols per level, which
+    sites fired a carry, and the image window, or img None when the
+    cascade reaches the last level (a discard).
+    """
     M = cfg.M
     R = len(level_ids) - 1
     values = [rng.symbols(cfg.seed, index, level_ids[l], M).astype(np.int64)
@@ -697,7 +647,7 @@ def _tau_image(cfg, root, index, level_ids):
     for l in range(1, R + 1):
         fired.append((values[l] == M - 1) & np.repeat(fired[l - 1], 2))
     if bool(fired[R].any()):
-        return None
+        return values, fired, None
     img = [v.copy() for v in values]
     if fired[0][0]:
         img[0][0] = 0
@@ -709,7 +659,7 @@ def _tau_image(cfg, root, index, level_ids):
         recv = np.repeat(fired[l], 2)
         img[l + 1][recv & ~fired[l + 1]] += 1
         img[l + 1][fired[l + 1]] = 0
-    return img
+    return values, fired, img
 
 
 def tau_invariance_test(cfg):

@@ -5,7 +5,10 @@ with convolution and the star involution.  PolyF represents the lopsided
 elements f = M - sum_s f_s s (every support element of the lower part has
 height >= 1 and M exceeds the lower mass), whose inverse 1/f is given by the
 geometric series sum_k (h/M)^k / M.  Because the lower part raises height by
-at least 1, each coordinate of 1/f is a finite exact sum.
+at least 1, each coordinate of 1/f is a finite exact sum, and an integer over
+M^(height+1).  kernel_convolution uses this to compute every convolution of
+an integer window with 1/f or 1/f* as integer numerators over one power of
+M; Fractions are built only by its callers, at their document boundary.
 """
 
 from dataclasses import dataclass
@@ -86,13 +89,6 @@ class RingElement:
         if not self.terms:
             return 0
         return max(groups.word_length(self.group, el) for el in self.terms)
-
-    def height_range(self):
-        """(min, max) heights over the support, or None for the zero element."""
-        if not self.terms:
-            return None
-        hs = [groups.height(self.group, el) for el in self.terms]
-        return (min(hs), max(hs))
 
     def _require_same_group(self, other):
         if self.group != other.group:
@@ -290,37 +286,102 @@ class PolyF:
         h = groups.height(self.group, el)
         if h < 0:
             return Fraction(0)
-        if self.is_standard:
-            if self.group == F2:
-                if any(c not in "ab" for c in el):
-                    return Fraction(0)
-                return Fraction(1, self.M ** (len(el) + 1))
-            i, j = el
-            if i < 0 or j < 0:
-                return Fraction(0)
-            return Fraction(math.comb(i + j, i), self.M ** (i + j + 1))
-        return _inverse_table(self, h).get(el, Fraction(0))
+        return Fraction(_scaled_inverse(self, h, False)(el), self.M ** (h + 1))
 
 
 @lru_cache(maxsize=64)
 def _inverse_table(poly, max_height):
-    """Coefficients of 1/f at every element of height <= max_height.
+    """Coefficients of 1/f at every element of height <= max_height, each as
+    the integer N(u) with (1/f)_u = N(u) / M^(height(u)+1).
 
     (h^k)_u = 0 once k > height(u), so summing the first max_height+1 powers
-    makes every recorded coordinate exact.
+    makes every recorded coordinate exact, and the k-th power term
+    (h^k)_u / M^(k+1) is an integer over M^(height(u)+1).
     """
     group = poly.group
     lower = RingElement(group, {el: c for el, c in poly.lower})
     acc = {}
     power = RingElement.one(group)
     for k in range(max_height + 1):
-        scale = Fraction(1, poly.M ** (k + 1))
         for el, c in power.terms.items():
-            if groups.height(group, el) <= max_height:
-                acc[el] = acc.get(el, Fraction(0)) + c * scale
+            h = groups.height(group, el)
+            if h <= max_height:
+                acc[el] = acc.get(el, 0) + int(c) * poly.M ** (h - k)
         if k < max_height:
             power = power * lower
     return acc
+
+
+def _scaled_inverse(f, E, star):
+    """u -> M^(E+1) K(u) as an int, where K = 1/f, or its star
+    K*(u) = K(u^-1) = the coefficient of 1/f* at u when star is set.
+
+    Valid for every u with height(u) <= E (-height(u) <= E for the star);
+    word length <= E suffices.  No validation (inner loops).
+    For the standard f the coefficient is 1 (f2) or comb(i+j, i) (z2) over
+    M^(height+1); otherwise it comes from the inverse table.
+    """
+    M = f.M
+    pw = [M**k for k in range(E + 1)]
+    if f.is_standard and f.group == F2:
+        letters = "AB" if star else "ab"
+        return lambda u: 0 if u.strip(letters) else pw[E - len(u)]
+    if f.is_standard:
+        sign = -1 if star else 1
+
+        def standard_z2(u):
+            i, j = sign * u[0], sign * u[1]
+            if i < 0 or j < 0:
+                return 0
+            return math.comb(i + j, i) * pw[E - i - j]
+        return standard_z2
+
+    table = _inverse_table(f, E)
+
+    def from_table(u):
+        if star:
+            u = groups.inverse(f.group, u)
+        n = table.get(u)
+        return n * pw[E - groups.height(f.group, u)] if n else 0
+    return from_table
+
+
+def kernel_convolution(f, terms, window, star=False):
+    """Exact sum_t g_t K(t^-1 s) at every s of the window, as integers over
+    one power of M.
+
+    K is 1/f, or 1/f* (the homoclinic kernel of phi) when star is set;
+    terms maps t to the integer g_t.  Every coefficient of K at u is an
+    integer over M^(height(u)+1), and height(t^-1 s) <= |t| + |s| <= E with
+    E = max |t| + max |s|, so each sum is an integer over M^(E+1).  Returns
+    (numerators in window order, E).  Window elements and terms are
+    validated once here; the double loop runs unchecked.
+    """
+    group = f.group
+    window = list(window)
+    if len(window) > _WINDOW_GUARD:
+        raise WindowTooLarge(f"window of {len(window)} elements exceeds the guard")
+    for s in window:
+        groups.check_element(group, s)
+    items = []
+    for t, c in terms.items():
+        groups.check_element(group, t)
+        if not isinstance(c, int):
+            raise TypeError(f"convolution coefficients must be ints, got {c!r}")
+        if c:
+            items.append((t, c))
+    E = max((groups.word_length(group, t) for t, _ in items), default=0)
+    E += max((groups.word_length(group, s) for s in window), default=0)
+    kern = _scaled_inverse(f, E, star)
+    if group == F2:
+        mul = groups.f2_multiply
+    else:
+        def mul(g, h):
+            return (g[0] + h[0], g[1] + h[1])
+    inv_items = [(groups.inverse(group, t), c) for t, c in items]
+    nums = [sum(c * kern(mul(t_inv, s)) for t_inv, c in inv_items)
+            for s in window]
+    return nums, E
 
 
 def quotient_coordinates(g, f, window):
@@ -332,18 +393,12 @@ def quotient_coordinates(g, f, window):
     if g.group != f.group:
         raise GroupMismatch(f"{g.group} element divided by {f.group} polynomial")
     window = list(window)
-    if len(window) > _WINDOW_GUARD:
-        raise WindowTooLarge(f"window of {len(window)} elements exceeds the guard")
-    group = g.group
-    out = {}
-    for s in window:
-        groups.check_element(group, s)
-        total = Fraction(0)
-        for t, c in g.terms.items():
-            u = groups.multiply(group, groups.inverse(group, t), s)
-            total += c * f.inv_coeff(u)
-        out[s] = total
-    return out
+    # a non-integral g is scaled to integers and divided back at the end
+    scale = math.lcm(*(c.denominator for c in g.terms.values()))
+    terms = {t: int(c * scale) for t, c in g.terms.items()}
+    nums, E = kernel_convolution(f, terms, window)
+    den = scale * f.M ** (E + 1)
+    return {s: Fraction(n, den) for s, n in zip(window, nums)}
 
 
 def divide_by_f(g, f, max_levels=100_000):

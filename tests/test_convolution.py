@@ -1,0 +1,240 @@
+"""Differential and property tests of the integer kernel convolution.
+
+Every integer path (ring.kernel_convolution and its callers phi_exact,
+phi_windowed, quotient_coordinates, the Fourier plan and the cone tail) is
+compared with a Fraction reference written here: the double loop
+sum_t g_t K(t^-1 s) over PolyF.inv_coeff, and the recursive walk of the
+kernel cone for the tail.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from homoclinic_lab import groups
+from homoclinic_lab.groups import F2, Z2, GroupMismatch
+from homoclinic_lab.homoclinic import (Configuration, WidthExceedsOne,
+                                       _cone_tail, phi_exact, phi_windowed)
+from homoclinic_lab.montecarlo import _fourier_plan
+from homoclinic_lab.ring import (PolyF, RingElement, kernel_convolution,
+                                 parse_ring_element, quotient_coordinates)
+
+# derandomized and without an example database, so the suite is
+# reproducible and leaves no files behind
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
+                    database=None)
+
+BALLS = {group: groups.ball(group, 3) for group in (F2, Z2)}
+
+
+# -- Fraction references -----------------------------------------------------
+
+def reference_convolution(f, terms, window, star=False):
+    """sum_t g_t K(t^-1 s) as Fractions, K = 1/f or K*(u) = (1/f)(u^-1)."""
+    group = f.group
+    out = {}
+    for s in window:
+        total = Fraction(0)
+        for t, c in terms.items():
+            u = groups.multiply(group, groups.inverse(group, t), s)
+            if star:
+                u = groups.inverse(group, u)
+            total += c * f.inv_coeff(u)
+        out[s] = total
+    return out
+
+
+def reference_tail(group, s, window, M, max_len):
+    """Kernel mass outside the window along the cone s.P, by recursion."""
+    gens = groups.generators(group)
+    limit = max_len + groups.word_length(group, s)
+
+    def walk(site, depth):
+        inside = site in window
+        if not inside and depth > limit:
+            return Fraction(1, M**depth) * Fraction(1, M - 2)
+        mass = Fraction(0) if inside else Fraction(1, M ** (depth + 1))
+        for c in gens:
+            mass += walk(groups.multiply(group, site, c), depth + 1)
+        return mass
+
+    return walk(s, 0)
+
+
+def reference_inverse(f, max_height):
+    """1/f = sum_k h^k / M^(k+1) as Fractions, at heights <= max_height."""
+    lower = RingElement(f.group, dict(f.lower))
+    power = RingElement.one(f.group)
+    acc = {}
+    for k in range(max_height + 1):
+        for el, c in power.terms.items():
+            if groups.height(f.group, el) <= max_height:
+                acc[el] = acc.get(el, 0) + c / f.M ** (k + 1)
+        power = power * lower
+    return acc
+
+
+def polys(group):
+    """The standard f for M in 3..5 and one lopsided f with other weights."""
+    out = [PolyF.standard(M, group) for M in (3, 4, 5)]
+    a, b = groups.generators(group)
+    out.append(PolyF.lopsided(5, group, {a: 2, b: 1}))
+    return out
+
+
+# -- strategies --------------------------------------------------------------
+
+def elements(group):
+    return st.sampled_from(BALLS[group])
+
+
+def integer_terms(group, max_size=5):
+    return st.dictionaries(elements(group), st.integers(-3, 3), max_size=max_size)
+
+
+def windows(group):
+    return st.lists(elements(group), max_size=8)
+
+
+@st.composite
+def convolution_cases(draw):
+    group = draw(st.sampled_from((F2, Z2)))
+    f = draw(st.sampled_from(polys(group)))
+    return (f, draw(integer_terms(group)), draw(windows(group)),
+            draw(st.booleans()))
+
+
+@st.composite
+def configurations(draw):
+    group = draw(st.sampled_from((F2, Z2)))
+    M = draw(st.integers(3, 5))
+    lo = draw(st.integers(-1, 1))
+    hi = draw(st.integers(lo, lo + 2))
+    support = draw(st.lists(elements(group), max_size=8, unique=True))
+    values = {s: draw(st.integers(lo, hi)) for s in support}
+    d = Configuration(group, values, (lo, hi))
+    return d, draw(windows(group)), M
+
+
+# -- the primitive -----------------------------------------------------------
+
+@PROPERTY
+@given(convolution_cases())
+def test_kernel_convolution_matches_the_fraction_loop(case):
+    f, terms, window, star = case
+    nums, E = kernel_convolution(f, terms, window, star=star)
+    assert len(nums) == len(window)
+    assert all(isinstance(n, int) for n in nums)
+    want = reference_convolution(f, terms, window, star)
+    for s, n in zip(window, nums):
+        assert Fraction(n, f.M ** (E + 1)) == want[s]
+
+
+@pytest.mark.parametrize("group", [F2, Z2])
+def test_inv_coeff_is_the_geometric_series(group):
+    for f in polys(group):
+        series = reference_inverse(f, 4)
+        for u in groups.ball(group, 4):
+            if groups.height(group, u) <= 4:
+                assert f.inv_coeff(u) == series.get(u, 0)
+
+
+def test_kernel_convolution_validates_once_at_entry():
+    f = PolyF.standard(3, F2)
+    with pytest.raises(GroupMismatch):
+        kernel_convolution(f, {"a": 1}, ["", (0, 0)])
+    with pytest.raises(GroupMismatch):
+        kernel_convolution(f, {(0, 1): 1}, [""])
+    with pytest.raises(TypeError):
+        kernel_convolution(f, {"a": Fraction(1, 2)}, [""])
+    assert kernel_convolution(f, {}, []) == ([], 0)
+
+
+# -- the callers -------------------------------------------------------------
+
+@PROPERTY
+@given(convolution_cases(), st.sampled_from((1, 2, 3, 7)))
+def test_quotient_coordinates_match_the_fraction_loop(case, den):
+    f, terms, window, _ = case
+    g = RingElement(f.group, {t: Fraction(c, den) for t, c in terms.items()})
+    coords = quotient_coordinates(g, f, window)
+    want = reference_convolution(f, g.terms, window)
+    assert coords == want
+
+
+def test_quotient_coordinates_of_a_non_integral_g():
+    f = PolyF.lopsided(5, F2, {"a": 2, "b": 1})
+    g = RingElement(F2, {"": Fraction(1, 2), "A": Fraction(-2, 3), "b": 3})
+    window = groups.ball(F2, 3)
+    coords = quotient_coordinates(g, f, window)
+    assert coords == reference_convolution(f, g.terms, window)
+    assert any(v.denominator % 2 == 0 for v in coords.values())
+
+
+@PROPERTY
+@given(configurations())
+def test_phi_exact_and_windowed_match_the_fraction_loop(case):
+    d, window, M = case
+    f = PolyF.standard(M, d.group)
+    want = reference_convolution(f, d.values, window, star=True)
+    exact = phi_exact(d, window, M)
+    for s in window:
+        assert exact[s].is_exact and exact[s].value == want[s] % 1
+
+    max_len = max((groups.word_length(d.group, t) for t in d.values),
+                  default=-1)
+    tails = {s: reference_tail(d.group, s, d.window(), M, max_len)
+             for s in window}
+    lo, hi = d.alphabet
+    if any((hi - lo) * tail >= 1 for tail in tails.values()):
+        with pytest.raises(WidthExceedsOne):
+            phi_windowed(d, window, M)
+        return
+    enclosed = phi_windowed(d, window, M)
+    for s in window:
+        shift = math.floor(want[s] + lo * tails[s])
+        assert enclosed[s].lo == want[s] + lo * tails[s] - shift
+        assert enclosed[s].hi == want[s] + hi * tails[s] - shift
+
+
+@PROPERTY
+@given(st.sampled_from((F2, Z2)).flatmap(
+    lambda group: st.tuples(st.just(group), elements(group),
+                            st.sets(elements(group), max_size=12))),
+    st.integers(3, 5))
+def test_cone_tail_matches_the_recursive_walk(case, M):
+    group, s, window = case
+    max_len = max((groups.word_length(group, t) for t in window), default=-1)
+    assert (_cone_tail(group, s, window, M, max_len)
+            == reference_tail(group, s, window, M, max_len))
+
+
+@pytest.mark.parametrize("group", [F2, Z2])
+@pytest.mark.parametrize("text", ["1", "3 - a - b", "2a - b + 1", "a"])
+def test_fourier_plan_denominator_is_the_lcm(group, text):
+    f = PolyF.standard(3, group)
+    g = parse_ring_element(text, group)
+    sites, nums, den, _ = _fourier_plan(g, f, 5)
+    cones = []
+    for t in g.terms:
+        cap = 5 - groups.word_length(group, t)
+        cones += groups.positive_cone_sites(group, t, cap)
+    coords = quotient_coordinates(g, f, cones)
+    assert den == math.lcm(*(v.denominator for v in coords.values()))
+    assert ({s: Fraction(n, den) for s, n in zip(sites, nums)}
+            == {s: v for s, v in coords.items() if v})
+
+
+@pytest.mark.parametrize("group", [F2, Z2])
+def test_positive_cone_sites_match_the_word_walk(group):
+    # every monoid word in turn, first occurrences kept
+    for t in groups.ball(group, 2):
+        out, frontier = {t: None}, [t]
+        for depth in range(1, 8):
+            frontier = [groups.multiply(group, s, c) for s in frontier
+                        for c in groups.generators(group)]
+            out.update(dict.fromkeys(frontier))
+            assert groups.positive_cone_sites(group, t, depth) == list(out)
