@@ -247,19 +247,32 @@ def _cmd_report(args):
     return 0 if rep["passed"] else 1
 
 
-def _add_common(p, radius=None, experiment=False):
-    p.add_argument("--M", type=int, default=3)
-    p.add_argument("--group", choices=[groups.F2, groups.Z2], default=groups.F2)
+_FLAGS = {
+    "M": lambda p: p.add_argument("--M", type=int, default=3),
+    "group": lambda p: p.add_argument(
+        "--group", choices=[groups.F2, groups.Z2], default=groups.F2),
+    "config": lambda p: p.add_argument(
+        "--config", help="input configuration JSON ('-' = stdin)"),
+    "seed": lambda p: p.add_argument(
+        "--seed", type=int, default=acceptance.DEFAULT_SEED),
+    "samples": lambda p: p.add_argument("--samples", type=int, default=10_000),
+    "eval-radius": lambda p: p.add_argument(
+        "--eval-radius", dest="eval_radius", type=int, default=1),
+    "bins": lambda p: p.add_argument("--bins", type=int, default=30),
+    "jobs": lambda p: p.add_argument("--jobs", type=int,
+                                     default=_default_jobs()),
+}
+
+
+def _add_flags(p, *names, radius=None):
+    """--format, --out and the named flags: each subcommand gets only the
+    flags it reads, so a flag it would ignore is a usage error."""
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out")
+    for name in names:
+        _FLAGS[name](p)
     if radius is not None:
         p.add_argument("--radius", type=int, default=radius)
-    if experiment:
-        p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
-        p.add_argument("--samples", type=int, default=10_000)
-        p.add_argument("--eval-radius", dest="eval_radius", type=int, default=1)
-        p.add_argument("--bins", type=int, default=30)
-        p.add_argument("--jobs", type=int, default=_default_jobs())
 
 
 def build_parser():
@@ -270,73 +283,65 @@ def build_parser():
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("patterns", help="allowed local SFT patterns")
-    _add_common(p)
+    _add_flags(p, "M")
     p.add_argument("--range", type=int, default=2)
     p.set_defaults(fn=_cmd_patterns)
 
     p = sub.add_parser("trees", help="enumerate carry trees")
-    _add_common(p)
+    _add_flags(p)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--count-only", action="store_true", dest="count_only")
     p.set_defaults(fn=_cmd_trees)
 
     p = sub.add_parser("kernel", help="truncated kernel coefficients")
-    _add_common(p, radius=4)
+    _add_flags(p, "M", "group", radius=4)
     p.set_defaults(fn=_cmd_kernel)
 
     p = sub.add_parser("cover", help="reduce a window to the M-letter alphabet")
-    _add_common(p, radius=3)
-    p.add_argument("--config", help="input configuration JSON ('-' = stdin)")
-    p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
+    _add_flags(p, "M", "group", "config", "seed", radius=3)
     p.set_defaults(fn=_cmd_cover)
 
     p = sub.add_parser("tau", help="add one at a site and carry")
-    _add_common(p, radius=6)
-    p.add_argument("--config", help="input configuration JSON ('-' = stdin)")
-    p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
+    _add_flags(p, "M", "config", "seed", radius=6)
     p.add_argument("--site", default="")
     p.set_defaults(fn=_cmd_tau)
 
     p = sub.add_parser("percolation", help="forced path in a difference "
                                            "configuration")
-    _add_common(p, radius=4)
-    p.add_argument("--config", help="input configuration JSON ('-' = stdin)")
+    _add_flags(p, "M", "config", radius=4)
     p.add_argument("--ones", action="store_true",
                    help="use the all-ones configuration")
     p.add_argument("--start", default="")
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
     p.set_defaults(fn=_cmd_percolation)
 
     p = sub.add_parser("fourier", help="certified transform value at a "
                                        "character")
-    _add_common(p)
+    _add_flags(p, "M", "group")
     p.add_argument("--g", required=True, help="ring element, e.g. '1 + a'")
     p.add_argument("--radius", type=int, default=None)
     p.set_defaults(fn=_cmd_fourier)
 
     p = sub.add_parser("divide", help="exact division by f with witness")
-    _add_common(p)
+    _add_flags(p, "M", "group")
     p.add_argument("--g", required=True)
     p.set_defaults(fn=_cmd_divide)
 
     p = sub.add_parser("haar-test", help="coordinate uniformity experiment")
-    _add_common(p, radius=12, experiment=True)
+    _add_flags(p, "M", "group", "seed", "samples", "eval-radius", "bins",
+               "jobs", radius=12)
     p.set_defaults(fn=_cmd_haar_test)
 
     p = sub.add_parser("tau-test", help="carry invariance experiment")
-    _add_common(p, radius=14, experiment=True)
+    _add_flags(p, "M", "seed", "samples", "eval-radius", radius=14)
     p.set_defaults(fn=_cmd_tau_test)
 
     p = sub.add_parser("collisions", help="parametrization collision search")
-    _add_common(p, radius=12, experiment=True)
+    _add_flags(p, "M", "group", "seed", "samples", "eval-radius", radius=12)
     p.set_defaults(fn=_cmd_collisions)
 
     p = sub.add_parser("report", help="run the full acceptance suite")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    _add_flags(p, "seed", "jobs")
     p.set_defaults(fn=_cmd_report)
 
     return top

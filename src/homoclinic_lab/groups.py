@@ -11,6 +11,8 @@ Every function takes the group name explicitly so callers cannot mix the two
 by accident; mixing types raises :class:`GroupMismatch`.
 """
 
+from itertools import islice
+
 F2 = "f2"
 Z2 = "z2"
 
@@ -168,58 +170,64 @@ def sphere(group, radius):
     return [g for g in ball(group, radius) if word_length(group, g) == radius]
 
 
+_Z2_STEP = {"a": (1, 0), "b": (0, 1), "A": (-1, 0), "B": (0, -1)}
+
+
+def _z2_add(g, h):
+    return (g[0] + h[0], g[1] + h[1])
+
+
+def cone_levels(group, root, letters=None):
+    """Lazy walk of the monoid cone root*{x, y}*, one level per step.
+
+    letters is the generator pair "ab" (the default, the forward cone
+    root*P) or "AB" (the backward cone root*N).  Each level is a dict
+    {site: number of words reaching it} in bit order: the children of the
+    site at position p are at 2p (first letter) and 2p+1 (second letter).
+    Free-group words give distinct sites, so level l holds 2^l sites of
+    count 1.  z2 words with equal letter counts meet, so level l holds l+1
+    sites counted binomial(l, k), each kept at its first position.
+    """
+    check_element(group, root)
+    steps, child = letters or "ab", f2_multiply
+    if group == Z2:
+        steps, child = [_Z2_STEP[c] for c in steps], _z2_add
+    level = {root: 1}
+    while True:
+        yield level
+        nxt = {}
+        for s, n in level.items():
+            for c in steps:
+                t = child(s, c)
+                nxt[t] = nxt.get(t, 0) + n
+        level = nxt
+
+
+def _cone_sites(group, root, depth, letters=None):
+    levels = islice(cone_levels(group, root, letters), max(depth + 1, 0))
+    return [s for level in levels for s in level]
+
+
 def negative_monoid(group, radius):
     """Words over the inverse generators only, up to the given length.
 
     For f2 these are the words over A and B; for z2 the pairs with both
     coordinates <= 0.  Sorted by sort_key.
     """
-    check_group(group)
-    if group == Z2:
-        out = [
-            (-i, -j)
-            for i in range(radius + 1)
-            for j in range(radius + 1 - i)
-        ]
-        out.sort(key=lambda el: sort_key(Z2, el))
-        return out
-    out = [""]
-    frontier = [""]
-    for _ in range(radius):
-        frontier = [w + c for w in frontier for c in "AB"]
-        out.extend(frontier)
-    out.sort(key=lambda el: sort_key(F2, el))
-    return out
+    sites = _cone_sites(group, identity(group), radius, "AB")
+    return sorted(sites, key=lambda el: sort_key(group, el))
 
 
 def positive_monoid(group, radius):
     """Words over the positive generators a and b, up to the given length."""
-    neg = negative_monoid(group, radius)
-    return sorted(
-        (inverse(group, g) for g in neg), key=lambda el: sort_key(group, el)
-    )
-
-
-def positive_children(group, g):
-    """g*a and g*b, without validation (inner loops)."""
-    if group == Z2:
-        return ((g[0] + 1, g[1]), (g[0], g[1] + 1))
-    return (f2_multiply(g, "a"), f2_multiply(g, "b"))
+    sites = _cone_sites(group, identity(group), radius)
+    return sorted(sites, key=lambda el: sort_key(group, el))
 
 
 def positive_cone_sites(group, t, depth):
     """Sites t*p for positive monoid words p up to the given length,
     deduplicated, in discovery order (level by level, a before b)."""
-    check_element(group, t)
-    out = {t: None}
-    frontier = [t]
-    for _ in range(depth):
-        # z2 words reach a site many ways; one copy per site keeps a level
-        # polynomial in size without changing the order of first discovery
-        frontier = list(dict.fromkeys(
-            c for s in frontier for c in positive_children(group, s)))
-        out.update(dict.fromkeys(frontier))
-    return list(out)
+    return _cone_sites(group, t, depth)
 
 
 def format_element(group, g):

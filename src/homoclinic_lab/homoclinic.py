@@ -9,6 +9,7 @@ series of the kernel.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 import math
 
 from . import groups
@@ -259,16 +260,9 @@ def _cone_tail(group, s, window, M, max_len):
     number of monoid words reaching a z2 site), as integers.
     """
     limit = max_len + groups.word_length(group, s)
-    level = {s: 1}
     num = 0  # sum over depths d <= limit of outside(d) * M^(limit-d)
-    for depth in range(limit + 1):
+    for level in islice(groups.cone_levels(group, s), limit + 1):
         num = num * M + sum(n for t, n in level.items() if t not in window)
-        if depth < limit:
-            nxt = {}
-            for t, n in level.items():
-                for tc in groups.positive_children(group, t):
-                    nxt[tc] = nxt.get(tc, 0) + n
-            level = nxt
     return Fraction((M - 2) * num + 2 ** (limit + 1), (M - 2) * M ** (limit + 1))
 
 

@@ -74,129 +74,76 @@ def sample_config(cfg, index, window=None):
 
 _CACHE_LEVELS = 20
 
+# a free-group fold at depth d draws 2^d ids at its deepest level; criterion
+# 9 goes as deep as 24 (128 MB of ids at that level, before temporaries)
+_MAX_F2_DEPTH = 24
+
+
+def _check_fold_depth(group, depth):
+    if group == F2 and depth > _MAX_F2_DEPTH:
+        raise groups.WindowTooLarge(
+            "a cone fold to depth %d draws 2^%d ids at its deepest level "
+            "(limit: depth %d)" % (depth, depth, _MAX_F2_DEPTH))
+
 
 class _Cone:
-    """Per-level canonical site ids of a monoid cone root*P or root*N.
+    """Canonical site ids of the monoid cone root*{x, y}*, stored level after
+    level in one uint64 array with level offsets.
 
     A coordinate of the parametrized point at root is determined by the
-    sampled symbols on the forward cone root*P (letters a, b), each level l
+    sampled symbols on the forward cone root*P (letters "ab"), each level l
     carrying weight M^-(l+1); the carry machine instead spreads over the
-    backward cone root*N (letters A, B).  The direction argument picks the
-    letter pair.
+    backward cone root*N (letters "AB").
 
-    Free group: level l holds the 2^l sites root*u in bit order (first
-    letter of the pair = bit 0).  While a prefix can still cancel into root
-    the words are tracked as strings; as soon as a node ends in a letter of
-    the pair its whole subtree chains ids with one mix per letter, which
-    vectorizes.
-
-    Z^2: level l holds the l+1 sites root +/- (k, l-k) with multiplicities
-    binomial(l, k), the number of monoid words reaching each site.
+    Levels follow groups.cone_levels in bit order.  Free group: past level
+    len(root) no word can cancel into root, so each level chains its ids
+    from the level before, one mix per letter, which vectorizes.  Z^2:
+    level l holds l+1 sites, and weights holds the number of words reaching
+    each one.
     """
 
-    def __init__(self, group, root, M, direction="positive"):
+    def __init__(self, group, root, letters="ab"):
         self.group = group
-        self.root = root
-        self.M = M
-        if direction == "positive":
-            self.letters = ("a", "b")
-            self._sign = 1
-        else:
-            self.letters = ("A", "B")
-            self._sign = -1
-        self._cancel = {groups._INVERSE[c] for c in self.letters}
-        if group == F2:
-            self._levels = [np.array([rng.word_id(root)], dtype=np.uint64)]
-            init_strings = {0: root} if root and root[-1] in self._cancel else {}
-            self._strings = [init_strings]
-        else:
-            self._levels = [np.array([rng.z2_id(root)], dtype=np.uint64)]
-            self._weights = [[1]]
-        self._stacked = None
+        self.letters = letters
+        self._walk = groups.cone_levels(group, root, letters)
+        self._walk_depth = len(root) if group == F2 else math.inf
+        self.ids = np.empty(0, dtype=np.uint64)
+        self.offsets = [0]
+        self.weights = []
 
-    def _grow_one(self):
-        top = len(self._levels) - 1
-        if self.group == F2:
-            nxt = self._next_f2(self._levels[top], top + 1)
-        else:
-            nxt = self._next_z2(top + 1)
-        self._levels.append(nxt)
+    def grow(self, depth):
+        """Store the levels up to depth."""
+        stored = len(self.offsets) - 1
+        parts = []
+        for level in range(stored, depth + 1):
+            if level > self._walk_depth:
+                top = self.children(parts[-1] if parts else
+                                    self.ids[self.offsets[-2]:])
+            else:
+                sites = next(self._walk)
+                top = rng.element_ids(self.group, sites)
+                if self.group == Z2:
+                    self.weights.extend(sites.values())
+            parts.append(top)
+            self.offsets.append(self.offsets[-1] + len(top))
+        if parts:
+            self.ids = np.concatenate([self.ids] + parts)
 
-    def _next_f2(self, prev, level):
-        n = len(prev)
-        nxt = np.empty(2 * n, dtype=np.uint64)
-        nxt[0::2] = rng.child_ids(prev, self.letters[0])
-        nxt[1::2] = rng.child_ids(prev, self.letters[1])
-        strings = {}
-        for idx, word in self._strings[level - 1].items():
-            for bit in (0, 1):
-                child = groups.multiply(F2, word, self.letters[bit])
-                nxt[2 * idx + bit] = rng.word_id(child)
-                if child and child[-1] in self._cancel:
-                    strings[2 * idx + bit] = child
-        if level == len(self._strings):
-            self._strings.append(strings)
+    def children(self, ids):
+        """Free-group ids of the level after ids, in bit order."""
+        nxt = np.empty(2 * len(ids), dtype=np.uint64)
+        nxt[0::2] = rng.child_ids(ids, self.letters[0])
+        nxt[1::2] = rng.child_ids(ids, self.letters[1])
         return nxt
 
-    def _z2_site(self, level, k):
-        i0, j0 = self.root
-        return (i0 + self._sign * k, j0 + self._sign * (level - k))
-
-    def _next_z2(self, level):
-        ids = np.array([rng.z2_id(self._z2_site(level, k))
-                        for k in range(level + 1)], dtype=np.uint64)
-        self._weights.append([math.comb(level, k) for k in range(level + 1)])
-        return ids
-
-    def level_ids(self, level):
-        """Cached ids for levels up to the cache cap."""
-        if level > _CACHE_LEVELS:
-            raise ValueError("level beyond cache cap; use next_level")
-        while len(self._levels) <= level:
-            self._grow_one()
-        return self._levels[level]
-
-    def stacked_ids(self, depth):
-        """All ids of levels 0..depth as one array plus level offsets, so a
-        base fold needs a single draw per sample."""
-        if self._stacked is None or self._stacked[0] < depth:
-            parts = [self.level_ids(l) for l in range(depth + 1)]
-            offsets = [0]
-            for p in parts:
-                offsets.append(offsets[-1] + len(p))
-            self._stacked = (depth, np.concatenate(parts), offsets)
-        d, ids, offsets = self._stacked
-        if d == depth:
-            return ids, offsets
-        return ids[:offsets[depth + 1]], offsets[:depth + 2]
-
-    def next_level(self, prev_ids, level):
-        """One transient extension step from the caller's current level
-        array; used past the cache cap where no cancellation remains."""
+    def level_sum(self, vals, level, base):
+        """Weighted symbol sum of a stored level; vals holds the symbols of
+        the stored ids from offset base on."""
+        lo, hi = self.offsets[level], self.offsets[level + 1]
+        seg = vals[lo - base:hi - base]
         if self.group == F2:
-            if level - 1 < len(self._strings) and self._strings[level - 1]:
-                raise AssertionError("transient extension inside the "
-                                     "cancellation zone")
-            nxt = np.empty(2 * len(prev_ids), dtype=np.uint64)
-            nxt[0::2] = rng.child_ids(prev_ids, self.letters[0])
-            nxt[1::2] = rng.child_ids(prev_ids, self.letters[1])
-            return nxt
-        return np.array([rng.z2_id(self._z2_site(level, k))
-                         for k in range(level + 1)], dtype=np.uint64)
-
-    def level_weights(self, level):
-        if self.group == F2:
-            return None
-        while len(self._weights) <= level:
-            l = len(self._weights)
-            self._weights.append([math.comb(l, k) for k in range(l + 1)])
-        return self._weights[level]
-
-    def level_sum(self, values, level):
-        if self.group == F2:
-            return int(values.sum())
-        w = self.level_weights(level)
-        return sum(wk * int(v) for wk, v in zip(w, values))
+            return int(seg.sum())
+        return sum(w * v for w, v in zip(self.weights[lo:hi], seg.tolist()))
 
 
 def _tail_units(M, depth):
@@ -226,7 +173,7 @@ def _assign_bin(num, depth, M, bins):
 
 class _ConeFold:
     """Running partial numerator of one coordinate of one sample: value
-    sum over levels 0..depth in base M, deepened one level at a time."""
+    sum over levels 0..depth in base M, deepened on demand."""
 
     def __init__(self, cone, seed, index, M, value_fn):
         self.cone = cone
@@ -236,34 +183,35 @@ class _ConeFold:
         self.value_fn = value_fn
         self.num = 0
         self.depth = -1
-        self._ids = None
-
-    def deepen(self):
-        level = self.depth + 1
-        if level <= _CACHE_LEVELS:
-            ids = self.cone.level_ids(level)
-        else:
-            ids = self.cone.next_level(self._ids, level)
-        vals = self.value_fn(self.seed, self.index, ids, self.M)
-        self.num = self.num * self.M + self.cone.level_sum(vals, level)
-        self.depth = level
-        self._ids = ids
+        self._top = None
 
     def to_depth(self, depth):
-        if self.depth == -1 and 0 <= depth <= _CACHE_LEVELS:
-            ids, offsets = self.cone.stacked_ids(depth)
-            vals = self.value_fn(self.seed, self.index, ids, self.M)
-            num = 0
-            for level in range(depth + 1):
-                seg = vals[offsets[level]:offsets[level + 1]]
-                num = num * self.M + self.cone.level_sum(seg, level)
-            self.num = num
-            self.depth = depth
-            self._ids = ids[offsets[depth]:offsets[depth + 1]]
-            return self.num
+        """One draw over the stored levels still missing, then one
+        transient level per step past the cache cap.  z2 levels hold
+        l+1 ids, so they are all stored."""
+        stored = depth if self.cone.group == Z2 else min(depth, _CACHE_LEVELS)
+        if self.depth < stored:
+            self._fold_stored(stored)
         while self.depth < depth:
-            self.deepen()
+            if self._top is None:
+                off = self.cone.offsets
+                self._top = self.cone.ids[off[self.depth]:off[self.depth + 1]]
+            self._top = self.cone.children(self._top)
+            self.num = self.num * self.M + int(
+                self.value_fn(self.seed, self.index, self._top, self.M).sum())
+            self.depth += 1
         return self.num
+
+    def _fold_stored(self, depth):
+        cone = self.cone
+        cone.grow(depth)
+        lo = self.depth + 1
+        base = cone.offsets[lo]
+        vals = self.value_fn(self.seed, self.index,
+                             cone.ids[base:cone.offsets[depth + 1]], self.M)
+        for level in range(lo, depth + 1):
+            self.num = self.num * self.M + cone.level_sum(vals, level, base)
+        self.depth = depth
 
 
 def _pair_cell(b, bins, cells):
@@ -294,7 +242,7 @@ def _haar_chunk(cfg, lo, hi, max_extra, value_fn=None):
     if value_fn is None:
         value_fn = rng.symbols
     sites = groups.ball(cfg.group, cfg.eval_radius)
-    cones = [_Cone(cfg.group, s, cfg.M) for s in sites]
+    cones = [_Cone(cfg.group, s) for s in sites]
     bins = cfg.bins
     cells = min(_PAIR_CELLS, bins)
     hist = np.zeros((len(sites), bins), dtype=np.int64)
@@ -310,7 +258,7 @@ def _haar_chunk(cfg, lo, hi, max_extra, value_fn=None):
             fold.to_depth(base)
             b = _assign_bin(fold.num, fold.depth, cfg.M, bins)
             while b is None and fold.depth < base + max_extra:
-                fold.deepen()
+                fold.to_depth(fold.depth + 1)
                 b = _assign_bin(fold.num, fold.depth, cfg.M, bins)
             if b is None:
                 ambiguous[ci] += 1
@@ -337,6 +285,7 @@ def haar_window_test(cfg, max_extra=12, p_threshold=1e-3,
     bin implies a certified cell).  Fails if any p-value drops below
     p_threshold or the ambiguity rate reaches ambiguity_threshold.
     """
+    _check_fold_depth(cfg.group, cfg.sample_radius + max_extra)
     width = _enclosure_width(cfg.M, cfg.sample_radius)
     if width >= Fraction(1, cfg.bins):
         raise EnclosureTooWide(
@@ -517,9 +466,9 @@ def empirical_fourier(cfg, g, jobs=1):
     }
 
 
-def _word_of_position(level, pos):
-    return "".join("B" if (pos >> (level - 1 - k)) & 1 else "A"
-                   for k in range(level))
+# the word from the root of a backward cone to a position of its stored
+# levels, read off the binary expansion of the position (see _tau_cascade)
+_HEAP_WORD = str.maketrans("01", "AB")
 
 
 def _tau_variant(cfg, root, index_lo, eval_sites):
@@ -534,8 +483,8 @@ def _tau_variant(cfg, root, index_lo, eval_sites):
     M = cfg.M
     R = cfg.sample_radius
     N = cfg.samples
-    cone = _Cone(F2, root, M, direction="negative")
-    level_ids = [cone.level_ids(l) for l in range(R + 1)]
+    cone = _Cone(F2, root, "AB")
+    cone.grow(R)
 
     # the homoclinic coordinate at the carry site: the kernel of phi,
     # 1/f*, translated to root, as integers over M^(E+1)
@@ -543,11 +492,9 @@ def _tau_variant(cfg, root, index_lo, eval_sites):
     nums, E = kernel_convolution(f, {root: 1}, eval_sites, star=True)
     rhs = {s: Fraction(n, M ** (E + 1)) for s, n in zip(eval_sites, nums)}
 
-    depth2 = []
-    for l in range(min(2, R) + 1):
-        for p in range(1 << l):
-            depth2.append((l, p))
-    freq = np.zeros((len(depth2), M), dtype=np.int64)
+    # levels 0..min(2, R) are the first 2^(min(2, R) + 1) - 1 positions
+    shallow = (2 << min(2, R)) - 1
+    freq = np.zeros((shallow, M), dtype=np.int64)
 
     discarded = 0
     retained = 0
@@ -558,34 +505,25 @@ def _tau_variant(cfg, root, index_lo, eval_sites):
 
     for i in range(N):
         index = index_lo + i
-        values, fired, img = _tau_cascade(cfg, index, level_ids)
+        values, img = _tau_cascade(cfg, index, cone)
         if img is None:
             discarded += 1
             continue
         retained += 1
 
-        for si, (l, p) in enumerate(depth2):
-            freq[si, int(img[l][p])] += 1
+        freq[np.arange(shallow), img[:shallow]] += 1
 
         # the exact identity: the change of symbols convolved with 1/f*,
         # minus the translated kernel (the -1 at root), is 0 mod 1
-        diff = {root: int(img[0][0]) - int(values[0][0]) - 1}
-        for l in range(R):
-            if not fired[l].any():
-                break
-            for p in np.nonzero(np.repeat(fired[l], 2))[0]:
-                d = int(img[l + 1][p]) - int(values[l + 1][p])
-                if d:
-                    t = groups.multiply(F2, root, _word_of_position(l + 1, int(p)))
-                    diff[t] = d
+        diff = {root: int(img[0]) - int(values[0]) - 1}
+        for p in np.nonzero(img[1:] != values[1:])[0] + 1:
+            word = bin(int(p) + 1)[3:].translate(_HEAP_WORD)
+            diff[groups.multiply(F2, root, word)] = int(img[p]) - int(values[p])
         nums, E = kernel_convolution(f, diff, eval_sites, star=True)
         if all(n % M ** (E + 1) == 0 for n in nums):
             exact_matches += 1
 
-        h = hashlib.sha256()
-        for l in range(R + 1):
-            h.update(img[l].astype(np.uint8).tobytes())
-        dg = h.digest()
+        dg = hashlib.sha256(img.astype(np.uint8).tobytes()).digest()
         if dg in digests:
             recheck.append((digests[dg], index))
         else:
@@ -594,19 +532,15 @@ def _tau_variant(cfg, root, index_lo, eval_sites):
     # a digest collision is only a real collision if the raw image windows
     # agree; regenerate both deterministically and compare
     for idx_a, idx_b in recheck:
-        img_a = _tau_cascade(cfg, idx_a, level_ids)[2]
-        img_b = _tau_cascade(cfg, idx_b, level_ids)[2]
+        img_a = _tau_cascade(cfg, idx_a, cone)[1]
+        img_b = _tau_cascade(cfg, idx_b, cone)[1]
         if img_a is not None and img_b is not None and \
-                all(np.array_equal(x, y) for x, y in zip(img_a, img_b)):
+                np.array_equal(img_a, img_b):
             collisions += 1
 
     n_eval = retained if retained else 1
     sigma = math.sqrt((1.0 / M) * (1 - 1.0 / M) / n_eval)
-    max_dev = 0.0
-    for si in range(len(depth2)):
-        for v in range(M):
-            dev = abs(freq[si, v] / n_eval - 1.0 / M)
-            max_dev = max(max_dev, dev)
+    max_dev = float(np.abs(freq / n_eval - 1.0 / M).max())
 
     p_disc = 1.0 - float(symbolic.partition_mass(R - 2, M))
     sigma_disc = math.sqrt(max(p_disc * (1 - p_disc), 1e-12) / N)
@@ -632,34 +566,30 @@ def _tau_variant(cfg, root, index_lo, eval_sites):
     }
 
 
-def _tau_cascade(cfg, index, level_ids):
-    """Add 1 at the root of the sampled cone levels and carry.
+def _tau_cascade(cfg, index, cone):
+    """Add 1 at the root of the stored backward cone and carry.
 
-    Returns (values, fired, img): the sampled symbols per level, which
-    sites fired a carry, and the image window, or img None when the
-    cascade reaches the last level (a discard).
+    One draw covers all stored levels.  In that layout the children of
+    position p sit at 2p+1 and 2p+2, and the word from the root to p is
+    the binary expansion of p+1 after its leading 1 (0 = A, 1 = B).
+    Returns (values, img): the sampled symbols and the image window, or
+    img None when the cascade reaches the last level (a discard).
     """
     M = cfg.M
-    R = len(level_ids) - 1
-    values = [rng.symbols(cfg.seed, index, level_ids[l], M).astype(np.int64)
-              for l in range(R + 1)]
-    fired = [values[0] == M - 1]
-    for l in range(1, R + 1):
-        fired.append((values[l] == M - 1) & np.repeat(fired[l - 1], 2))
-    if bool(fired[R].any()):
-        return values, fired, None
-    img = [v.copy() for v in values]
-    if fired[0][0]:
-        img[0][0] = 0
-    else:
-        img[0][0] += 1
-    for l in range(R):
-        if not fired[l].any():
-            break
-        recv = np.repeat(fired[l], 2)
-        img[l + 1][recv & ~fired[l + 1]] += 1
-        img[l + 1][fired[l + 1]] = 0
-    return values, fired, img
+    off = cone.offsets
+    values = rng.symbols(cfg.seed, index, cone.ids, M)
+    full = values == M - 1
+    fired = np.zeros_like(full)
+    fired[0] = full[0]
+    for lo, mid, hi in zip(off, off[1:], off[2:]):
+        fired[mid:hi] = full[mid:hi] & np.repeat(fired[lo:mid], 2)
+    if fired[off[-2]:].any():
+        return values, None
+    # a fired site gives M away and one to each child; the root gets 1
+    img = values - M * fired
+    img[0] += 1
+    img[1:] += np.repeat(fired[:off[-2]], 2)
+    return values, img
 
 
 def tau_invariance_test(cfg):
@@ -708,6 +638,7 @@ def collision_search(cfg, pairs=None, control=64, pair_depth=8, max_extra=6):
     """
     if cfg.M != 3:
         raise ValueError("the exact collision family needs M = 3")
+    _check_fold_depth(cfg.group, pair_depth + max_extra)
     group = cfg.group
     M = cfg.M
     eval_sites = groups.ball(group, cfg.eval_radius)
@@ -727,7 +658,7 @@ def collision_search(cfg, pairs=None, control=64, pair_depth=8, max_extra=6):
 
     # (ii) independent pairs
     n_pairs = pairs if pairs is not None else cfg.samples
-    cones = [_Cone(group, s, M) for s in eval_sites]
+    cones = [_Cone(group, s) for s in eval_sites]
     folds_ok = 0
     unresolved = 0
     deepened = 0

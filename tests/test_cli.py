@@ -170,6 +170,28 @@ def test_csv_unsupported_exits_two():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("tau-test", "--group", "z2"),
+    ("tau-test", "--jobs", "2"),
+    ("collisions", "--bins", "6"),
+    ("trees", "--size", "2", "--M", "4"),
+    ("patterns", "--group", "z2"),
+    ("percolation", "--ones", "--group", "z2"),
+])
+def test_flag_the_subcommand_ignores_exits_two(argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+
+
+def test_haar_test_too_deep_exits_one():
+    # sample radius 13 plus the default 12 extra levels is past depth 24
+    code, out, err = run_cli("haar-test", "--radius", "13", "--samples", "10")
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and "depth 25" in err
+
+
 def test_parse_error_exits_one():
     code, _, err = run_cli("fourier", "--g", "a +")
     assert code == 1

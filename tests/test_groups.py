@@ -65,6 +65,25 @@ def test_monoid_windows():
     assert all(i <= 0 and j <= 0 for i, j in groups.negative_monoid(Z2, 3))
 
 
+def test_cone_levels_bit_order_and_multiplicities():
+    from itertools import islice
+    from math import comb
+    levels = list(islice(groups.cone_levels(F2, ""), 4))
+    for l, level in enumerate(levels):
+        # position p spells the word by its bits, a = 0 and b = 1
+        assert list(level) == [
+            "".join("ab"[(p >> (l - 1 - k)) & 1] for k in range(l))
+            for p in range(2 ** l)]
+        assert set(level.values()) == {1}
+    back = list(islice(groups.cone_levels(F2, "a", "AB"), 3))
+    assert list(back[1]) == ["", "aB"]
+    assert list(back[2]) == ["A", "B", "aBA", "aBB"]
+    for l, level in enumerate(islice(groups.cone_levels(Z2, (2, -1)), 6)):
+        assert level == {(2 + k, -1 + l - k): comb(l, k) for k in range(l + 1)}
+    neg = list(islice(groups.cone_levels(Z2, (0, 0), "AB"), 3))[2]
+    assert neg == {(-2, 0): 1, (-1, -1): 2, (0, -2): 1}
+
+
 def test_ball_is_sorted_and_deduplicated():
     ball = groups.ball(F2, 2)
     assert ball[0] == ""

@@ -1,8 +1,11 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 
-from homoclinic_lab import groups, rng
-from homoclinic_lab.groups import F2, Z2, GroupMismatch
+from homoclinic_lab import groups, montecarlo, rng, symbolic
+from homoclinic_lab.groups import F2, Z2, GroupMismatch, WindowTooLarge
+from homoclinic_lab.homoclinic import Configuration
 from homoclinic_lab.montecarlo import (EnclosureTooWide, ExperimentConfig,
                                        _assign_bin, collision_search,
                                        empirical_fourier, haar_window_test,
@@ -153,6 +156,63 @@ def test_tau_invariance_guards():
         tau_invariance_test(cfg_with(M=4, sample_radius=10))
     with pytest.raises(ValueError):
         tau_invariance_test(cfg_with(sample_radius=24))
+
+
+@pytest.mark.parametrize("root", ["", "a"])
+def test_tau_cascade_matches_carry_add(root):
+    # the numpy cascade on one draw of the stored backward cone against the
+    # addition machine on the same window, sample by sample
+    cfg = cfg_with(sample_radius=4)
+    R = cfg.sample_radius
+    cone = montecarlo._Cone(F2, root, "AB")
+    cone.grow(R)
+    sites = [s for level in islice(groups.cone_levels(F2, root, "AB"), R + 1)
+             for s in level]
+    assert np.array_equal(cone.ids, rng.element_ids(F2, sites))
+    discards = 0
+    for index in range(300):
+        values, img = montecarlo._tau_cascade(cfg, index, cone)
+        d = Configuration(F2, {s: int(v) for s, v in zip(sites, values)},
+                          (0, 2))
+        try:
+            res = symbolic.carry_add(d, root, cfg.M)
+        except symbolic.BoundaryOverflow:
+            assert img is None
+            discards += 1
+            continue
+        assert img is not None
+        assert res.config.values == {s: int(v) for s, v in zip(sites, img)}
+    assert 0 < discards < 300
+
+
+def test_tau_cascade_draws_once_per_sample(monkeypatch):
+    calls = []
+    draw = rng.symbols
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return draw(*args)
+
+    monkeypatch.setattr(rng, "symbols", counted)
+    cfg = cfg_with(samples=20, sample_radius=6)
+    tau_invariance_test(cfg)
+    assert calls == [2 ** 7 - 1] * (2 * cfg.samples)
+
+
+def test_fold_depth_guard_fails_before_any_draw(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew symbols before the depth check")
+
+    monkeypatch.setattr(rng, "symbols", no_draw)
+    with pytest.raises(WindowTooLarge):
+        haar_window_test(cfg_with(sample_radius=13))  # 13 + 12 > 24
+    with pytest.raises(WindowTooLarge):
+        haar_window_test(cfg_with(sample_radius=8, bins=6), max_extra=17)
+    with pytest.raises(WindowTooLarge):
+        collision_search(cfg_with(), pair_depth=8, max_extra=17)
+    # the limit is criterion 9's depth, and z2 levels stay small
+    montecarlo._check_fold_depth(F2, 24)
+    montecarlo._check_fold_depth(Z2, 40)
 
 
 def test_collision_search_free_group():
