@@ -54,7 +54,6 @@ from .symbolic import (
     BoundaryOverflow,
     CarryResult,
     CylinderSpec,
-    NonTermination,
     PatternTable,
     Tree,
     allowed_patterns,
@@ -82,9 +81,9 @@ __all__ = [
     "parse_ring_element", "quotient_coordinates",
     "CharacterValue", "InIdeal", "RadiusInsufficient", "Witness",
     "haar_indicator_check", "mu_hat", "nu0_hat", "rational_witness",
-    "BoundaryOverflow", "CarryResult", "CylinderSpec", "NonTermination",
-    "PatternTable", "Tree", "allowed_patterns", "carry_add", "catalan",
-    "cylinder_measure", "enumerate_trees", "partition_mass",
-    "pattern_completions", "percolation_path", "reduce_cover",
+    "BoundaryOverflow", "CarryResult", "CylinderSpec", "PatternTable",
+    "Tree", "allowed_patterns", "carry_add", "catalan", "cylinder_measure",
+    "enumerate_trees", "partition_mass", "pattern_completions",
+    "percolation_path", "reduce_cover",
     "__version__",
 ]

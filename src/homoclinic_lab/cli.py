@@ -167,12 +167,8 @@ def _cmd_fourier(args):
     g = parse_ring_element(args.g, group=args.group)
     verdict = spectral.rational_witness(g, f)
     member = isinstance(verdict, InIdeal)
-    if args.radius is not None:
-        radius = args.radius
-    elif member:
-        radius = max(1, verdict.quotient.max_word_length() or 0)
-    else:
-        radius = max(1, groups.word_length(args.group, verdict.site))
+    radius = (args.radius if args.radius is not None
+              else spectral.auto_radius(g, f, verdict))
     value = spectral.mu_hat(g, f, radius)
     doc = _doc("fourier",
                {"M": args.M, "group": args.group, "g": args.g,

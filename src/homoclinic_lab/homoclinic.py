@@ -17,10 +17,6 @@ from .groups import F2, Z2, check_group
 from .ring import PolyF, RingElement, kernel_convolution
 
 
-F_STAR_INVERSE = "f_star_inverse"
-F_INVERSE = "f_inverse"
-
-
 class UnsupportedGroup(ValueError):
     """Only the free group f2 and z2 instances are implemented."""
 
@@ -35,58 +31,43 @@ class WidthExceedsOne(ValueError):
 
 @dataclass(frozen=True)
 class Kernel:
-    """Closed-form geometric-series inverse of f* (or of f) for f = M - a - b.
+    """Closed-form geometric-series inverse of f* for f = M - a - b.
 
-    Coefficients are nonnegative, supported on the negative (resp. positive)
-    monoid, with value M^-(len+1) at each monoid word in the free group and
-    binomial multiplicity in z2.  The full l1 norm is 1/(M-2).
+    Coefficients are nonnegative, supported on the negative monoid, with
+    value M^-(len+1) at each monoid word in the free group and binomial
+    multiplicity in z2.  The full l1 norm is 1/(M-2).
     """
 
     M: int
     group: str
-    orientation: str
     truncation_radius: int
-
-    def __post_init__(self):
-        if self.orientation not in (F_STAR_INVERSE, F_INVERSE):
-            raise ValueError(f"unknown orientation {self.orientation!r}")
 
     @property
     def _poly(self):
         return PolyF.standard(self.M, self.group)
 
     def coefficient(self, el):
-        """Exact coefficient at el; zero off the support monoid."""
-        if self.orientation == F_INVERSE:
-            return self._poly.inv_coeff(el)
+        """Exact coefficient at el; zero off the negative monoid."""
         return self._poly.inv_coeff(groups.inverse(self.group, el))
 
     def partial_l1(self, n=None):
         """l1 mass through word length n: (1 - (2/M)^(n+1)) / (M - 2)."""
-        if n is None:
-            n = self.truncation_radius
-        if n < 0:
-            return Fraction(0)
-        return (1 - Fraction(2, self.M) ** (n + 1)) / (self.M - 2)
+        return self.full_l1 - self.tail_l1(n)
 
     def tail_l1(self, n=None):
         """l1 mass beyond word length n: (2/M)^(n+1) / (M - 2)."""
         if n is None:
             n = self.truncation_radius
-        return Fraction(2, self.M) ** (n + 1) / (self.M - 2)
+        return self._poly.tail_l1_beyond(n)
 
     @property
     def full_l1(self):
-        return Fraction(1, self.M - 2)
+        return self._poly.full_inverse_l1
 
     def truncated_ring(self):
         """The kernel restricted to its truncation radius, as a RingElement."""
-        monoid = (
-            groups.negative_monoid
-            if self.orientation == F_STAR_INVERSE
-            else groups.positive_monoid
-        )
-        terms = {el: self.coefficient(el) for el in monoid(self.group, self.truncation_radius)}
+        terms = {el: self.coefficient(el)
+                 for el in groups.negative_monoid(self.group, self.truncation_radius)}
         return RingElement(self.group, terms)
 
 
@@ -97,7 +78,7 @@ def kernel(M, group=F2, radius=0):
         raise ValueError("M must be at least 3")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    return Kernel(M=M, group=group, orientation=F_STAR_INVERSE, truncation_radius=radius)
+    return Kernel(M=M, group=group, truncation_radius=radius)
 
 
 @dataclass
@@ -234,7 +215,7 @@ class TorusValue:
 
 def _phi_numerators(d, window, M):
     """Integer numerators of phi(d) = d . w on the window, over M^(E+1)."""
-    f = kernel(M, d.group)._poly
+    f = PolyF.standard(M, d.group)
     window = list(window)
     nums, E = kernel_convolution(f, d.values, window, star=True)
     return window, nums, M ** (E + 1)

@@ -28,6 +28,7 @@ from .groups import F2, Z2
 from .homoclinic import Configuration, phi_windowed
 from .intervals import PI_HI
 from .ring import NotDivisible, PolyF, divide_by_f, kernel_convolution
+from .spectral import quotient_tail_l1
 
 
 class EnclosureTooWide(ValueError):
@@ -175,12 +176,11 @@ class _ConeFold:
     """Running partial numerator of one coordinate of one sample: value
     sum over levels 0..depth in base M, deepened on demand."""
 
-    def __init__(self, cone, seed, index, M, value_fn):
+    def __init__(self, cone, seed, index, M):
         self.cone = cone
         self.seed = seed
         self.index = index
         self.M = M
-        self.value_fn = value_fn
         self.num = 0
         self.depth = -1
         self._top = None
@@ -198,7 +198,7 @@ class _ConeFold:
                 self._top = self.cone.ids[off[self.depth]:off[self.depth + 1]]
             self._top = self.cone.children(self._top)
             self.num = self.num * self.M + int(
-                self.value_fn(self.seed, self.index, self._top, self.M).sum())
+                rng.symbols(self.seed, self.index, self._top, self.M).sum())
             self.depth += 1
         return self.num
 
@@ -207,8 +207,8 @@ class _ConeFold:
         cone.grow(depth)
         lo = self.depth + 1
         base = cone.offsets[lo]
-        vals = self.value_fn(self.seed, self.index,
-                             cone.ids[base:cone.offsets[depth + 1]], self.M)
+        vals = rng.symbols(self.seed, self.index,
+                           cone.ids[base:cone.offsets[depth + 1]], self.M)
         for level in range(lo, depth + 1):
             self.num = self.num * self.M + cone.level_sum(vals, level, base)
         self.depth = depth
@@ -235,12 +235,22 @@ def _chunk_ranges(n, parts):
     return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def _haar_chunk(cfg, lo, hi, max_extra, value_fn=None):
+def _map_samples(chunk, cfg, jobs, *args):
+    """chunk(cfg, lo, hi, *args) over [lo, hi) ranges that split the sample
+    indices into at most jobs parts, one worker process per part when there
+    are several; returns the parts in index order."""
+    ranges = _chunk_ranges(cfg.samples, jobs)
+    if len(ranges) == 1:
+        return [chunk(cfg, 0, cfg.samples, *args)]
+    with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+        futures = [pool.submit(chunk, cfg, lo, hi, *args) for lo, hi in ranges]
+        return [fut.result() for fut in futures]
+
+
+def _haar_chunk(cfg, lo, hi, max_extra):
     """Tallies for sample indices [lo, hi): per-site histograms, ambiguous
     counts and the pair grid.  Pure integer output, so chunk merges are
     exact and order independent."""
-    if value_fn is None:
-        value_fn = rng.symbols
     sites = groups.ball(cfg.group, cfg.eval_radius)
     cones = [_Cone(cfg.group, s) for s in sites]
     bins = cfg.bins
@@ -254,7 +264,7 @@ def _haar_chunk(cfg, lo, hi, max_extra, value_fn=None):
     for index in range(lo, hi):
         sample_bins = []
         for ci, cone in enumerate(cones):
-            fold = _ConeFold(cone, cfg.seed, index, cfg.M, value_fn)
+            fold = _ConeFold(cone, cfg.seed, index, cfg.M)
             fold.to_depth(base)
             b = _assign_bin(fold.num, fold.depth, cfg.M, bins)
             while b is None and fold.depth < base + max_extra:
@@ -274,7 +284,7 @@ def _haar_chunk(cfg, lo, hi, max_extra, value_fn=None):
 
 
 def haar_window_test(cfg, max_extra=12, p_threshold=1e-3,
-                     ambiguity_threshold=0.01, jobs=1, value_fn=None):
+                     ambiguity_threshold=0.01, jobs=1):
     """Per-coordinate uniformity and pairwise independence of sampled
     window coordinates, using only bin assignments that are certified by
     the interval enclosure.
@@ -294,20 +304,9 @@ def haar_window_test(cfg, max_extra=12, p_threshold=1e-3,
     sites = groups.ball(cfg.group, cfg.eval_radius)
     bins = cfg.bins
 
-    if jobs > 1 and value_fn is None:
-        ranges = _chunk_ranges(cfg.samples, jobs)
-        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-            parts = list(pool.map(_haar_chunk, [cfg] * len(ranges),
-                                  [r[0] for r in ranges],
-                                  [r[1] for r in ranges],
-                                  [max_extra] * len(ranges)))
-        hist = sum(p[0] for p in parts)
-        ambiguous = sum(p[1] for p in parts)
-        grid = sum(p[2] for p in parts)
-        pair_total = sum(p[3] for p in parts)
-    else:
-        hist, ambiguous, grid, pair_total = _haar_chunk(
-            cfg, 0, cfg.samples, max_extra, value_fn)
+    parts = _map_samples(_haar_chunk, cfg, jobs, max_extra)
+    hist, ambiguous, grid, pair_total = (sum(p[k] for p in parts)
+                                         for k in range(4))
 
     coords = []
     worst_p = 1.0
@@ -368,13 +367,12 @@ def _fourier_plan(g, f, radius):
     the l1 tail bound for everything left out."""
     group = g.group
     site_set = {}
-    tail = Fraction(0)
-    for t, c in g.items():
+    for t in g.support():
         cap = radius - groups.word_length(group, t)
         if cap < 0:
             raise ValueError("sample radius smaller than the support of g")
         site_set.update(dict.fromkeys(groups.positive_cone_sites(group, t, cap)))
-        tail += abs(c) * f.tail_l1_beyond(cap)
+    tail = quotient_tail_l1(g, f, radius)
     sites = list(site_set)
     try:
         q = divide_by_f(g, f)
@@ -430,18 +428,9 @@ def empirical_fourier(cfg, g, jobs=1):
     sites, nums, den, tail = _fourier_plan(g, f, cfg.sample_radius)
     ids_list = [rng.element_id(cfg.group, s) for s in sites]
 
-    if jobs > 1 and sites:
-        ranges = _chunk_ranges(cfg.samples, jobs)
-        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-            parts = list(pool.map(_fourier_chunk, [cfg] * len(ranges),
-                                  [r[0] for r in ranges],
-                                  [r[1] for r in ranges],
-                                  [ids_list] * len(ranges),
-                                  [nums] * len(ranges),
-                                  [den] * len(ranges)))
-        residues = [r for part in parts for r in part]
-    else:
-        residues = _fourier_chunk(cfg, 0, cfg.samples, ids_list, nums, den)
+    parts = _map_samples(_fourier_chunk, cfg, jobs if sites else 1,
+                         ids_list, nums, den)
+    residues = [r for part in parts for r in part]
 
     acc = 0j
     exact_ones = 0
@@ -664,9 +653,8 @@ def collision_search(cfg, pairs=None, control=64, pair_depth=8, max_extra=6):
     deepened = 0
     base_offset = 1 << 20
     for i in range(n_pairs):
-        fa = [_ConeFold(c, cfg.seed, base_offset + i, M, rng.symbols)
-              for c in cones]
-        fb = [_ConeFold(c, cfg.seed, base_offset + n_pairs + i, M, rng.symbols)
+        fa = [_ConeFold(c, cfg.seed, base_offset + i, M) for c in cones]
+        fb = [_ConeFold(c, cfg.seed, base_offset + n_pairs + i, M)
               for c in cones]
         for f_ in fa + fb:
             f_.to_depth(pair_depth)

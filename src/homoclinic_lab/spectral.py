@@ -96,9 +96,9 @@ def _complex_mul(re1, im1, re2, im2):
     return re, im
 
 
-def _tail_l1(g, f, radius):
-    """Upper bound on sum of |(g/f)_s| over sites s outside the window: each
-    term of g contributes its own translated cone tail."""
+def quotient_tail_l1(g, f, radius):
+    """Upper bound on sum of |(g/f)_s| over sites s outside the ball of the
+    radius: each term of g contributes its own translated cone tail."""
     total = Fraction(0)
     for t, c in g.items():
         total += abs(c) * f.tail_l1_beyond(radius - groups.word_length(g.group, t))
@@ -150,7 +150,7 @@ def mu_hat(g, f, radius):
 
     # |prod over tail - 1| <= sum |factor_s - 1| <= pi*(M-1) * sum |(g/f)_s|,
     # each factor having modulus at most 1
-    eps = PI_HI * (M - 1) * _tail_l1(g, f, radius)
+    eps = PI_HI * (M - 1) * quotient_tail_l1(g, f, radius)
     band_re = RationalInterval(1 - eps, 1 + eps)
     band_im = RationalInterval(-eps, eps)
     re, im = _complex_mul(re, im, band_re, band_im)
@@ -202,7 +202,9 @@ def rational_witness(g, f):
         return Witness(exc.site, exc.value, int(k), f.M)
 
 
-def _auto_radius(g, f, verdict):
+def auto_radius(g, f, verdict):
+    """The smallest window radius (at least 1) holding the quotient of a
+    member, or the witness site of a non-member."""
     if isinstance(verdict, InIdeal):
         r = verdict.quotient.max_word_length() or 0
     else:
@@ -220,7 +222,7 @@ def haar_indicator_check(g_list, f, radius=None):
     for g in g_list:
         verdict = rational_witness(g, f)
         member = isinstance(verdict, InIdeal)
-        r = radius if radius is not None else _auto_radius(g, f, verdict)
+        r = radius if radius is not None else auto_radius(g, f, verdict)
         value = mu_hat(g, f, r)
         if member:
             ok = value.contains_one() and not value.contains_zero()

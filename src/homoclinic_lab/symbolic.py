@@ -1,6 +1,7 @@
-"""Symbolic-dynamics machinery: the height-level reduction sweep, the
-carry/addition machine with its tree and cylinder combinatorics, SFT pattern
-tables, and the percolation analysis behind the injectivity bound.
+"""Symbolic-dynamics machinery: one toppling loop behind the reduction
+process and the carry/addition machine, the tree and cylinder combinatorics
+of the carry cascades, SFT pattern tables, and the percolation analysis
+behind the injectivity bound.
 
 Trees are finite sets of words over the inverse generators A, B closed under
 initial subwords; they index the carry cascades of the addition machine.
@@ -13,17 +14,13 @@ import heapq
 import math
 
 from . import groups
-from .groups import F2, check_group
+from .groups import F2
 from .homoclinic import Configuration
 from .ring import RingElement
 
 
 class ValueOutOfRange(ValueError):
     """A configuration value violates the declared symbol range."""
-
-
-class NonTermination(RuntimeError):
-    """The toppling loop exceeded its step budget."""
 
 
 class BoundaryOverflow(RuntimeError):
@@ -245,76 +242,72 @@ def _check_values(d, lo, hi):
             )
 
 
-def reduce_cover(d, M):
-    """One descending height sweep of the reduction process.
+def _topple(group, work, M, start):
+    """Fire window sites holding M or more until none does.
 
-    Every window site with value >= M fires exactly once in its height turn:
-    it loses M and each inverse-generator neighbor gains 1.  Window values
-    end in {0,...,M-1}; carries to sites outside the window are returned as
-    spill and are never fired.
+    A firing site loses M and each inverse-generator neighbor gains 1.
+    The start sites are checked first and sites pop in word order; by the
+    abelian property of chip-firing any order reaches the same stable
+    window and firing counts.  Carries to sites outside the window are
+    recorded in spill, in the order they happen, and never fired.  A site
+    receives at most two carries, so from values of at most M every site
+    fires at most once.  Updates work in place; returns (fired, spill).
     """
-    _check_values(d, 0, M)
-    group = d.group
     a, b = groups.generators(group)
     children = (groups.inverse(group, a), groups.inverse(group, b))
-    work = dict(d.values)
+    heap = [(groups.sort_key(group, s), s) for s in start if work[s] >= M]
+    heapq.heapify(heap)
     fired = {}
     spill = {}
-    by_height = {}
-    for el in work:
-        by_height.setdefault(groups.height(group, el), []).append(el)
-    for k in sorted(by_height, reverse=True):
-        for s in sorted(by_height[k], key=lambda el: groups.sort_key(group, el)):
-            if work[s] >= M:
-                work[s] -= M
-                fired[s] = fired.get(s, 0) + 1
-                for c in children:
-                    child = groups.multiply(group, s, c)
-                    if child in work:
-                        work[child] += 1
-                    else:
-                        spill[child] = spill.get(child, 0) + 1
-    config = Configuration(group, work, (0, M - 1))
-    return CarryResult(config=config, carry=RingElement(group, fired), spill=spill)
+    while heap:
+        _, s = heapq.heappop(heap)
+        if work[s] < M:
+            continue
+        work[s] -= M
+        fired[s] = fired.get(s, 0) + 1
+        for c in children:
+            child = groups.multiply(group, s, c)
+            if child not in work:
+                spill[child] = spill.get(child, 0) + 1
+                continue
+            work[child] += 1
+            if work[child] >= M:
+                heapq.heappush(heap, (groups.sort_key(group, child), child))
+    return fired, spill
 
 
-def carry_add(d, site, M, max_steps=100_000):
+def reduce_cover(d, M):
+    """The reduction process: topple the whole window.
+
+    Every window site with value >= M fires: it loses M and each
+    inverse-generator neighbor gains 1.  Window values end in
+    {0,...,M-1}; carries to sites outside the window are returned as spill
+    and are never fired.
+    """
+    _check_values(d, 0, M)
+    work = dict(d.values)
+    fired, spill = _topple(d.group, work, M, work)
+    config = Configuration(d.group, work, (0, M - 1))
+    return CarryResult(config=config, carry=RingElement(d.group, fired),
+                       spill=spill)
+
+
+def carry_add(d, site, M):
     """The addition machine: add 1 at the site, then topple until stable.
 
-    Toppling order is the deterministic word order; the result equals
-    d + delta_site - carry * f'.  A carry leaving the window raises
-    BoundaryOverflow; exceeding max_steps raises NonTermination.
+    The result equals d + delta_site - carry * f'.  A carry leaving the
+    window raises BoundaryOverflow at the first site it reached.
     """
     _check_values(d, 0, M - 1)
     group = d.group
     groups.check_element(group, site)
     if site not in d.values:
         raise ValueError("the incremented site must lie in the window")
-    a, b = groups.generators(group)
-    children = (groups.inverse(group, a), groups.inverse(group, b))
     work = dict(d.values)
     work[site] += 1
-    fired = {}
-    heap = []
-    if work[site] >= M:
-        heapq.heappush(heap, (groups.sort_key(group, site), site))
-    steps = 0
-    while heap:
-        _, s = heapq.heappop(heap)
-        if work[s] < M:
-            continue
-        steps += 1
-        if steps > max_steps:
-            raise NonTermination(f"toppling exceeded {max_steps} steps")
-        work[s] -= M
-        fired[s] = fired.get(s, 0) + 1
-        for c in children:
-            child = groups.multiply(group, s, c)
-            if child not in work:
-                raise BoundaryOverflow(child)
-            work[child] += 1
-            if work[child] >= M:
-                heapq.heappush(heap, (groups.sort_key(group, child), child))
+    fired, spill = _topple(group, work, M, [site])
+    if spill:
+        raise BoundaryOverflow(next(iter(spill)))
     config = Configuration(group, work, (0, M - 1))
     return CarryResult(config=config, carry=RingElement(group, fired), spill={})
 

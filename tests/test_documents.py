@@ -1,5 +1,6 @@
 """Pinned documents: sha256 of the canonical JSON (sort_keys=True) of small
-runs of each statistical experiment.
+runs of each statistical experiment, of criterion 5's details, and of the
+exact stdout of the CLI documents built on the carry machines.
 
 The determinism contract says a document is byte-identical for a fixed
 configuration, so any change of cone enumeration, id layout or draw
@@ -7,12 +8,15 @@ batching that alters a single symbol or tally changes a digest here.  A
 digest may only change on purpose, with the change named in CHANGES.md.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
 
-from homoclinic_lab import montecarlo
+from homoclinic_lab import acceptance, montecarlo
+from homoclinic_lab.cli import main
 from homoclinic_lab.groups import F2, Z2
 from homoclinic_lab.montecarlo import (ExperimentConfig, collision_search,
                                        empirical_fourier, haar_window_test,
@@ -90,3 +94,43 @@ def test_pair_deepening_past_the_id_cache(group, monkeypatch):
     assert doc["random_pairs"]["deepened"] > 0
     monkeypatch.setattr(montecarlo, "_CACHE_LEVELS", 2)
     assert run() == doc
+
+
+# cover reduces a seeded window of the ball (f2 and z2, both with spill);
+# tau at seed 17 carries through ten sites, at seed 39 it overflows
+CLI_RUNS = {
+    "cover_f2": ("cover",),
+    "cover_z2": ("cover", "--group", "z2"),
+    "tau": ("tau",),
+    "tau_cascade": ("tau", "--seed", "17"),
+    "tau_overflow": ("tau", "--seed", "39"),
+}
+
+CLI_DIGESTS = {
+    "cover_f2":
+        "d8e3260c38e3eb0025bfd93e26a05de2cba3b6143dd6ad08dc6b92f379bc2736",
+    "cover_z2":
+        "57f34c8ffc04a97b73d8ee2bb9c171c99e5c4f961b622f0f6ea08ac0b8d141c5",
+    "tau":
+        "d3d4da1e9364f3cd47f3237a7a5509bb06ad4405e829fa07f305d8fd27833c99",
+    "tau_cascade":
+        "e9973b6c6cd96ed579b4b4011039da6d0582418601b0dfbe2979411454757504",
+    "tau_overflow":
+        "f3c8c0e67c122f62eb8f1a96aae0e5f6aad083ef62cad070b0a07342274e96e0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_RUNS))
+def test_cli_document_digest_is_pinned(name):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(CLI_RUNS[name]))
+    assert code == (1 if name == "tau_overflow" else 0)
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
+        CLI_DIGESTS[name]
+
+
+def test_criterion_05_details_are_pinned():
+    details = acceptance.criterion_05().details
+    assert digest(details) == \
+        "2a839dbdb74eb7531143a2c87b5a681df15f67081c6af2d08834a8c2a69269be"

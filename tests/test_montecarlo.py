@@ -122,13 +122,14 @@ def test_haar_rejects_wide_enclosure():
         haar_window_test(cfg)
 
 
-def test_haar_flags_degenerate_sampler():
+def test_haar_flags_degenerate_sampler(monkeypatch):
     cfg = cfg_with(samples=120, sample_radius=8, bins=6)
 
     def zeros(seed, index, ids, M):
         return np.zeros(len(ids), dtype=np.int64)
 
-    rep = haar_window_test(cfg, value_fn=zeros)
+    monkeypatch.setattr(rng, "symbols", zeros)
+    rep = haar_window_test(cfg)
     assert rep["passed"] is False
     assert rep["min_p_value"] <= 1e-3
 

@@ -1,9 +1,14 @@
+import heapq
+import random
 from fractions import Fraction
 from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from homoclinic_lab.groups import F2
+from homoclinic_lab import groups
+from homoclinic_lab.groups import F2, Z2
 from homoclinic_lab.homoclinic import Configuration
 from homoclinic_lab.ring import PolyF, RingElement
 from homoclinic_lab.symbolic import (BoundaryOverflow, ConstraintViolated,
@@ -171,6 +176,139 @@ def test_carry_add_requires_site_in_window():
     d = Configuration(F2, {"": 1}, (0, 2))
     with pytest.raises(ValueError):
         carry_add(d, "a", 3)
+
+
+# -- references for the toppling loop ---------------------------------------
+
+# derandomized and without an example database, so the suite is
+# reproducible and leaves no files behind
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None)
+
+
+def _children(group):
+    a, b = groups.generators(group)
+    return groups.inverse(group, a), groups.inverse(group, b)
+
+
+def reference_sweep(d, M):
+    """The reduction process as one descending height sweep: each window
+    site fires once in its height turn if it holds M or more.  Returns
+    (values, fired, spill)."""
+    group = d.group
+    work = dict(d.values)
+    fired = {}
+    spill = {}
+    by_height = {}
+    for el in work:
+        by_height.setdefault(groups.height(group, el), []).append(el)
+    for k in sorted(by_height, reverse=True):
+        for s in sorted(by_height[k], key=lambda el: groups.sort_key(group, el)):
+            if work[s] >= M:
+                work[s] -= M
+                fired[s] = fired.get(s, 0) + 1
+                for c in _children(group):
+                    child = groups.multiply(group, s, c)
+                    if child in work:
+                        work[child] += 1
+                    else:
+                        spill[child] = spill.get(child, 0) + 1
+    return work, fired, spill
+
+
+def reference_heap(d, site, M):
+    """The addition machine as a word-order heap that stops at the first
+    carry leaving the window.  Returns (values, fired, overflow site or
+    None)."""
+    group = d.group
+    work = dict(d.values)
+    work[site] += 1
+    fired = {}
+    heap = [(groups.sort_key(group, site), site)] if work[site] >= M else []
+    while heap:
+        _, s = heapq.heappop(heap)
+        if work[s] < M:
+            continue
+        work[s] -= M
+        fired[s] = fired.get(s, 0) + 1
+        for c in _children(group):
+            child = groups.multiply(group, s, c)
+            if child not in work:
+                return work, fired, child
+            work[child] += 1
+            if work[child] >= M:
+                heapq.heappush(heap, (groups.sort_key(group, child), child))
+    return work, fired, None
+
+
+WINDOWS = {
+    (group, shape, r): (groups.ball(group, r) if shape == "ball"
+                        else groups.negative_monoid(group, r))
+    for group in (F2, Z2)
+    for shape, radii in (("ball", (1, 2, 3)), ("cone", (1, 2, 3, 4, 5)))
+    for r in radii
+}
+
+
+@st.composite
+def windows(draw, top):
+    """A ball or backward cone over f2 or z2, M in 3..5, and values in
+    {0,...,M + top}, each the top value at a drawn density (cascades die
+    out below 1/2 and tend to run to the window edge above it)."""
+    window = WINDOWS[draw(st.sampled_from(sorted(WINDOWS)))]
+    group = F2 if isinstance(window[0], str) else Z2
+    M = draw(st.integers(3, 5))
+    density = draw(st.sampled_from((0.3, 0.45, 0.6)))
+    fill = random.Random(draw(st.integers(0, 2 ** 32)))
+    values = {s: M + top if fill.random() < density
+              else fill.randrange(M + top) for s in window}
+    return Configuration(group, values, (0, M + top)), M
+
+
+@PROPERTY
+@given(windows(top=0))
+def test_reduce_cover_matches_the_height_sweep(case):
+    d, M = case
+    values, fired, spill = reference_sweep(d, M)
+    res = reduce_cover(d, M)
+    assert res.config.values == values
+    assert list(res.config.values) == list(d.values)
+    assert res.carry == RingElement(d.group, fired)
+    assert res.spill == spill
+
+
+@PROPERTY
+@given(windows(top=-1), st.data())
+def test_carry_add_matches_the_stopping_heap(case, data):
+    d, M = case
+    # a full site in the inner quarter of the window starts a cascade with
+    # room to stop inside it
+    order = sorted(d.values, key=lambda el: groups.sort_key(d.group, el))
+    site = data.draw(st.sampled_from(order[:len(order) // 4 + 1]))
+    d.values[site] = M - 1
+    values, fired, overflow = reference_heap(d, site, M)
+    if overflow is not None:
+        with pytest.raises(BoundaryOverflow) as exc:
+            carry_add(d, site, M)
+        assert exc.value.site == overflow
+        return
+    res = carry_add(d, site, M)
+    assert res.config.values == values
+    assert res.carry == RingElement(d.group, fired)
+    assert res.spill == {}
+
+
+def test_carry_add_runs_a_long_cascade_to_the_end():
+    # value 2 on levels 0..16 of the depth-17 backward cone: adding 1 at
+    # the root fires all 2^17 - 1 of those sites once and leaves 1 on
+    # every site of level 17
+    window = groups.negative_monoid(F2, 17)
+    d = Configuration(F2, {s: 0 if len(s) == 17 else 2 for s in window},
+                      (0, 2))
+    res = carry_add(d, "", 3)
+    assert len(res.carry.terms) == 2 ** 17 - 1
+    assert set(res.carry.terms.values()) == {1}
+    assert all(v == (len(s) == 17) for s, v in res.config.values.items())
 
 
 def test_percolation_on_the_all_ones_configuration():
