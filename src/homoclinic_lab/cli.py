@@ -136,7 +136,8 @@ def _cmd_tau(args):
     except symbolic.BoundaryOverflow as exc:
         _emit(_doc("tau", {"M": args.M, "radius": args.radius,
                            "site": args.site, "seed": args.seed},
-                   error="boundary overflow", overflow_site=str(exc)), args)
+                   error="boundary overflow",
+                   overflow_site=groups.format_element(F2, exc.site)), args)
         return 1
     doc = _doc("tau", {"M": args.M, "radius": args.radius,
                        "site": args.site, "seed": args.seed},

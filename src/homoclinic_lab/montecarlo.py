@@ -15,6 +15,7 @@ ambiguous if they still straddle at the maximum depth.
 
 import cmath
 import hashlib
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -75,8 +76,9 @@ def sample_config(cfg, index, window=None):
 
 _CACHE_LEVELS = 20
 
-# a free-group fold at depth d draws 2^d ids at its deepest level; criterion
-# 9 goes as deep as 24 (128 MB of ids at that level, before temporaries)
+# a free-group fold at depth d draws 2^d ids at its deepest level from the
+# 2^(d-1) ids it builds above it; criterion 9 goes as deep as 24 (64 MB of
+# ids at level 23, plus its 32 MB parent while it is built)
 _MAX_F2_DEPTH = 24
 
 
@@ -137,14 +139,18 @@ class _Cone:
         nxt[1::2] = rng.child_ids(ids, self.letters[1])
         return nxt
 
-    def level_sum(self, vals, level, base):
-        """Weighted symbol sum of a stored level; vals holds the symbols of
-        the stored ids from offset base on."""
-        lo, hi = self.offsets[level], self.offsets[level + 1]
-        seg = vals[lo - base:hi - base]
+    def prefix_sums(self, seed, index, M, lo, hi):
+        """Weighted symbol totals of the stored levels lo..hi, each summed
+        from the start of level lo to the end of that level."""
+        base = self.offsets[lo]
+        ids = self.ids[base:self.offsets[hi + 1]]
+        ends = [o - base for o in self.offsets[lo + 1:hi + 2]]
         if self.group == F2:
-            return int(seg.sum())
-        return sum(w * v for w, v in zip(self.weights[lo:hi], seg.tolist()))
+            return rng.symbol_sums(seed, index, ids, M, ends)
+        vals = rng.symbols(seed, index, ids, M).tolist()
+        run = list(itertools.accumulate(
+            w * v for w, v in zip(self.weights[base:], vals)))
+        return [run[e - 1] for e in ends]
 
 
 def _tail_units(M, depth):
@@ -187,8 +193,10 @@ class _ConeFold:
 
     def to_depth(self, depth):
         """One draw over the stored levels still missing, then one
-        transient level per step past the cache cap.  z2 levels hold
-        l+1 ids, so they are all stored."""
+        transient level per step past the cache cap, summed from its
+        parent's ids one child letter at a time; a transient level is
+        built only when the fold goes below it.  z2 levels hold l+1 ids,
+        so they are all stored."""
         stored = depth if self.cone.group == Z2 else min(depth, _CACHE_LEVELS)
         if self.depth < stored:
             self._fold_stored(stored)
@@ -196,21 +204,22 @@ class _ConeFold:
             if self._top is None:
                 off = self.cone.offsets
                 self._top = self.cone.ids[off[self.depth]:off[self.depth + 1]]
-            self._top = self.cone.children(self._top)
-            self.num = self.num * self.M + int(
-                rng.symbols(self.seed, self.index, self._top, self.M).sum())
+            else:
+                self._top = self.cone.children(self._top)
+            total = sum(rng.symbol_sums(self.seed, self.index, self._top,
+                                        self.M, [len(self._top)], letter)[0]
+                        for letter in self.cone.letters)
+            self.num = self.num * self.M + total
             self.depth += 1
         return self.num
 
     def _fold_stored(self, depth):
-        cone = self.cone
-        cone.grow(depth)
-        lo = self.depth + 1
-        base = cone.offsets[lo]
-        vals = rng.symbols(self.seed, self.index,
-                           cone.ids[base:cone.offsets[depth + 1]], self.M)
-        for level in range(lo, depth + 1):
-            self.num = self.num * self.M + cone.level_sum(vals, level, base)
+        self.cone.grow(depth)
+        prev = 0
+        for total in self.cone.prefix_sums(self.seed, self.index, self.M,
+                                           self.depth + 1, depth):
+            self.num = self.num * self.M + total - prev
+            prev = total
         self.depth = depth
 
 

@@ -3,8 +3,12 @@
 Every sampled symbol is a pure function of (seed, stream index, site), with
 the site keyed by a canonical 64-bit id: free-group ids chain one finalizer
 round per letter from a fixed root, so the id of a word is independent of
-which window or cone enumerated it.  No global state anywhere.
+which window or cone enumerated it.  Every symbol is drawn by one blocked,
+in-place kernel (draw), whether the caller keeps the symbols or only their
+sums.  No global state anywhere.
 """
+
+import bisect
 
 import numpy as np
 
@@ -25,14 +29,31 @@ def mix64_int(x):
     return x
 
 
+# ids per block of the draw kernel: its two uint64 buffers (512 KB each)
+# stay in cache through every pass of the finalizer over a block
+_BLOCK = 1 << 16
+
+
+def _mix(buf, tmp):
+    """The finalizer in place on a uint64 array; tmp is scratch of the same
+    length."""
+    np.right_shift(buf, np.uint64(30), out=tmp)
+    buf ^= tmp
+    buf *= np.uint64(_MIX1)
+    np.right_shift(buf, np.uint64(27), out=tmp)
+    buf ^= tmp
+    buf *= np.uint64(_MIX2)
+    np.right_shift(buf, np.uint64(31), out=tmp)
+    buf ^= tmp
+
+
 def mix64(arr):
-    """The same finalizer on a numpy uint64 array (wrapping multiplies)."""
-    arr = arr.astype(np.uint64, copy=True)
-    arr ^= arr >> np.uint64(30)
-    arr *= np.uint64(_MIX1)
-    arr ^= arr >> np.uint64(27)
-    arr *= np.uint64(_MIX2)
-    arr ^= arr >> np.uint64(31)
+    """The same finalizer on a uint64 array (wrapping multiplies), in place,
+    one block at a time; returns arr."""
+    tmp = np.empty(min(len(arr), _BLOCK), dtype=np.uint64)
+    for lo in range(0, len(arr), _BLOCK):
+        blk = arr[lo:lo + _BLOCK]
+        _mix(blk, tmp[:len(blk)])
     return arr
 
 
@@ -70,25 +91,64 @@ def child_ids(ids, letter):
     return mix64(ids ^ np.uint64(LETTER[letter]))
 
 
-def symbols(seed, index, ids, M):
-    """Uniform symbols in {0,...,M-1}, one per id, for the given stream.
+def draw(seed, index, ids, M, letter=None):
+    """The draw kernel: uniform symbols in {0,...,M-1} for the given stream,
+    one per id (per child id w*letter when a letter is given, as
+    child_ids would make them), yielded as (start, block) for consecutive
+    blocks of ids.  Each block is a uint64 view of a buffer that the next
+    block overwrites.
 
     Unbiased via rejection: draws landing in the final partial block of the
     64-bit range are re-finalized until they fall below it.
     """
-    stream = mix64_int(mix64_int(seed) ^ mix64_int((index + 1) * GOLD))
-    v = mix64(ids ^ np.uint64(stream))
+    key = np.uint64(mix64_int(mix64_int(seed) ^ mix64_int((index + 1) * GOLD)))
+    m = np.uint64(M)
     rem = (1 << 64) % M
-    if rem:
-        limit = np.uint64((1 << 64) - rem)
-        mask = v >= limit
-        while mask.any():
-            v[mask] = mix64(v[mask])
+    limit = np.uint64(-rem & MASK)
+    buf = np.empty(min(len(ids), _BLOCK), dtype=np.uint64)
+    tmp = np.empty_like(buf)
+    for lo in range(0, len(ids), _BLOCK):
+        v = buf[:len(ids) - lo]
+        t = tmp[:len(v)]
+        if letter is None:
+            np.bitwise_xor(ids[lo:lo + _BLOCK], key, out=v)
+        else:
+            np.bitwise_xor(ids[lo:lo + _BLOCK], np.uint64(LETTER[letter]), out=v)
+            _mix(v, t)
+            v ^= key
+        _mix(v, t)
+        if rem and v.max() >= limit:
             mask = v >= limit
-    return (v % np.uint64(M)).astype(np.int64)
+            while mask.any():
+                v[mask] = mix64(v[mask])
+                mask = v >= limit
+        # v % M as v - (v // M) * M: numpy divides by a scalar without a
+        # hardware division per element
+        np.floor_divide(v, m, out=t)
+        t *= m
+        np.subtract(v, t, out=t)
+        yield lo, t
 
 
-def symbol(seed, index, group, el, M):
-    """Single-site convenience wrapper around symbols()."""
-    ids = np.array([element_id(group, el)], dtype=np.uint64)
-    return int(symbols(seed, index, ids, M)[0])
+def symbols(seed, index, ids, M):
+    """The symbols of draw() for every id, as one int64 array."""
+    out = np.empty(len(ids), dtype=np.int64)
+    for lo, vals in draw(seed, index, ids, M):
+        out[lo:lo + len(vals)] = vals
+    return out
+
+
+def symbol_sums(seed, index, ids, M, cuts, letter=None):
+    """Totals of the symbols of draw() over ids[:c] for each c in the
+    ascending cuts, without keeping the symbols."""
+    totals = []
+    total = k = 0
+    for lo, vals in draw(seed, index, ids, M, letter):
+        j = bisect.bisect_left(cuts, lo + len(vals), k)
+        if j > k:
+            run = np.cumsum(vals)
+            totals.extend(total + int(run[c - lo - 1]) if c > lo else total
+                          for c in cuts[k:j])
+            k = j
+        total += int(vals.sum())
+    return totals + [total] * (len(cuts) - k)

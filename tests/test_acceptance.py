@@ -5,6 +5,8 @@ and asserts its verdict, so `pytest tests/test_acceptance.py -v` doubles as
 the acceptance report.
 """
 
+import os
+
 from homoclinic_lab import acceptance
 
 
@@ -50,7 +52,8 @@ def test_transform_membership_battery():
 
 
 def test_statistical_uniformity_of_coordinates():
-    _check(acceptance.criterion_09())
+    # jobs never changes a document, so the slowest criterion uses every core
+    _check(acceptance.criterion_09(jobs=os.cpu_count()))
 
 
 def test_carry_map_invariance():

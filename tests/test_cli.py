@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from homoclinic_lab import groups
 from homoclinic_lab.cli import main
+from homoclinic_lab.groups import F2
 
 
 def run_cli(*argv):
@@ -143,6 +145,15 @@ def test_tau_boundary_overflow_exit_code(tmp_path):
     assert code == 1
     doc = json.loads(out)
     assert doc["error"] == "boundary overflow"
+
+
+def test_tau_overflow_site_is_a_word():
+    # a seeded radius-6 window whose cascade leaves it below level 6
+    code, out, _ = run_cli("tau", "--seed", "39")
+    assert code == 1
+    site = json.loads(out)["overflow_site"]
+    assert site == "BBBAAAA"
+    assert groups.format_element(F2, groups.parse_element(F2, site)) == site
 
 
 def test_percolation_all_ones():

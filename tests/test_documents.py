@@ -116,7 +116,7 @@ CLI_DIGESTS = {
     "tau_cascade":
         "e9973b6c6cd96ed579b4b4011039da6d0582418601b0dfbe2979411454757504",
     "tau_overflow":
-        "f3c8c0e67c122f62eb8f1a96aae0e5f6aad083ef62cad070b0a07342274e96e0",
+        "994e32e363b11d3cfb0ca995f4053a85a0591bde23efed177f0bbeed9766bc6e",
 }
 
 
@@ -134,3 +134,31 @@ def test_criterion_05_details_are_pinned():
     details = acceptance.criterion_05().details
     assert digest(details) == \
         "2a839dbdb74eb7531143a2c87b5a681df15f67081c6af2d08834a8c2a69269be"
+
+
+# criterion 9 at its own configuration (sample radius 12, up to 12 extra
+# levels, so folds go to depth 24) with 200 samples: three folds reach
+# depth 24 and twelve pass the 20-level id cache
+CRITERION_09_SAMPLES = 200
+CRITERION_09_DIGEST = \
+    "d23b25936df0a0582efb2c560430b99abc30c9ce3150b08d2f39637b200ca199"
+
+
+def _criterion_09_digest(monkeypatch):
+    def reduced(**kw):
+        return montecarlo.ExperimentConfig(
+            **dict(kw, samples=CRITERION_09_SAMPLES))
+
+    monkeypatch.setattr(acceptance, "ExperimentConfig", reduced)
+    return digest(acceptance.criterion_09().details)
+
+
+def test_criterion_09_details_are_pinned(monkeypatch):
+    assert _criterion_09_digest(monkeypatch) == CRITERION_09_DIGEST
+
+
+def test_criterion_09_past_a_low_id_cache(monkeypatch):
+    # with 4 cached levels every base fold builds levels 5..12 on the
+    # transient path, and every deepening step takes it too
+    monkeypatch.setattr(montecarlo, "_CACHE_LEVELS", 4)
+    assert _criterion_09_digest(monkeypatch) == CRITERION_09_DIGEST

@@ -125,10 +125,10 @@ def test_haar_rejects_wide_enclosure():
 def test_haar_flags_degenerate_sampler(monkeypatch):
     cfg = cfg_with(samples=120, sample_radius=8, bins=6)
 
-    def zeros(seed, index, ids, M):
-        return np.zeros(len(ids), dtype=np.int64)
+    def zeros(seed, index, ids, M, letter=None):
+        yield 0, np.zeros(len(ids), dtype=np.uint64)
 
-    monkeypatch.setattr(rng, "symbols", zeros)
+    monkeypatch.setattr(rng, "draw", zeros)
     rep = haar_window_test(cfg)
     assert rep["passed"] is False
     assert rep["min_p_value"] <= 1e-3
@@ -188,13 +188,13 @@ def test_tau_cascade_matches_carry_add(root):
 
 def test_tau_cascade_draws_once_per_sample(monkeypatch):
     calls = []
-    draw = rng.symbols
+    draw = rng.draw
 
     def counted(*args):
         calls.append(len(args[2]))
         return draw(*args)
 
-    monkeypatch.setattr(rng, "symbols", counted)
+    monkeypatch.setattr(rng, "draw", counted)
     cfg = cfg_with(samples=20, sample_radius=6)
     tau_invariance_test(cfg)
     assert calls == [2 ** 7 - 1] * (2 * cfg.samples)
@@ -204,7 +204,7 @@ def test_fold_depth_guard_fails_before_any_draw(monkeypatch):
     def no_draw(*args):
         raise AssertionError("drew symbols before the depth check")
 
-    monkeypatch.setattr(rng, "symbols", no_draw)
+    monkeypatch.setattr(rng, "draw", no_draw)
     with pytest.raises(WindowTooLarge):
         haar_window_test(cfg_with(sample_radius=13))  # 13 + 12 > 24
     with pytest.raises(WindowTooLarge):

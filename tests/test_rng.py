@@ -1,0 +1,204 @@
+"""Differential tests of the blocked draw kernel (rng.draw and its readers
+symbols, symbol_sums and child_ids).
+
+The reference written here is the whole-array formula the kernel must
+reproduce bit for bit: xor the stream key into the ids, run the splitmix64
+finalizer over the whole array, re-finalize draws in the final partial
+block of the 64-bit range until they fall below it, and reduce mod M.
+Rejecting ids are built on purpose with the inverse finalizer, since a
+random id reaches that branch with probability about M / 2^64.
+"""
+
+from itertools import product
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from homoclinic_lab import montecarlo, rng
+from homoclinic_lab.groups import F2
+
+# derandomized and without an example database, so the suite is
+# reproducible and leaves no files behind
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
+                    database=None)
+
+B = rng._BLOCK
+LENGTHS = (0, 1, 2, B - 1, B, B + 1, 3 * B + 7)
+MASK = (1 << 64) - 1
+MIX1 = 0xBF58476D1CE4E5B9
+MIX2 = 0x94D049BB133111EB
+GOLD = 0x9E3779B97F4A7C15
+
+
+# -- whole-array reference ---------------------------------------------------
+
+def ref_mix64(arr):
+    arr = arr.astype(np.uint64, copy=True)
+    arr ^= arr >> np.uint64(30)
+    arr *= np.uint64(MIX1)
+    arr ^= arr >> np.uint64(27)
+    arr *= np.uint64(MIX2)
+    arr ^= arr >> np.uint64(31)
+    return arr
+
+
+def stream_key(seed, index):
+    return rng.mix64_int(rng.mix64_int(seed)
+                         ^ rng.mix64_int((index + 1) * GOLD))
+
+
+def ref_limit(M):
+    return (1 << 64) - (1 << 64) % M
+
+
+def ref_symbols(seed, index, ids, M):
+    v = ref_mix64(ids ^ np.uint64(stream_key(seed, index)))
+    rem = (1 << 64) % M
+    if rem:
+        limit = np.uint64((1 << 64) - rem)
+        mask = v >= limit
+        while mask.any():
+            v[mask] = ref_mix64(v[mask])
+            mask = v >= limit
+    return (v % np.uint64(M)).astype(np.int64)
+
+
+def ref_child_ids(ids, letter):
+    return ref_mix64(ids ^ np.uint64(rng.LETTER[letter]))
+
+
+# -- inverse finalizer, to build ids that reach the rejection loop -----------
+
+def _unshift(x, k):
+    # inverts x ^= x >> k on 64 bits
+    y = x
+    for _ in range(64 // k + 1):
+        y = x ^ (y >> k)
+    return y & MASK
+
+
+def unmix64_int(x):
+    x = _unshift(x, 31)
+    x = (x * pow(MIX2, -1, 1 << 64)) & MASK
+    x = _unshift(x, 27)
+    x = (x * pow(MIX1, -1, 1 << 64)) & MASK
+    return _unshift(x, 30)
+
+
+def rejecting_ids(seed, index, M, letter=None):
+    """Every id whose first draw lands at or above the rejection limit."""
+    key = stream_key(seed, index)
+    out = []
+    for v in range(ref_limit(M), 1 << 64):
+        x = unmix64_int(v) ^ key
+        if letter is not None:
+            x = unmix64_int(x) ^ rng.LETTER[letter]
+        out.append(x)
+    return np.array(out, dtype=np.uint64)
+
+
+def random_ids(n, salt):
+    gen = np.random.default_rng(salt)
+    return gen.integers(0, 1 << 64, n, dtype=np.uint64, endpoint=False)
+
+
+def test_inverse_finalizer_inverts_mix64():
+    for x in (0, 1, MASK, GOLD, 0x0123456789ABCDEF):
+        assert unmix64_int(rng.mix64_int(x)) == x
+        assert rng.mix64_int(unmix64_int(x)) == x
+
+
+# -- the kernel against the reference ----------------------------------------
+
+@pytest.mark.parametrize("n,M", list(product(LENGTHS, range(2, 8))))
+def test_symbols_match_the_whole_array_formula(n, M):
+    ids = random_ids(n, n * 10 + M)
+    got = rng.symbols(5, 3, ids, M)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, ref_symbols(5, 3, ids, M))
+
+
+@given(st.integers(2, 7), st.sampled_from(LENGTHS),
+       st.integers(0, 1 << 40), st.integers(0, 1 << 20), st.data())
+@PROPERTY
+def test_symbol_sums_are_prefix_totals(M, n, seed, index, data):
+    ids = random_ids(n, seed)
+    # cuts anywhere, and on either side of every block edge
+    near_edges = [c for lo in range(0, n + 1, B)
+                  for c in (lo - 1, lo, lo + 1) if 0 <= c <= n]
+    cuts = sorted(data.draw(st.lists(
+        st.one_of(st.integers(0, n), st.sampled_from(near_edges)),
+        max_size=8)))
+    run = np.concatenate([[0], np.cumsum(ref_symbols(seed, index, ids, M))])
+    assert rng.symbol_sums(seed, index, ids, M, cuts) == \
+        [int(run[c]) for c in cuts]
+
+
+@given(st.integers(2, 7), st.sampled_from(LENGTHS), st.sampled_from("abAB"),
+       st.integers(0, 1 << 40), st.integers(0, 1 << 20))
+@PROPERTY
+def test_child_letter_sums_match_child_ids_then_symbols(M, n, letter,
+                                                        seed, index):
+    ids = random_ids(n, seed + 1)
+    kids = rng.child_ids(ids, letter)
+    assert np.array_equal(kids, ref_child_ids(ids, letter))
+    expect = int(rng.symbols(seed, index, kids, M).sum())
+    assert expect == int(ref_symbols(seed, index, kids, M).sum())
+    assert rng.symbol_sums(seed, index, ids, M, [n], letter) == [expect]
+
+
+@pytest.mark.parametrize("M", [3, 5, 6, 7])
+@pytest.mark.parametrize("letter", [None, "a"])
+def test_rejection_branch(M, letter):
+    seed, index = 11, 4
+    bad = rejecting_ids(seed, index, M, letter)
+    assert len(bad) == (1 << 64) % M
+    # the rejecting ids sit inside the first block, across the first block
+    # edge and inside the second block of a three-block draw
+    ids = random_ids(3 * B, M)
+    for pos in (7, B - 1, B + 9):
+        ids[pos:pos + len(bad)] = bad
+    kids = ids if letter is None else ref_child_ids(ids, letter)
+    first = ref_mix64(kids ^ np.uint64(stream_key(seed, index)))
+    assert int((first >= np.uint64(ref_limit(M))).sum()) == 3 * len(bad)
+
+    expect = ref_symbols(seed, index, kids, M)
+    if letter is None:
+        assert np.array_equal(rng.symbols(seed, index, ids, M), expect)
+    cuts = [B - 1, B, 2 * B + 3]
+    run = np.concatenate([[0], np.cumsum(expect)])
+    assert rng.symbol_sums(seed, index, ids, M, cuts + [len(ids)], letter) \
+        == [int(run[c]) for c in cuts + [len(ids)]]
+
+
+def test_draw_yields_consecutive_blocks():
+    ids = random_ids(2 * B + 5, 0)
+    starts = [(lo, len(vals)) for lo, vals in rng.draw(1, 2, ids, 3)]
+    assert starts == [(0, B), (B, B), (2 * B, 5)]
+    assert list(rng.draw(1, 2, ids[:0], 3)) == []
+
+
+# -- a cone fold through the kernel against the reference --------------------
+
+@pytest.mark.parametrize("cache", [2, 20])
+@pytest.mark.parametrize("root", ["", "a", "Ab"])
+def test_cone_fold_matches_the_reference_levels(root, cache, monkeypatch):
+    # with a low cache cap the stored run ends at level 2 and every later
+    # level is summed from its parent's ids one child letter at a time
+    monkeypatch.setattr(montecarlo, "_CACHE_LEVELS", cache)
+    depth, M, seed, index = 8, 3, 19, 6
+    cone = montecarlo._Cone(F2, root)
+    fold = montecarlo._ConeFold(cone, seed, index, M)
+    fold.to_depth(5)
+    for d in range(6, depth + 1):
+        fold.to_depth(d)
+    words = [root]
+    num = 0
+    for level in range(depth + 1):
+        if level:
+            words = [w + c for w in words for c in "ab"]
+        ids = np.array([rng.word_id(w) for w in words], dtype=np.uint64)
+        num = num * M + int(ref_symbols(seed, index, ids, M).sum())
+    assert (fold.depth, fold.num) == (depth, num)
