@@ -8,6 +8,8 @@ function of (seed, jobs), so reports are byte-identical across runs.
 
 from dataclasses import dataclass
 from fractions import Fraction
+import sys
+import time
 
 from . import groups, montecarlo, rng, spectral, symbolic
 from .groups import F2, Z2
@@ -340,7 +342,13 @@ CRITERIA = [criterion_01, criterion_02, criterion_03, criterion_04,
 
 
 def run_all(seed=DEFAULT_SEED, jobs=1):
-    results = [fn(seed=seed, jobs=jobs) for fn in CRITERIA]
+    results = []
+    for fn in CRITERIA:
+        start = time.perf_counter()
+        results.append(fn(seed=seed, jobs=jobs))
+        # wall time goes to stderr, so the document stays byte-identical
+        print(f"criterion {results[-1].number}: "
+              f"{time.perf_counter() - start:.2f} s", file=sys.stderr)
     return {
         "schema": "1",
         "command": "report",

@@ -218,12 +218,6 @@ def negative_monoid(group, radius):
     return sorted(sites, key=lambda el: sort_key(group, el))
 
 
-def positive_monoid(group, radius):
-    """Words over the positive generators a and b, up to the given length."""
-    sites = _cone_sites(group, identity(group), radius)
-    return sorted(sites, key=lambda el: sort_key(group, el))
-
-
 def positive_cone_sites(group, t, depth):
     """Sites t*p for positive monoid words p up to the given length,
     deduplicated, in discovery order (level by level, a before b)."""
@@ -257,13 +251,4 @@ def parse_element(group, text):
 
 class WindowTooLarge(ValueError):
     """A requested ball or window exceeds the configured element budget."""
-
-
-def cayley_neighbors(group, g):
-    """g times each of a, b, a^-1, b^-1 in that order."""
-    check_element(group, g)
-    if group == Z2:
-        i, j = g
-        return [(i + 1, j), (i, j + 1), (i - 1, j), (i, j - 1)]
-    return [multiply(F2, g, c) for c in LETTERS]
 

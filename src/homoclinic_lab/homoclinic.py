@@ -2,19 +2,19 @@
 residuals for X_f windows, and the 4-cover lift.
 
 Coordinates of phi on finite-support inputs are exact rationals, computed as
-integer numerators over one power of M (ring.kernel_convolution); windowed
-inputs get rigorous interval enclosures whose tails come from the geometric
-series of the kernel.
+integer numerators over one power of M by the recurrence x . f* = d (with
+ring.kernel_convolution as its reference), and the lift reads them back as
+integers; windowed inputs get rigorous interval enclosures whose tails are
+the full kernel mass less the same recurrence on the window's indicator.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 import math
 
 from . import groups
 from .groups import F2, Z2, check_group
-from .ring import PolyF, RingElement, kernel_convolution
+from .ring import PolyF, RingElement, check_window
 
 
 class UnsupportedGroup(ValueError):
@@ -103,23 +103,8 @@ class Configuration:
                     f"outside alphabet [{lo}, {hi}]"
                 )
 
-    def window(self):
-        return set(self.values)
-
-    def get(self, el, default=0):
-        return self.values.get(el, default)
-
-    def support(self):
-        return sorted(
-            (el for el, v in self.values.items() if v),
-            key=lambda el: groups.sort_key(self.group, el),
-        )
-
     def as_ring(self):
         return RingElement(self.group, dict(self.values))
-
-    def copy(self):
-        return Configuration(self.group, dict(self.values), self.alphabet)
 
     def to_json_dict(self):
         order = sorted(self.values, key=lambda el: groups.sort_key(self.group, el))
@@ -174,12 +159,23 @@ class TorusValue:
         return cls(value, value)
 
     @classmethod
+    def from_numerator(cls, n, den):
+        """The exact value n/den mod 1 (den > 0), as one reduced Fraction
+        without the renormalization round of __post_init__."""
+        value = Fraction(n % den, den)
+        out = object.__new__(cls)
+        object.__setattr__(out, "lo", value)
+        object.__setattr__(out, "hi", value)
+        return out
+
+    @classmethod
     def enclosure(cls, lo, hi):
         return cls(lo, hi)
 
     @property
     def is_exact(self):
-        return self.lo == self.hi
+        # exact values from from_numerator share one Fraction
+        return self.lo is self.hi or self.lo == self.hi
 
     @property
     def value(self):
@@ -197,11 +193,6 @@ class TorusValue:
         n = math.ceil(self.lo - value)
         return value + n <= self.hi
 
-    def contains_torus(self, other):
-        """Whether `other`'s interval fits inside this one mod 1."""
-        n = math.ceil(self.lo - other.lo)
-        return other.lo + n >= self.lo and other.hi + n <= self.hi
-
     def to_json_dict(self):
         if self.is_exact:
             return _fraction_json(self.lo)
@@ -213,12 +204,65 @@ class TorusValue:
         return f"TorusValue([{self.lo}, {self.hi}])"
 
 
-def _phi_numerators(d, window, M):
-    """Integer numerators of phi(d) = d . w on the window, over M^(E+1)."""
-    f = PolyF.standard(M, d.group)
-    window = list(window)
-    nums, E = kernel_convolution(f, d.values, window, star=True)
-    return window, nums, M ** (E + 1)
+def _forward(group):
+    """u -> (ua, ub), without validation (inner loops)."""
+    if group == F2:
+        return lambda u: (u[:-1] if u[-1:] == "A" else u + "a",
+                          u[:-1] if u[-1:] == "B" else u + "b")
+    return lambda u: ((u[0] + 1, u[1]), (u[0], u[1] + 1))
+
+
+def _phi_numerators(group, terms, window, M):
+    """Integer numerators of x = g . w on the window, over M^(E+1), for the
+    integer coefficients g_t in terms.
+
+    x solves x . f* = g, that is M x_s = g_s + x_{sa} + x_{sb}, and vanishes
+    off supp(g).{A,B}*: on f2 wherever u.rstrip("AB") is longer than every
+    support word, on z2 outside the support's upper bounding box.  With
+    E = max |t| + max |s| (as in ring.kernel_convolution, the reference),
+    N_u = M^(E+1) x_u is an integer at every site u reached from the window
+    by a and b steps, which only raise the height, so
+    N_u = (g_u M^(E+1) + N_{ua} + N_{ub}) / M divides exactly.  The reached
+    sites are solved once each, in descending height.
+    """
+    window = check_window(group, window)
+    terms = {t: c for t, c in terms.items() if c}
+    if group == F2:
+        length, core = len, max(map(len, terms), default=-1)
+
+        def live(u):
+            return len(u.rstrip("AB")) <= core
+
+        def height(u):
+            return len(u) - 2 * (u.count("A") + u.count("B"))
+    else:
+        top_i = max((t[0] for t in terms), default=-math.inf)
+        top_j = max((t[1] for t in terms), default=-math.inf)
+
+        def length(u):
+            return abs(u[0]) + abs(u[1])
+
+        def live(u):
+            return u[0] <= top_i and u[1] <= top_j
+
+        def height(u):
+            return u[0] + u[1]
+    E = max(map(length, terms), default=0) + max(map(length, window), default=0)
+    scale = M ** (E + 1)
+    step = _forward(group)
+    successors = {}
+    todo = list(window)
+    while todo:
+        u = todo.pop()
+        if u not in successors and live(u):
+            successors[u] = step(u)
+            todo.extend(successors[u])
+    nums = {}
+    for u in sorted(successors, key=height, reverse=True):
+        ua, ub = successors[u]
+        nums[u] = (terms.get(u, 0) * scale + nums.get(ua, 0)
+                   + nums.get(ub, 0)) // M
+    return window, [nums.get(s, 0) for s in window], scale
 
 
 def phi_exact(d, window, M):
@@ -226,52 +270,38 @@ def phi_exact(d, window, M):
 
     d is treated as zero outside its own window (finite support).
     """
-    window, nums, den = _phi_numerators(d, window, M)
-    return {s: TorusValue.exact(Fraction(n, den)) for s, n in zip(window, nums)}
-
-
-def _cone_tail(group, s, window, M, max_len):
-    """Exact kernel mass sum_t K(t^-1 s) over sites t = s.v (v positive)
-    lying outside the window.
-
-    Sites at monoid depth beyond limit = max_len + |s| have word length
-    > max_len, so they are all outside: the 2^(limit+1) subtrees rooted at
-    depth limit+1 contribute the closed form M^-(limit+1) / (M-2) each.
-    Shallower sites are counted level by level, with multiplicity (the
-    number of monoid words reaching a z2 site), as integers.
-    """
-    limit = max_len + groups.word_length(group, s)
-    num = 0  # sum over depths d <= limit of outside(d) * M^(limit-d)
-    for level in islice(groups.cone_levels(group, s), limit + 1):
-        num = num * M + sum(n for t, n in level.items() if t not in window)
-    return Fraction((M - 2) * num + 2 ** (limit + 1), (M - 2) * M ** (limit + 1))
+    window, nums, den = _phi_numerators(d.group, d.values, window, M)
+    return {s: TorusValue.from_numerator(n, den) for s, n in zip(window, nums)}
 
 
 def phi_windowed(d, eval_window, M):
     """Interval enclosures of phi at eval_window coordinates, valid for every
     extension of d beyond its window by alphabet-range symbols.
 
-    Each coordinate is [exact + lo*tail_s, exact + hi*tail_s] where tail_s is
-    the exact kernel mass escaping the window at that coordinate and (lo, hi)
-    is the alphabet range.
+    Each coordinate is [exact + lo*tail_s, exact + hi*tail_s] where (lo, hi)
+    is the alphabet range and tail_s is the exact kernel mass escaping the
+    window at s: the full mass 1/(M-2) less phi of the window's indicator.
     """
     group = d.group
-    eval_window, nums, den = _phi_numerators(d, eval_window, M)
-    window = d.window()
-    max_len = max((groups.word_length(group, el) for el in window), default=-1)
+    eval_window, nums, den = _phi_numerators(group, d.values, eval_window, M)
+    _, inside, den_in = _phi_numerators(
+        group, dict.fromkeys(d.values, 1), eval_window, M)
     alo, ahi = d.alphabet
     out = {}
-    for s, n in zip(eval_window, nums):
+    for s, n, m in zip(eval_window, nums, inside):
         exact = Fraction(n, den)
-        tail = _cone_tail(group, s, window, M, max_len)
+        tail = Fraction(1, M - 2) - Fraction(m, den_in)
         out[s] = TorusValue.enclosure(exact + alo * tail, exact + ahi * tail)
     return out
 
 
-def _as_torus(value):
-    if isinstance(value, TorusValue):
-        return value
-    return TorusValue.exact(value)
+def _interior(x):
+    """The group of a nonempty window x and its interior sites (t, ta, tb),
+    those whose a- and b-successors are also in x, in the order of x."""
+    group = F2 if isinstance(next(iter(x)), str) else Z2
+    step = _forward(group)
+    sites = [(t, *step(t)) for t in x]
+    return group, [s for s in sites if s[1] in x and s[2] in x]
 
 
 def xf_residual(x, M):
@@ -282,19 +312,11 @@ def xf_residual(x, M):
     """
     if not x:
         return {}
-    some_key = next(iter(x))
-    group = F2 if isinstance(some_key, str) else Z2
-    a, b = groups.generators(group)
-    out = {}
-    for t, xt in x.items():
-        ta = groups.multiply(group, t, a)
-        tb = groups.multiply(group, t, b)
-        if ta in x and tb in x:
-            vt, va, vb = _as_torus(xt), _as_torus(x[ta]), _as_torus(x[tb])
-            lo = M * vt.lo - va.hi - vb.hi
-            hi = M * vt.hi - va.lo - vb.lo
-            out[t] = TorusValue.enclosure(lo, hi)
-    return out
+    lo = {t: v.lo if isinstance(v, TorusValue) else Fraction(v) for t, v in x.items()}
+    hi = {t: v.hi if isinstance(v, TorusValue) else lo[t] for t, v in x.items()}
+    return {t: TorusValue.enclosure(M * lo[t] - hi[ta] - hi[tb],
+                                    M * hi[t] - lo[ta] - lo[tb])
+            for t, ta, tb in _interior(x)[1]}
 
 
 def four_cover_lift(x, M):
@@ -307,26 +329,27 @@ def four_cover_lift(x, M):
     """
     if not x:
         return None
-    some_key = next(iter(x))
-    group = F2 if isinstance(some_key, str) else Z2
-    a, b = groups.generators(group)
-    values = {}
-    for t, xt in x.items():
-        xt = _as_torus(xt)
-        if not xt.is_exact:
+    parts = {}  # (p, q) with p/q in [0, 1) the representative at each site
+    for t, v in x.items():
+        if isinstance(v, TorusValue) and not v.is_exact:
             raise ValueError("four_cover_lift needs exact coordinates")
-        ta = groups.multiply(group, t, a)
-        tb = groups.multiply(group, t, b)
-        if ta in x and tb in x:
-            raw = M * xt.value - _as_torus(x[ta]).value - _as_torus(x[tb]).value + 1
-            if raw.denominator != 1:
-                raise ResidualNonzero(
-                    f"residual {raw - 1} at {groups.format_element(group, t) or '1'}"
-                )
-            d = int(raw)
-            if not (0 <= d <= M):
-                raise ResidualNonzero(f"lift symbol {d} escapes {{0,...,{M}}}")
-            values[t] = d
+        v = v.lo if isinstance(v, TorusValue) else Fraction(v)
+        parts[t] = v.numerator % v.denominator, v.denominator
+    group, interior = _interior(x)
+    values = {}
+    for t, ta, tb in interior:
+        (pt, qt), (pa, qa), (pb, qb) = parts[t], parts[ta], parts[tb]
+        num = M * pt * qa * qb - pa * qt * qb - pb * qt * qa
+        den = qt * qa * qb
+        d, rem = divmod(num, den)
+        if rem:
+            raise ResidualNonzero(
+                f"residual {Fraction(num, den)} at "
+                f"{groups.format_element(group, t) or '1'}")
+        d += 1
+        if not (0 <= d <= M):
+            raise ResidualNonzero(f"lift symbol {d} escapes {{0,...,{M}}}")
+        values[t] = d
     return Configuration(group, values, (0, M))
 
 
@@ -334,12 +357,6 @@ def homoclinic_point(g, window, M):
     """Exact coordinates of g . x_delta on the window, for integral g."""
     if not g.is_integral():
         raise ValueError("homoclinic points come from integral ring elements")
-    d = Configuration(
-        group=g.group,
-        values={el: int(c) for el, c in g.terms.items()},
-        alphabet=(
-            min((int(c) for c in g.terms.values()), default=0),
-            max((int(c) for c in g.terms.values()), default=0),
-        ),
-    )
-    return phi_exact(d, window, M)
+    terms = {el: int(c) for el, c in g.terms.items()}
+    window, nums, den = _phi_numerators(g.group, terms, window, M)
+    return {s: TorusValue.from_numerator(n, den) for s, n in zip(window, nums)}

@@ -41,17 +41,8 @@ class RationalInterval:
     def midpoint(self):
         return (self.lo + self.hi) / 2
 
-    def abs_hi(self):
-        return max(abs(self.lo), abs(self.hi))
-
     def contains(self, value):
         return self.lo <= value <= self.hi
-
-    def contains_interval(self, other):
-        return self.lo <= other.lo and other.hi <= self.hi
-
-    def intersects(self, other):
-        return self.lo <= other.hi and other.lo <= self.hi
 
     def __add__(self, other):
         if isinstance(other, RationalInterval):
@@ -98,9 +89,6 @@ class RationalInterval:
         lo = Fraction(math.floor(self.lo * scale), scale)
         hi = Fraction(math.ceil(self.hi * scale), scale)
         return RationalInterval(lo, hi)
-
-    def hull(self, other):
-        return RationalInterval(min(self.lo, other.lo), max(self.hi, other.hi))
 
 
 PI = RationalInterval(PI_LO, PI_HI)

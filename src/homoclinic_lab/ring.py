@@ -346,6 +346,16 @@ def _scaled_inverse(f, E, star):
     return from_table
 
 
+def check_window(group, window):
+    """The window as a list, within the size guard and of group elements."""
+    window = list(window)
+    if len(window) > _WINDOW_GUARD:
+        raise WindowTooLarge(f"window of {len(window)} elements exceeds the guard")
+    for s in window:
+        groups.check_element(group, s)
+    return window
+
+
 def kernel_convolution(f, terms, window, star=False):
     """Exact sum_t g_t K(t^-1 s) at every s of the window, as integers over
     one power of M.
@@ -358,11 +368,7 @@ def kernel_convolution(f, terms, window, star=False):
     validated once here; the double loop runs unchecked.
     """
     group = f.group
-    window = list(window)
-    if len(window) > _WINDOW_GUARD:
-        raise WindowTooLarge(f"window of {len(window)} elements exceeds the guard")
-    for s in window:
-        groups.check_element(group, s)
+    window = check_window(group, window)
     items = []
     for t, c in terms.items():
         groups.check_element(group, t)

@@ -69,13 +69,6 @@ class Tree:
     def sorted_words(self):
         return sorted(self.nodes, key=lambda w: groups.sort_key(F2, w))
 
-    def to_json(self):
-        return self.sorted_words()
-
-    @classmethod
-    def from_words(cls, words):
-        return cls(frozenset(words))
-
 
 @dataclass(frozen=True)
 class CylinderSpec:
@@ -92,9 +85,6 @@ class CylinderSpec:
             raise ValueError("omega must be defined exactly on the tree boundary")
         items = tuple(sorted(omega.items(), key=lambda kv: groups.sort_key(F2, kv[0])))
         return cls(tree=tree, omega=items)
-
-    def omega_dict(self):
-        return dict(self.omega)
 
 
 def catalan(n):

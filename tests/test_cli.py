@@ -1,10 +1,11 @@
 import contextlib
 import io
 import json
+import re
 
 import pytest
 
-from homoclinic_lab import groups
+from homoclinic_lab import acceptance, groups
 from homoclinic_lab.cli import main
 from homoclinic_lab.groups import F2
 
@@ -228,3 +229,25 @@ def test_out_flag_writes_file(tmp_path):
     assert out == ""
     doc = json.loads(path.read_text())
     assert doc["count"] == 41
+
+
+def test_report_times_each_criterion_on_stderr(monkeypatch):
+    def stub(number):
+        def criterion(seed, jobs):
+            return acceptance.CriterionResult(number, f"stub {number}", True,
+                                              {"seed": seed, "jobs": jobs})
+        return criterion
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [stub(1), stub(2)])
+    code, out, err = run_cli("report", "--seed", "5", "--jobs", "1")
+    assert code == 0
+    # the document carries no time, so it is what the stubs alone give
+    criteria = [{"number": n, "name": f"stub {n}", "passed": True,
+                 "details": {"seed": 5, "jobs": 1}} for n in (1, 2)]
+    assert out == json.dumps({"schema": "1", "command": "report", "seed": 5,
+                              "criteria": criteria, "passed": True},
+                             indent=2) + "\n"
+    lines = err.splitlines()
+    assert len(lines) == 2
+    for n, line in zip((1, 2), lines):
+        assert re.fullmatch(rf"criterion {n}: \d+\.\d\d s", line)

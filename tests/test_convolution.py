@@ -1,10 +1,11 @@
 """Differential and property tests of the integer kernel convolution.
 
-Every integer path (ring.kernel_convolution and its callers phi_exact,
-phi_windowed, quotient_coordinates, the Fourier plan and the cone tail) is
-compared with a Fraction reference written here: the double loop
-sum_t g_t K(t^-1 s) over PolyF.inv_coeff, and the recursive walk of the
-kernel cone for the tail.
+Every integer path (ring.kernel_convolution and its callers
+quotient_coordinates and the Fourier plan; phi_exact, phi_windowed and the
+window tail by the recurrence x . f* = d; the integer 4-cover lift) is
+compared with a reference: the Fraction double loop sum_t g_t K(t^-1 s) over
+PolyF.inv_coeff, kernel_convolution itself for the recurrence, the recursive
+walk of the kernel cone for the tail, and a Fraction lift written here.
 """
 
 import math
@@ -14,18 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homoclinic_lab import groups
-from homoclinic_lab.groups import F2, Z2, GroupMismatch
-from homoclinic_lab.homoclinic import (Configuration, WidthExceedsOne,
-                                       _cone_tail, phi_exact, phi_windowed)
+from homoclinic_lab import groups, ring
+from homoclinic_lab.groups import F2, Z2, GroupMismatch, WindowTooLarge
+from homoclinic_lab.homoclinic import (Configuration, ResidualNonzero,
+                                       TorusValue, WidthExceedsOne,
+                                       _phi_numerators, four_cover_lift,
+                                       phi_exact, phi_windowed, xf_residual)
 from homoclinic_lab.montecarlo import _fourier_plan
 from homoclinic_lab.ring import (PolyF, RingElement, kernel_convolution,
                                  parse_ring_element, quotient_coordinates)
 
-# derandomized and without an example database, so the suite is
-# reproducible and leaves no files behind
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
-                    database=None)
+# the rest of the settings come from the profile in conftest.py
+PROPERTY = settings(max_examples=60)
 
 BALLS = {group: groups.ball(group, 3) for group in (F2, Z2)}
 
@@ -75,6 +76,43 @@ def reference_inverse(f, max_height):
                 acc[el] = acc.get(el, 0) + c / f.M ** (k + 1)
         power = power * lower
     return acc
+
+
+def reference_lift(x, M):
+    """d_t = M v_t - v_{ta} - v_{tb} + 1 as Fractions, v_t = x_t mod 1,
+    with four_cover_lift's errors and messages."""
+    group = F2 if isinstance(next(iter(x)), str) else Z2
+    a, b = groups.generators(group)
+    v = {t: (c.value if isinstance(c, TorusValue) else Fraction(c)) % 1
+         for t, c in x.items()}
+    out = {}
+    for t in x:
+        ta, tb = groups.multiply(group, t, a), groups.multiply(group, t, b)
+        if ta in x and tb in x:
+            raw = M * v[t] - v[ta] - v[tb] + 1
+            if raw.denominator != 1:
+                raise ResidualNonzero(
+                    f"residual {raw - 1} at {groups.format_element(group, t) or '1'}")
+            # v in [0, 1) puts raw in (-1, M + 1), so this never fires
+            if not 0 <= raw <= M:
+                raise ResidualNonzero(f"lift symbol {raw} escapes {{0,...,{M}}}")
+            out[t] = int(raw)
+    return out
+
+
+def reference_residual(x, M):
+    """M x_t - x_{ta} - x_{tb} on TorusValue intervals at interior sites."""
+    group = F2 if isinstance(next(iter(x)), str) else Z2
+    a, b = groups.generators(group)
+    v = {t: c if isinstance(c, TorusValue) else TorusValue.exact(c)
+         for t, c in x.items()}
+    out = {}
+    for t in x:
+        ta, tb = groups.multiply(group, t, a), groups.multiply(group, t, b)
+        if ta in x and tb in x:
+            out[t] = TorusValue.enclosure(M * v[t].lo - v[ta].hi - v[tb].hi,
+                                          M * v[t].hi - v[ta].lo - v[tb].lo)
+    return out
 
 
 def polys(group):
@@ -153,6 +191,124 @@ def test_kernel_convolution_validates_once_at_entry():
     assert kernel_convolution(f, {}, []) == ([], 0)
 
 
+# -- the recurrence behind phi and the integer lift ---------------------------
+
+FAR = {F2: ["aaaa", "abab", "bAAA", "BBBa"], Z2: [(4, 0), (2, 2), (0, 4)]}
+NEG = {group: groups.negative_monoid(group, 2) for group in (F2, Z2)}
+
+
+@st.composite
+def phi_cases(draw):
+    group = draw(st.sampled_from((F2, Z2)))
+    terms = draw(integer_terms(group))
+    # windows mix sites of supp(d).{A,B}* with sites of ball(3) and beyond
+    # it that mostly miss it
+    cone = [groups.multiply(group, t, v) for t in terms for v in NEG[group]]
+    window = draw(st.lists(st.sampled_from(BALLS[group] + FAR[group] + cone),
+                           max_size=8))
+    return group, terms, window, draw(st.integers(3, 5))
+
+
+@PROPERTY
+@given(phi_cases())
+def test_phi_recurrence_matches_kernel_convolution(case):
+    group, terms, window, M = case
+    got_window, nums, den = _phi_numerators(group, terms, window, M)
+    want, E = kernel_convolution(PolyF.standard(M, group), terms, window,
+                                 star=True)
+    assert got_window == window
+    assert nums == want
+    assert den == M ** (E + 1)
+
+
+@pytest.mark.parametrize("group", [F2, Z2])
+def test_phi_recurrence_of_an_empty_d_and_a_missed_window(group):
+    f = PolyF.standard(3, group)
+    window = BALLS[group]
+    assert _phi_numerators(group, {}, window, 3)[1] == [0] * len(window)
+    # supp(d).{A,B}* misses every site above the support
+    t = {F2: "BAB", Z2: (-2, -1)}[group]
+    nums = _phi_numerators(group, {t: -2}, window, 3)[1]
+    assert nums == kernel_convolution(f, {t: -2}, window, star=True)[0]
+    above = [s for s in window if groups.height(group, s) > groups.height(group, t)]
+    assert above and all(n == 0 for s, n in zip(window, nums) if s in above)
+
+
+def test_phi_validates_the_window_once_at_entry(monkeypatch):
+    d = Configuration(F2, {"": 1}, (0, 1))
+    with pytest.raises(GroupMismatch):
+        phi_exact(d, ["", (0, 0)], 3)
+    monkeypatch.setattr(ring, "_WINDOW_GUARD", 4)
+    with pytest.raises(WindowTooLarge):
+        phi_exact(d, groups.ball(F2, 1), 3)
+    with pytest.raises(WindowTooLarge):
+        phi_windowed(d, groups.ball(F2, 1), 3)
+
+
+@st.composite
+def lift_windows(draw):
+    """phi_exact on a ball, some coordinates handed over as plain rationals
+    shifted by an integer, and sometimes one coordinate moved off X_f."""
+    d, _, M = draw(configurations())
+    window = groups.ball(d.group, draw(st.integers(0, 3)))
+    x = phi_exact(d, window, M)
+    for t in draw(st.lists(st.sampled_from(window), max_size=4, unique=True)):
+        x[t] = x[t].value + draw(st.integers(-2, 2))
+    if draw(st.booleans()):
+        t = draw(st.sampled_from(window))
+        x[t] = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
+    return x, M
+
+
+@PROPERTY
+@given(lift_windows())
+def test_integer_lift_matches_the_fraction_lift(case):
+    x, M = case
+    try:
+        want = reference_lift(x, M)
+    except ResidualNonzero as exc:
+        with pytest.raises(ResidualNonzero) as got:
+            four_cover_lift(x, M)
+        assert str(got.value) == str(exc)
+        return
+    lifted = four_cover_lift(x, M)
+    assert lifted.values == want
+    assert lifted.alphabet == (0, M)
+
+
+@st.composite
+def residual_windows(draw):
+    """Plain rationals, exact values and enclosures of width <= 1/8 on a
+    ball, so every residual interval stays narrower than 1."""
+    group = draw(st.sampled_from((F2, Z2)))
+    window = groups.ball(group, draw(st.integers(0, 2)))
+    rational = st.fractions(-3, 3, max_denominator=40)
+    width = st.fractions(0, Fraction(1, 8), max_denominator=40)
+    value = st.one_of(
+        rational, st.builds(TorusValue.exact, rational),
+        st.builds(lambda lo, w: TorusValue.enclosure(lo, lo + w), rational, width))
+    return {s: draw(value) for s in window}, draw(st.integers(3, 5))
+
+
+@PROPERTY
+@given(residual_windows())
+def test_xf_residual_matches_the_torus_loop(case):
+    x, M = case
+    assert xf_residual(x, M) == (reference_residual(x, M) if x else {})
+
+
+def test_lift_residual_message_and_exactness_check():
+    x = {"": TorusValue.exact(Fraction(1, 2)), "a": Fraction(5, 3), "b": 0}
+    with pytest.raises(ResidualNonzero, match=r"^residual 5/6 at 1$"):
+        four_cover_lift(x, 3)
+    x = {(0, 0): 0, (1, 0): Fraction(1, 3), (0, 1): Fraction(-2, 7)}
+    with pytest.raises(ResidualNonzero, match=r"^residual -22/21 at \(0,0\)$"):
+        four_cover_lift(x, 3)
+    with pytest.raises(ValueError, match="needs exact coordinates"):
+        four_cover_lift({"": TorusValue.enclosure(0, Fraction(1, 2))}, 3)
+    assert four_cover_lift({}, 3) is None
+
+
 # -- the callers -------------------------------------------------------------
 
 @PROPERTY
@@ -186,7 +342,7 @@ def test_phi_exact_and_windowed_match_the_fraction_loop(case):
 
     max_len = max((groups.word_length(d.group, t) for t in d.values),
                   default=-1)
-    tails = {s: reference_tail(d.group, s, d.window(), M, max_len)
+    tails = {s: reference_tail(d.group, s, set(d.values), M, max_len)
              for s in window}
     lo, hi = d.alphabet
     if any((hi - lo) * tail >= 1 for tail in tails.values()):
@@ -206,9 +362,11 @@ def test_phi_exact_and_windowed_match_the_fraction_loop(case):
                             st.sets(elements(group), max_size=12))),
     st.integers(3, 5))
 def test_cone_tail_matches_the_recursive_walk(case, M):
+    # phi_windowed's tail: the full mass 1/(M-2) less phi of the indicator
     group, s, window = case
+    _, [inside], den = _phi_numerators(group, dict.fromkeys(window, 1), [s], M)
     max_len = max((groups.word_length(group, t) for t in window), default=-1)
-    assert (_cone_tail(group, s, window, M, max_len)
+    assert (Fraction(1, M - 2) - Fraction(inside, den)
             == reference_tail(group, s, window, M, max_len))
 
 

@@ -15,9 +15,11 @@ import json
 
 import pytest
 
-from homoclinic_lab import acceptance, montecarlo
+from homoclinic_lab import acceptance, groups, montecarlo, rng
 from homoclinic_lab.cli import main
 from homoclinic_lab.groups import F2, Z2
+from homoclinic_lab.homoclinic import (Configuration, four_cover_lift,
+                                       phi_exact, phi_windowed)
 from homoclinic_lab.montecarlo import (ExperimentConfig, collision_search,
                                        empirical_fourier, haar_window_test,
                                        tau_invariance_test)
@@ -162,3 +164,38 @@ def test_criterion_09_past_a_low_id_cache(monkeypatch):
     # transient path, and every deepening step takes it too
     monkeypatch.setattr(montecarlo, "_CACHE_LEVELS", 4)
     assert _criterion_09_digest(monkeypatch) == CRITERION_09_DIGEST
+
+
+# criterion 6's first 20 round trips per group (same seed, sample indices,
+# support and windows): phi on ball(5), its lift, the exact coordinates on
+# ball(1) and the enclosures of the lift there
+ROUND_TRIP_SAMPLES = 20
+ROUND_TRIP_DIGEST = \
+    "de1f47739d9216a80229451eb52f467d163ae42e19d0aff72109adafe1a760f5"
+
+
+def _coordinates(group, coords):
+    return {groups.format_element(group, s): v.to_json_dict()
+            for s, v in coords.items()}
+
+
+def test_criterion_06_round_trips_are_pinned():
+    M = 3
+    docs = []
+    for gi, group in enumerate((F2, Z2)):
+        support = groups.ball(group, 2)
+        ids = rng.element_ids(group, support)
+        big, evals = groups.ball(group, 5), groups.ball(group, 1)
+        for i in range(ROUND_TRIP_SAMPLES):
+            vals = rng.symbols(acceptance.DEFAULT_SEED, gi * 500 + i, ids, M)
+            d = Configuration(
+                group, {s: int(v) for s, v in zip(support, vals)}, (0, M - 1))
+            x = phi_exact(d, big, M)
+            lifted = four_cover_lift(x, M)
+            docs.append({
+                "x": _coordinates(group, x),
+                "lift": lifted.to_json_dict(),
+                "exact": _coordinates(group, phi_exact(d, evals, M)),
+                "enclosed": _coordinates(group, phi_windowed(lifted, evals, M)),
+            })
+    assert digest(docs) == ROUND_TRIP_DIGEST

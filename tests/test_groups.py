@@ -59,8 +59,8 @@ def test_monoid_windows():
     neg = groups.negative_monoid(F2, 2)
     assert len(neg) == 7
     assert all(all(c in "AB" for c in w) for w in neg)
-    pos = groups.positive_monoid(F2, 3)
-    assert len(pos) == 15
+    pos = groups.positive_cone_sites(F2, "", 3)
+    assert len(pos) == 15 and all(all(c in "ab" for c in w) for w in pos)
     assert len(groups.negative_monoid(Z2, 3)) == 10
     assert all(i <= 0 and j <= 0 for i, j in groups.negative_monoid(Z2, 3))
 
@@ -107,12 +107,6 @@ def test_parse_element_rejects_garbage():
         groups.parse_element(F2, "ax")
     with pytest.raises(ValueError):
         groups.parse_element(Z2, "(1,)")
-
-
-def test_cayley_neighbors():
-    nb = groups.cayley_neighbors(F2, "")
-    assert sorted(nb) == sorted(["a", "b", "A", "B"])
-    assert len(groups.cayley_neighbors(Z2, (0, 0))) == 4
 
 
 def test_ball_cap():

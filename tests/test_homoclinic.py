@@ -1,10 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from homoclinic_lab import groups
 from homoclinic_lab.groups import F2, Z2
 from homoclinic_lab.homoclinic import (Configuration, TorusValue,
+                                       WidthExceedsOne,
                                        four_cover_lift, homoclinic_point,
                                        kernel, phi_exact, phi_windowed,
                                        xf_residual)
@@ -153,9 +156,34 @@ def test_torus_value_normalization_and_containment():
     assert w.contains(Fraction(19, 20))
     assert w.contains(Fraction(1, 20))  # wraps past the integer
     assert not w.contains(Fraction(1, 2))
-    assert w.contains_torus(TorusValue.exact(Fraction(0)))
     with pytest.raises(ValueError):
         TorusValue.enclosure(0, 1)
+
+
+RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=60)
+
+
+@given(RATIONALS, RATIONALS)
+def test_torus_value_properties(a, b):
+    v = TorusValue.exact(a)
+    assert 0 <= v.lo < 1 and v.hi == v.lo and (a - v.lo).denominator == 1
+    fast = TorusValue.from_numerator(a.numerator, a.denominator)
+    assert vars(fast) == vars(v)
+    assert type(fast.lo) is type(fast.hi) is Fraction
+
+    lo, hi = min(a, b), max(a, b)
+    if hi - lo >= 1:
+        with pytest.raises(WidthExceedsOne):
+            TorusValue.enclosure(lo, hi)
+        return
+    w = TorusValue.enclosure(lo, hi)
+    assert 0 <= w.lo < 1 and w.hi - w.lo == hi - lo
+    assert (lo - w.lo).denominator == 1
+    # contains wraps: the interval's points shifted by any integer lie in it
+    for k in (-3, 0, 2):
+        assert w.contains(lo + k) and w.contains(hi + k)
+        assert w.contains((lo + hi) / 2 + k)
+        assert not w.contains(hi + (1 - (hi - lo)) / 2 + k)
 
 
 def test_lift_requires_exact_consistency():

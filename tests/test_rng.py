@@ -19,10 +19,8 @@ from hypothesis import strategies as st
 from homoclinic_lab import montecarlo, rng
 from homoclinic_lab.groups import F2
 
-# derandomized and without an example database, so the suite is
-# reproducible and leaves no files behind
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
-                    database=None)
+# the rest of the settings come from the profile in conftest.py
+PROPERTY = settings(max_examples=40)
 
 B = rng._BLOCK
 LENGTHS = (0, 1, 2, B - 1, B, B + 1, 3 * B + 7)

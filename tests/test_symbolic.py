@@ -40,7 +40,7 @@ def test_tree_enumeration_counts():
 
 
 def test_tree_closure_and_boundary_oracle():
-    t = Tree.from_words(["", "A", "B", "AB", "BA", "BB"])
+    t = Tree(["", "A", "B", "AB", "BA", "BB"])
     closure = t.closure()
     assert len(closure) == 13
     assert t.boundary() == closure - t.nodes
@@ -56,9 +56,9 @@ def test_tree_laws_hold_for_all_small_trees():
 
 def test_tree_rejects_non_prefix_closed_sets():
     with pytest.raises(ValueError):
-        Tree.from_words(["A", "AB"])
+        Tree(["A", "AB"])
     with pytest.raises(ValueError):
-        Tree.from_words(["", "ab"])
+        Tree(["", "ab"])
 
 
 def _galton_watson_masses(n_max, M):
@@ -72,7 +72,7 @@ def _galton_watson_masses(n_max, M):
 
 
 def test_cylinder_measure_and_partition_mass():
-    empty = Tree.from_words([])
+    empty = Tree([])
     spec = CylinderSpec.make(empty, {"": 0})
     assert cylinder_measure(spec, 3) == Fraction(1, 3)
     assert partition_mass(0) == Fraction(2, 3)
@@ -96,7 +96,7 @@ def test_classify_cylinder():
     d = Configuration(F2, window, (0, 2))
     spec = classify_cylinder(d, 3)
     assert spec.tree.nodes == frozenset({"", "B"})
-    assert spec.omega_dict() == {"A": 1, "BA": 0, "BB": 1}
+    assert dict(spec.omega) == {"A": 1, "BA": 0, "BB": 1}
     # tree reaching the window edge cannot be classified
     und = Configuration(F2, {"": 2}, (0, 2))
     assert classify_cylinder(und, 3) is None
@@ -180,10 +180,8 @@ def test_carry_add_requires_site_in_window():
 
 # -- references for the toppling loop ---------------------------------------
 
-# derandomized and without an example database, so the suite is
-# reproducible and leaves no files behind
-PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
-                    database=None)
+# the rest of the settings come from the profile in conftest.py
+PROPERTY = settings(max_examples=150)
 
 
 def _children(group):
