@@ -1,6 +1,7 @@
 """Pinned documents: sha256 of the canonical JSON (sort_keys=True) of small
-runs of each statistical experiment, of criterion 5's details, and of the
-exact stdout of the CLI documents built on the carry machines.
+runs of each statistical experiment, of the details of criteria 3, 5, 6, 8,
+9 and 11 (some at reduced sizes), and of the exact stdout of the CLI
+documents built on the carry machines and on the convolution solver.
 
 The determinism contract says a document is byte-identical for a fixed
 configuration, so any change of cone enumeration, id layout or draw
@@ -99,13 +100,20 @@ def test_pair_deepening_past_the_id_cache(group, monkeypatch):
 
 
 # cover reduces a seeded window of the ball (f2 and z2, both with spill);
-# tau at seed 17 carries through ten sites, at seed 39 it overflows
+# tau at seed 17 carries through ten sites, at seed 39 it overflows; kernel,
+# fourier and divide read coordinates of 1/f and g/f through the solver
 CLI_RUNS = {
     "cover_f2": ("cover",),
     "cover_z2": ("cover", "--group", "z2"),
     "tau": ("tau",),
     "tau_cascade": ("tau", "--seed", "17"),
     "tau_overflow": ("tau", "--seed", "39"),
+    "kernel_f2": ("kernel",),
+    "kernel_z2": ("kernel", "--group", "z2"),
+    "fourier_f2": ("fourier", "--g", "1 + a"),
+    "fourier_z2": ("fourier", "--group", "z2", "--M", "4", "--g", "2 - a*b"),
+    "divide_member": ("divide", "--g", "(1 + a - B)*(3 - a - b)"),
+    "divide_non_member": ("divide", "--M", "5", "--g", "2 + a*b"),
 }
 
 CLI_DIGESTS = {
@@ -119,6 +127,18 @@ CLI_DIGESTS = {
         "e9973b6c6cd96ed579b4b4011039da6d0582418601b0dfbe2979411454757504",
     "tau_overflow":
         "994e32e363b11d3cfb0ca995f4053a85a0591bde23efed177f0bbeed9766bc6e",
+    "kernel_f2":
+        "db786ba646e0d052a7b575dc5093a79ef4bc86658c1f4b430a4ad2bb9944a8f2",
+    "kernel_z2":
+        "d9d130d4c2a513afc1741da8934cbb45712b25d691535d5db522c6d19211b23f",
+    "fourier_f2":
+        "96dd3df25ba7dad7349fb054765456e9d57c0a87add7a0c0c49e3b58aa39a4ee",
+    "fourier_z2":
+        "10a0fdd93b3ba632701830ddbaccd1527f15716137c349ada0b25685f36307f1",
+    "divide_member":
+        "3365a114fb3ca0861038f3751e8886d8605e3164b239f7434e48d15f28d01100",
+    "divide_non_member":
+        "01bf077118492f31e8f9422f76611e40971c34f4b5eb5778f8d5205ae9f065fa",
 }
 
 
@@ -138,6 +158,19 @@ def test_criterion_05_details_are_pinned():
         "2a839dbdb74eb7531143a2c87b5a681df15f67081c6af2d08834a8c2a69269be"
 
 
+# criterion 3 reads kernel masses, criterion 8 divides a battery by f
+EXACT_CRITERIA = {
+    3: "3c5458287e560c298142772ac2e9ed681acc46ebb4177ded98a4c1e9ff236582",
+    8: "d561a14390cc4671b8689d14e533870f260e1bc7dcd6dbe95643ab2f5dcce571",
+}
+
+
+@pytest.mark.parametrize("number", sorted(EXACT_CRITERIA))
+def test_exact_criterion_details_are_pinned(number):
+    details = acceptance.CRITERIA[number - 1]().details
+    assert digest(details) == EXACT_CRITERIA[number]
+
+
 # criterion 9 at its own configuration (sample radius 12, up to 12 extra
 # levels, so folds go to depth 24) with 200 samples: three folds reach
 # depth 24 and twelve pass the 20-level id cache
@@ -146,13 +179,17 @@ CRITERION_09_DIGEST = \
     "d23b25936df0a0582efb2c560430b99abc30c9ce3150b08d2f39637b200ca199"
 
 
-def _criterion_09_digest(monkeypatch):
+def _reduced_criterion_digest(monkeypatch, criterion, samples):
     def reduced(**kw):
-        return montecarlo.ExperimentConfig(
-            **dict(kw, samples=CRITERION_09_SAMPLES))
+        return montecarlo.ExperimentConfig(**dict(kw, samples=samples))
 
     monkeypatch.setattr(acceptance, "ExperimentConfig", reduced)
-    return digest(acceptance.criterion_09().details)
+    return digest(criterion().details)
+
+
+def _criterion_09_digest(monkeypatch):
+    return _reduced_criterion_digest(
+        monkeypatch, acceptance.criterion_09, CRITERION_09_SAMPLES)
 
 
 def test_criterion_09_details_are_pinned(monkeypatch):
@@ -164,6 +201,14 @@ def test_criterion_09_past_a_low_id_cache(monkeypatch):
     # transient path, and every deepening step takes it too
     monkeypatch.setattr(montecarlo, "_CACHE_LEVELS", 4)
     assert _criterion_09_digest(monkeypatch) == CRITERION_09_DIGEST
+
+
+# criterion 11's four transform estimates at 500 samples each, against
+# certified values from the Fourier plan of g/f
+def test_criterion_11_details_are_pinned(monkeypatch):
+    assert _reduced_criterion_digest(
+        monkeypatch, acceptance.criterion_11, 500) == \
+        "f9adab642ee5a1c1d3df98e77731bf7866ad9066dbb176fde975008ee51a59ca"
 
 
 # criterion 6's first 20 round trips per group (same seed, sample indices,
