@@ -21,14 +21,17 @@ from .ring import PolyF, parse_ring_element
 from .spectral import InIdeal
 
 
-def _default_jobs():
-    env = os.environ.get("HOMOCLINIC_LAB_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+def _jobs(text):
+    """A --jobs or HOMOCLINIC_LAB_JOBS value; anything but a positive
+    integer is a usage error."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(
+            f"jobs must be a positive integer, got {text!r}")
+    return jobs
 
 
 def _emit(doc, args, csv_rows=None):
@@ -256,8 +259,10 @@ _FLAGS = {
     "eval-radius": lambda p: p.add_argument(
         "--eval-radius", dest="eval_radius", type=int, default=1),
     "bins": lambda p: p.add_argument("--bins", type=int, default=30),
-    "jobs": lambda p: p.add_argument("--jobs", type=int,
-                                     default=_default_jobs()),
+    # a string default goes through _jobs too, when the flag is not given
+    "jobs": lambda p: p.add_argument(
+        "--jobs", type=_jobs,
+        default=os.environ.get("HOMOCLINIC_LAB_JOBS") or "1"),
 }
 
 

@@ -1,11 +1,11 @@
 """The homoclinic kernel w = (f*)^-1, the map phi(d) = pi(d . w), membership
 residuals for X_f windows, and the 4-cover lift.
 
-Coordinates of phi on finite-support inputs are exact rationals, computed as
-integer numerators over one power of M by the recurrence x . f* = d (with
-ring.kernel_convolution as its reference), and the lift reads them back as
-integers; windowed inputs get rigorous interval enclosures whose tails are
-the full kernel mass less the same recurrence on the window's indicator.
+Coordinates of phi on finite-support inputs are exact rationals, computed
+by ring.kernel_convolution as integer numerators over one power of M from
+the recurrence x . f* = d, and the lift reads them back as integers;
+windowed inputs get rigorous interval enclosures whose tails are the full
+kernel mass less the same recurrence on the window's indicator.
 """
 
 from dataclasses import dataclass
@@ -14,7 +14,7 @@ import math
 
 from . import groups
 from .groups import F2, Z2, check_group
-from .ring import PolyF, RingElement, check_window
+from .ring import PolyF, RingElement, kernel_convolution
 
 
 class UnsupportedGroup(ValueError):
@@ -212,65 +212,15 @@ def _forward(group):
     return lambda u: ((u[0] + 1, u[1]), (u[0], u[1] + 1))
 
 
-def _phi_numerators(group, terms, window, M):
-    """Integer numerators of x = g . w on the window, over M^(E+1), for the
-    integer coefficients g_t in terms.
-
-    x solves x . f* = g, that is M x_s = g_s + x_{sa} + x_{sb}, and vanishes
-    off supp(g).{A,B}*: on f2 wherever u.rstrip("AB") is longer than every
-    support word, on z2 outside the support's upper bounding box.  With
-    E = max |t| + max |s| (as in ring.kernel_convolution, the reference),
-    N_u = M^(E+1) x_u is an integer at every site u reached from the window
-    by a and b steps, which only raise the height, so
-    N_u = (g_u M^(E+1) + N_{ua} + N_{ub}) / M divides exactly.  The reached
-    sites are solved once each, in descending height.
-    """
-    window = check_window(group, window)
-    terms = {t: c for t, c in terms.items() if c}
-    if group == F2:
-        length, core = len, max(map(len, terms), default=-1)
-
-        def live(u):
-            return len(u.rstrip("AB")) <= core
-
-        def height(u):
-            return len(u) - 2 * (u.count("A") + u.count("B"))
-    else:
-        top_i = max((t[0] for t in terms), default=-math.inf)
-        top_j = max((t[1] for t in terms), default=-math.inf)
-
-        def length(u):
-            return abs(u[0]) + abs(u[1])
-
-        def live(u):
-            return u[0] <= top_i and u[1] <= top_j
-
-        def height(u):
-            return u[0] + u[1]
-    E = max(map(length, terms), default=0) + max(map(length, window), default=0)
-    scale = M ** (E + 1)
-    step = _forward(group)
-    successors = {}
-    todo = list(window)
-    while todo:
-        u = todo.pop()
-        if u not in successors and live(u):
-            successors[u] = step(u)
-            todo.extend(successors[u])
-    nums = {}
-    for u in sorted(successors, key=height, reverse=True):
-        ua, ub = successors[u]
-        nums[u] = (terms.get(u, 0) * scale + nums.get(ua, 0)
-                   + nums.get(ub, 0)) // M
-    return window, [nums.get(s, 0) for s in window], scale
-
-
 def phi_exact(d, window, M):
     """Exact torus coordinates of phi(d) = pi(d . w) on the window.
 
     d is treated as zero outside its own window (finite support).
     """
-    window, nums, den = _phi_numerators(d.group, d.values, window, M)
+    window = list(window)
+    f = PolyF.standard(M, d.group)
+    nums, E = kernel_convolution(f, d.values, window, star=True)
+    den = M ** (E + 1)
     return {s: TorusValue.from_numerator(n, den) for s, n in zip(window, nums)}
 
 
@@ -282,10 +232,12 @@ def phi_windowed(d, eval_window, M):
     is the alphabet range and tail_s is the exact kernel mass escaping the
     window at s: the full mass 1/(M-2) less phi of the window's indicator.
     """
-    group = d.group
-    eval_window, nums, den = _phi_numerators(group, d.values, eval_window, M)
-    _, inside, den_in = _phi_numerators(
-        group, dict.fromkeys(d.values, 1), eval_window, M)
+    eval_window = list(eval_window)
+    f = PolyF.standard(M, d.group)
+    nums, E = kernel_convolution(f, d.values, eval_window, star=True)
+    inside, E_in = kernel_convolution(f, dict.fromkeys(d.values, 1),
+                                      eval_window, star=True)
+    den, den_in = M ** (E + 1), M ** (E_in + 1)
     alo, ahi = d.alphabet
     out = {}
     for s, n, m in zip(eval_window, nums, inside):
@@ -358,5 +310,8 @@ def homoclinic_point(g, window, M):
     if not g.is_integral():
         raise ValueError("homoclinic points come from integral ring elements")
     terms = {el: int(c) for el, c in g.terms.items()}
-    window, nums, den = _phi_numerators(g.group, terms, window, M)
+    window = list(window)
+    nums, E = kernel_convolution(PolyF.standard(M, g.group), terms, window,
+                                 star=True)
+    den = M ** (E + 1)
     return {s: TorusValue.from_numerator(n, den) for s, n in zip(window, nums)}

@@ -17,6 +17,7 @@ import cmath
 import hashlib
 import itertools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -246,9 +247,10 @@ def _chunk_ranges(n, parts):
 
 def _map_samples(chunk, cfg, jobs, *args):
     """chunk(cfg, lo, hi, *args) over [lo, hi) ranges that split the sample
-    indices into at most jobs parts, one worker process per part when there
-    are several; returns the parts in index order."""
-    ranges = _chunk_ranges(cfg.samples, jobs)
+    indices into at most jobs parts and at most one per CPU, one worker
+    process per part when there are several; returns the parts in index
+    order."""
+    ranges = _chunk_ranges(cfg.samples, min(jobs, os.cpu_count() or 1))
     if len(ranges) == 1:
         return [chunk(cfg, 0, cfg.samples, *args)]
     with ProcessPoolExecutor(max_workers=len(ranges)) as pool:

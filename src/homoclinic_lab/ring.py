@@ -2,22 +2,22 @@
 
 RingElement is a finitely supported map from group elements to Fractions
 with convolution and the star involution.  PolyF represents the lopsided
-elements f = M - sum_s f_s s (every support element of the lower part has
-height >= 1 and M exceeds the lower mass), whose inverse 1/f is given by the
-geometric series sum_k (h/M)^k / M.  Because the lower part raises height by
-at least 1, each coordinate of 1/f is a finite exact sum, and an integer over
-M^(height+1).  kernel_convolution uses this to compute every convolution of
-an integer window with 1/f or 1/f* as integer numerators over one power of
+elements f = M - alpha a - beta b (the lower part lies on {a, b} and M
+exceeds its mass), whose inverse 1/f is the geometric series
+sum_k (h/M)^k / M; each coordinate of 1/f at u is an integer over
+M^(height(u)+1).  kernel_convolution computes every convolution of an
+integer window with 1/f or 1/f* from the one identity x . f = g (x . f* = g
+for the star), solved site by site as integer numerators over one power of
 M; Fractions are built only by its callers, at their document boundary.
+divide_by_f reads the same identity level by level over the whole support.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 import math
 
 from . import groups
-from .groups import F2, Z2, GroupMismatch, WindowTooLarge, check_group
+from .groups import F2, GroupMismatch, WindowTooLarge, check_group
 
 _WINDOW_GUARD = 2_000_000
 
@@ -198,27 +198,25 @@ class RingElement:
 
 @dataclass(frozen=True)
 class PolyF:
-    """A lopsided element f = M - sum f_s s with M > sum f_s and height(s) >= 1."""
+    """A lopsided element f = M - alpha a - beta b with M > alpha + beta."""
 
     M: int
     group: str
-    lower: tuple  # ((element, positive int coefficient), ...) sorted
+    lower: tuple  # ((generator, positive int coefficient), ...) sorted
 
     def __post_init__(self):
         check_group(self.group)
         if not isinstance(self.M, int) or self.M < 3:
             raise ValueError("M must be an integer >= 3")
-        total = 0
         for el, c in self.lower:
             groups.check_element(self.group, el)
             if not isinstance(c, int) or c <= 0:
                 raise ValueError("lower-part coefficients must be positive integers")
-            if groups.height(self.group, el) < 1:
-                raise ValueError("lower-part support must have height >= 1")
-            total += c
-        if not self.lower:
-            raise ValueError("lower part must be nonempty")
-        if self.M <= total:
+        sites = [el for el, _ in self.lower]
+        gens = groups.generators(self.group)
+        if not sites or len(set(sites)) < len(sites) or not set(sites) <= set(gens):
+            raise ValueError("lower part must be nonempty, on distinct a and b")
+        if self.M <= self.lower_mass:
             raise ValueError("not lopsided: M must exceed the lower-part mass")
 
     @classmethod
@@ -234,15 +232,10 @@ class PolyF:
         )
         return cls(M=int(M), group=group, lower=tuple(items))
 
-    @property
-    def is_standard(self):
-        a, b = groups.generators(self.group)
-        return self.lower in (((a, 1), (b, 1)), ((b, 1), (a, 1)))
-
     def as_ring(self):
         terms = {groups.identity(self.group): Fraction(self.M)}
         for el, c in self.lower:
-            terms[el] = terms.get(el, Fraction(0)) - c
+            terms[el] = -Fraction(c)
         return RingElement(self.group, terms)
 
     def star_ring(self):
@@ -256,24 +249,15 @@ class PolyF:
     def ratio(self):
         return Fraction(self.lower_mass, self.M)
 
-    @property
-    def max_height(self):
-        return max(groups.height(self.group, el) for el, _ in self.lower)
-
-    @property
-    def max_word_len(self):
-        return max(groups.word_length(self.group, el) for el, _ in self.lower)
-
     def tail_l1_beyond(self, n):
-        """Exact upper bound on the l1 mass of 1/f at word lengths > n.
+        """Exact l1 mass of 1/f at word lengths > n.
 
-        Terms of the series (h/M)^k / M have word length <= k * max_word_len,
-        so lengths beyond n only arise from k >= floor(n / max_word_len) + 1.
-        For the standard f this is the exact tail (2/M)^(n+1) / (M-2).
+        The series term (h/M)^k / M lies at word length k and has mass
+        r^k / M, r = lower mass / M; for the standard f the tail is
+        (2/M)^(n+1) / (M-2).
         """
-        k0 = max(n // self.max_word_len + 1, 0)
         r = self.ratio
-        return r**k0 / (self.M * (1 - r))
+        return r ** max(n + 1, 0) / (self.M * (1 - r))
 
     @property
     def full_inverse_l1(self):
@@ -281,79 +265,60 @@ class PolyF:
         return Fraction(1, self.M - self.lower_mass)
 
     def inv_coeff(self, el):
-        """Exact coefficient of 1/f at el (a finite sum of series terms)."""
-        groups.check_element(self.group, el)
-        h = groups.height(self.group, el)
-        if h < 0:
-            return Fraction(0)
-        return Fraction(_scaled_inverse(self, h, False)(el), self.M ** (h + 1))
+        """Exact coefficient of 1/f at el."""
+        [n], E = kernel_convolution(self, {groups.identity(self.group): 1}, [el])
+        return Fraction(n, self.M ** (E + 1))
 
 
-@lru_cache(maxsize=64)
-def _inverse_table(poly, max_height):
-    """Coefficients of 1/f at every element of height <= max_height, each as
-    the integer N(u) with (1/f)_u = N(u) / M^(height(u)+1).
+def _pull(group, terms, star):
+    """The walk of kernel_convolution's recurrence, unchecked:
+    (length, height, step, live).
 
-    (h^k)_u = 0 once k > height(u), so summing the first max_height+1 powers
-    makes every recorded coordinate exact, and the k-th power term
-    (h^k)_u / M^(k+1) is an integer over M^(height(u)+1).
+    step(u) gives the two sites u x, u y that x_u is pulled from (x, y = a, b
+    for 1/f*, one level above u; A, B for 1/f, one level below); live(u) is
+    False where x_u is known to vanish, off supp(g).{x^-1, y^-1}*.
     """
-    group = poly.group
-    lower = RingElement(group, {el: c for el, c in poly.lower})
-    acc = {}
-    power = RingElement.one(group)
-    for k in range(max_height + 1):
-        for el, c in power.terms.items():
-            h = groups.height(group, el)
-            if h <= max_height:
-                acc[el] = acc.get(el, 0) + int(c) * poly.M ** (h - k)
-        if k < max_height:
-            power = power * lower
-    return acc
+    if group == F2:
+        x, y = "ab" if star else "AB"
+        xi, yi = tail = "AB" if star else "ab"
+        # u = t.v for some v over the tail letters only if u.rstrip(tail)
+        # is a prefix of t.rstrip(tail); a prefix already in heads brings
+        # all of its own
+        heads = set()
+        for t in terms:
+            head = t.rstrip(tail)
+            while head not in heads:
+                heads.add(head)
+                head = head[:-1]
 
+        def height(u):
+            return len(u) - 2 * (u.count("A") + u.count("B"))
 
-def _scaled_inverse(f, E, star):
-    """u -> M^(E+1) K(u) as an int, where K = 1/f, or its star
-    K*(u) = K(u^-1) = the coefficient of 1/f* at u when star is set.
+        def step(u):
+            last = u[-1:]
+            return (u[:-1] if last == xi else u + x,
+                    u[:-1] if last == yi else u + y)
 
-    Valid for every u with height(u) <= E (-height(u) <= E for the star);
-    word length <= E suffices.  No validation (inner loops).
-    For the standard f the coefficient is 1 (f2) or comb(i+j, i) (z2) over
-    M^(height+1); otherwise it comes from the inverse table.
-    """
-    M = f.M
-    pw = [M**k for k in range(E + 1)]
-    if f.is_standard and f.group == F2:
-        letters = "AB" if star else "ab"
-        return lambda u: 0 if u.strip(letters) else pw[E - len(u)]
-    if f.is_standard:
-        sign = -1 if star else 1
+        def live(u):
+            return u.rstrip(tail) in heads
+        return len, height, step, live
+    # on z2 x vanishes outside the support's bounding corner
+    sign = 1 if star else -1
+    top_i = max((sign * t[0] for t in terms), default=-math.inf)
+    top_j = max((sign * t[1] for t in terms), default=-math.inf)
 
-        def standard_z2(u):
-            i, j = sign * u[0], sign * u[1]
-            if i < 0 or j < 0:
-                return 0
-            return math.comb(i + j, i) * pw[E - i - j]
-        return standard_z2
+    def length(u):
+        return abs(u[0]) + abs(u[1])
 
-    table = _inverse_table(f, E)
+    def height(u):
+        return u[0] + u[1]
 
-    def from_table(u):
-        if star:
-            u = groups.inverse(f.group, u)
-        n = table.get(u)
-        return n * pw[E - groups.height(f.group, u)] if n else 0
-    return from_table
+    def step(u):
+        return (u[0] + sign, u[1]), (u[0], u[1] + sign)
 
-
-def check_window(group, window):
-    """The window as a list, within the size guard and of group elements."""
-    window = list(window)
-    if len(window) > _WINDOW_GUARD:
-        raise WindowTooLarge(f"window of {len(window)} elements exceeds the guard")
-    for s in window:
-        groups.check_element(group, s)
-    return window
+    def live(u):
+        return sign * u[0] <= top_i and sign * u[1] <= top_j
+    return length, height, step, live
 
 
 def kernel_convolution(f, terms, window, star=False):
@@ -361,33 +326,48 @@ def kernel_convolution(f, terms, window, star=False):
     one power of M.
 
     K is 1/f, or 1/f* (the homoclinic kernel of phi) when star is set;
-    terms maps t to the integer g_t.  Every coefficient of K at u is an
-    integer over M^(height(u)+1), and height(t^-1 s) <= |t| + |s| <= E with
-    E = max |t| + max |s|, so each sum is an integer over M^(E+1).  Returns
-    (numerators in window order, E).  Window elements and terms are
-    validated once here; the double loop runs unchecked.
+    terms maps t to the integer g_t.  x = g . K solves x . f = g, that is
+    M x_u = g_u + alpha x_{uA} + beta x_{uB} for f = M - alpha a - beta b
+    (x_{ua}, x_{ub} for the star).  Each coefficient of 1/f at v is an
+    integer over M^(height(v)+1), and at a site u reached from a window site
+    s by these steps, x_u reads 1/f only at heights <= |t| + |s| <= E, with
+    E = max |t| + max |s|.  So N_u = M^(E+1) x_u is an integer, and
+    N_u = (g_u M^(E+1) + alpha N_{u x} + beta N_{u y}) / M divides exactly.
+    The reached sites are solved once each, by height.  Returns (numerators
+    in window order, E).  Window elements and terms are validated once
+    here; the recurrence runs unchecked.
     """
     group = f.group
-    window = check_window(group, window)
-    items = []
+    window = list(window)
+    if len(window) > _WINDOW_GUARD:
+        raise WindowTooLarge(f"window of {len(window)} elements exceeds the guard")
+    for s in window:
+        groups.check_element(group, s)
+    items = {}
     for t, c in terms.items():
         groups.check_element(group, t)
         if not isinstance(c, int):
             raise TypeError(f"convolution coefficients must be ints, got {c!r}")
         if c:
-            items.append((t, c))
-    E = max((groups.word_length(group, t) for t, _ in items), default=0)
-    E += max((groups.word_length(group, s) for s in window), default=0)
-    kern = _scaled_inverse(f, E, star)
-    if group == F2:
-        mul = groups.f2_multiply
-    else:
-        def mul(g, h):
-            return (g[0] + h[0], g[1] + h[1])
-    inv_items = [(groups.inverse(group, t), c) for t, c in items]
-    nums = [sum(c * kern(mul(t_inv, s)) for t_inv, c in inv_items)
-            for s in window]
-    return nums, E
+            items[t] = c
+    length, height, step, live = _pull(group, items, star)
+    E = max(map(length, items), default=0) + max(map(length, window), default=0)
+    M, scale = f.M, f.M ** (E + 1)
+    weights = dict(f.lower)
+    alpha, beta = (weights.get(x, 0) for x in groups.generators(group))
+    successors = {}
+    todo = list(window)
+    while todo:
+        u = todo.pop()
+        if u not in successors and live(u):
+            successors[u] = step(u)
+            todo.extend(successors[u])
+    nums = {}
+    for u in sorted(successors, key=height, reverse=star):
+        ux, uy = successors[u]
+        nums[u] = (items.get(u, 0) * scale + alpha * nums.get(ux, 0)
+                   + beta * nums.get(uy, 0)) // M
+    return [nums.get(s, 0) for s in window], E
 
 
 def quotient_coordinates(g, f, window):
@@ -414,12 +394,11 @@ def divide_by_f(g, f, max_levels=100_000):
     ZGamma*f, and raises NotDivisible with a minimal-height witness
     coordinate of g/f otherwise.
 
-    Writing g_s = M x_s - sum_u f_u x_{s u^{-1}} and noting every u in the
-    lower part has height >= 1, the level of x at height k is determined by
-    strictly lower levels, starting from the minimal height of g.  Once past
-    the top height of g, level masses contract by ratio < 1 per block of
-    max_height levels, and an all-integral level of l1 mass < 1 is zero; a
-    run of max_height zero levels therefore terminates the recursion.
+    Writing g_s = M x_s - sum_u f_u x_{s u^{-1}} with u in {a, b}, the level
+    of x at height k is determined by level k-1, starting from the minimal
+    height of g.  Once past the top height of g, level masses contract by
+    ratio < 1 per level, and an all-integral level of l1 mass < 1 is zero;
+    a zero level past the top height therefore ends the recursion.
     """
     if not isinstance(f, PolyF):
         raise TypeError("f must be a PolyF")
@@ -432,10 +411,7 @@ def divide_by_f(g, f, max_levels=100_000):
         return RingElement.zero(group)
 
     M = f.M
-    lower = [
-        (u, c, groups.inverse(group, u), groups.height(group, u)) for u, c in f.lower
-    ]
-    span = f.max_height
+    lower = [(u, c, groups.inverse(group, u)) for u, c in f.lower]
 
     g_levels = {}
     for el, c in g.terms.items():
@@ -443,26 +419,24 @@ def divide_by_f(g, f, max_levels=100_000):
     k_min = min(g_levels)
     k_max = max(g_levels)
 
-    levels = {}
-    zero_run = 0
+    quotient = {}
+    prev = {}
     peak = Fraction(1)
     k = k_min
     while True:
-        sites = set(g_levels.get(k, ()))
-        for u, _, _, hu in lower:
-            for t in levels.get(k - hu, ()):
+        g_here = g_levels.get(k, {})
+        sites = set(g_here)
+        for u, _, _ in lower:
+            for t in prev:
                 sites.add(groups.multiply(group, t, u))
         current = {}
         bad = []
-        g_here = g_levels.get(k, {})
         for s in sites:
             total = Fraction(g_here.get(s, 0))
-            for _, c, u_inv, hu in lower:
-                prev = levels.get(k - hu)
-                if prev:
-                    t = groups.multiply(group, s, u_inv)
-                    if t in prev:
-                        total += c * prev[t]
+            for _, c, u_inv in lower:
+                t = groups.multiply(group, s, u_inv)
+                if t in prev:
+                    total += c * prev[t]
             value = total / M
             if value:
                 current[s] = value
@@ -472,26 +446,21 @@ def divide_by_f(g, f, max_levels=100_000):
             s0 = min(bad, key=lambda el: groups.sort_key(group, el))
             raise NotDivisible(group, s0, current[s0])
         if current:
-            levels[k] = current
-            zero_run = 0
+            quotient.update(current)
             peak = max(peak, sum(abs(c) for c in current.values()))
-        else:
-            zero_run += 1
-            if zero_run >= span and k >= k_max:
-                break
+        elif k >= k_max:
+            break
+        prev = current
         k += 1
         if k - k_min > max_levels:
             raise RuntimeError("division level recursion exceeded the level cap")
         if k > k_max:
             # geometric decay cap: beyond k_max an all-integral nonzero level
-            # has l1 >= 1, but masses contract by ratio per span levels
-            blocks = math.log(float(peak)) / -math.log(float(f.ratio)) + 3
-            if k > k_max + span * int(blocks + 1):
+            # has l1 >= 1, but masses contract by ratio per level
+            levels = math.log(float(peak)) / -math.log(float(f.ratio)) + 3
+            if k > k_max + int(levels + 1):
                 raise RuntimeError("division failed to terminate within its decay cap")
 
-    quotient = {}
-    for level in levels.values():
-        quotient.update(level)
     result = RingElement(group, quotient)
     if result * f.as_ring() != g:
         raise RuntimeError("internal error: quotient times f does not reproduce g")

@@ -1,6 +1,7 @@
 import os
 import sys
 
+import pytest
 from hypothesis import settings
 
 # derandomized and without an example database, so the suite is
@@ -14,3 +15,34 @@ try:
 except ImportError:
     sys.path.insert(
         0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace the process pool of montecarlo's fan-out by one that runs
+    each chunk inline, so no worker process starts; returns the list of
+    max_workers values it was asked for."""
+    from homoclinic_lab import montecarlo
+
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            done = fn(*args)
+
+            class Future:
+                def result(self):
+                    return done
+            return Future()
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+    return asked

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import re
 
 import pytest
@@ -194,6 +195,30 @@ def test_flag_the_subcommand_ignores_exits_two(argv):
     with pytest.raises(SystemExit) as exc:
         run_cli(*argv)
     assert exc.value.code == 2
+
+
+HAAR_SMALL = ("haar-test", "--samples", "20", "--radius", "8", "--bins", "6")
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "two", "1.5"])
+def test_jobs_must_be_a_positive_integer(value, inline_pool, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*HAAR_SMALL, "--jobs", value)
+    assert exc.value.code == 2
+    monkeypatch.setenv("HOMOCLINIC_LAB_JOBS", value)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*HAAR_SMALL)
+    assert exc.value.code == 2
+    assert inline_pool == []
+
+
+def test_haar_test_jobs_are_capped_at_the_cpu_count(inline_pool, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    serial = run_cli(*HAAR_SMALL, "--jobs", "1")
+    assert run_cli(*HAAR_SMALL, "--jobs", "10000") == serial
+    monkeypatch.setenv("HOMOCLINIC_LAB_JOBS", "10000")
+    assert run_cli(*HAAR_SMALL) == serial
+    assert inline_pool == [2, 2]
 
 
 def test_haar_test_too_deep_exits_one():

@@ -1,11 +1,12 @@
 """Differential and property tests of the integer kernel convolution.
 
-Every integer path (ring.kernel_convolution and its callers
-quotient_coordinates and the Fourier plan; phi_exact, phi_windowed and the
-window tail by the recurrence x . f* = d; the integer 4-cover lift) is
-compared with a reference: the Fraction double loop sum_t g_t K(t^-1 s) over
-PolyF.inv_coeff, kernel_convolution itself for the recurrence, the recursive
-walk of the kernel cone for the tail, and a Fraction lift written here.
+Every integer path (ring.kernel_convolution, the recurrence x . f = g or
+x . f* = g, and its callers: PolyF.inv_coeff, quotient_coordinates, the
+Fourier plan, phi_exact, phi_windowed and the window tail; the integer
+4-cover lift; divide_by_f) is compared with a reference written here and
+independent of the solver: the Fraction double loop sum_t g_t K(t^-1 s)
+over the geometric series of 1/f, the recursive walk of the kernel cone for
+the tail, a Fraction lift, and ring products for division.
 """
 
 import math
@@ -19,11 +20,13 @@ from homoclinic_lab import groups, ring
 from homoclinic_lab.groups import F2, Z2, GroupMismatch, WindowTooLarge
 from homoclinic_lab.homoclinic import (Configuration, ResidualNonzero,
                                        TorusValue, WidthExceedsOne,
-                                       _phi_numerators, four_cover_lift,
-                                       phi_exact, phi_windowed, xf_residual)
+                                       four_cover_lift, phi_exact,
+                                       phi_windowed, xf_residual)
 from homoclinic_lab.montecarlo import _fourier_plan
-from homoclinic_lab.ring import (PolyF, RingElement, kernel_convolution,
-                                 parse_ring_element, quotient_coordinates)
+from homoclinic_lab.ring import (PolyF, RingElement, divide_by_f,
+                                 kernel_convolution, parse_ring_element,
+                                 quotient_coordinates)
+from homoclinic_lab.spectral import InIdeal, Witness, rational_witness
 
 # the rest of the settings come from the profile in conftest.py
 PROPERTY = settings(max_examples=60)
@@ -34,18 +37,20 @@ BALLS = {group: groups.ball(group, 3) for group in (F2, Z2)}
 # -- Fraction references -----------------------------------------------------
 
 def reference_convolution(f, terms, window, star=False):
-    """sum_t g_t K(t^-1 s) as Fractions, K = 1/f or K*(u) = (1/f)(u^-1)."""
+    """sum_t g_t K(t^-1 s) as Fractions, K = 1/f or K*(u) = (1/f)(u^-1),
+    with 1/f read from reference_inverse."""
     group = f.group
-    out = {}
-    for s in window:
-        total = Fraction(0)
-        for t, c in terms.items():
-            u = groups.multiply(group, groups.inverse(group, t), s)
-            if star:
-                u = groups.inverse(group, u)
-            total += c * f.inv_coeff(u)
-        out[s] = total
-    return out
+
+    def kernel_site(t, s):
+        u = groups.multiply(group, groups.inverse(group, t), s)
+        return groups.inverse(group, u) if star else u
+
+    top = max((groups.height(group, kernel_site(t, s))
+               for s in window for t in terms), default=0)
+    series = reference_inverse(f, top)
+    return {s: sum((c * series.get(kernel_site(t, s), 0)
+                    for t, c in terms.items()), Fraction(0))
+            for s in window}
 
 
 def reference_tail(group, s, window, M, max_len):
@@ -137,12 +142,27 @@ def windows(group):
     return st.lists(elements(group), max_size=8)
 
 
+FAR = {F2: ["aaaa", "abab", "bAAA", "BBBa"], Z2: [(4, 0), (2, 2), (0, 4)]}
+# words over A, B (the star's cone) and over a, b, up to length 2
+MONOIDS = {group: {True: groups.negative_monoid(group, 2),
+                   False: groups.positive_cone_sites(
+                       group, groups.identity(group), 2)}
+           for group in (F2, Z2)}
+
+
 @st.composite
 def convolution_cases(draw):
     group = draw(st.sampled_from((F2, Z2)))
     f = draw(st.sampled_from(polys(group)))
-    return (f, draw(integer_terms(group)), draw(windows(group)),
-            draw(st.booleans()))
+    terms, star = draw(integer_terms(group)), draw(st.booleans())
+    # windows mix sites of supp(g).{A,B}* (supp(g).{a,b}* without the star),
+    # where the recurrence lives, with sites of ball(3) and beyond it that
+    # mostly miss it
+    cone = [groups.multiply(group, t, v)
+            for t in terms for v in MONOIDS[group][star]]
+    window = draw(st.lists(st.sampled_from(BALLS[group] + FAR[group] + cone),
+                           max_size=8))
+    return f, terms, window, star
 
 
 @st.composite
@@ -193,43 +213,16 @@ def test_kernel_convolution_validates_once_at_entry():
 
 # -- the recurrence behind phi and the integer lift ---------------------------
 
-FAR = {F2: ["aaaa", "abab", "bAAA", "BBBa"], Z2: [(4, 0), (2, 2), (0, 4)]}
-NEG = {group: groups.negative_monoid(group, 2) for group in (F2, Z2)}
-
-
-@st.composite
-def phi_cases(draw):
-    group = draw(st.sampled_from((F2, Z2)))
-    terms = draw(integer_terms(group))
-    # windows mix sites of supp(d).{A,B}* with sites of ball(3) and beyond
-    # it that mostly miss it
-    cone = [groups.multiply(group, t, v) for t in terms for v in NEG[group]]
-    window = draw(st.lists(st.sampled_from(BALLS[group] + FAR[group] + cone),
-                           max_size=8))
-    return group, terms, window, draw(st.integers(3, 5))
-
-
-@PROPERTY
-@given(phi_cases())
-def test_phi_recurrence_matches_kernel_convolution(case):
-    group, terms, window, M = case
-    got_window, nums, den = _phi_numerators(group, terms, window, M)
-    want, E = kernel_convolution(PolyF.standard(M, group), terms, window,
-                                 star=True)
-    assert got_window == window
-    assert nums == want
-    assert den == M ** (E + 1)
-
-
 @pytest.mark.parametrize("group", [F2, Z2])
 def test_phi_recurrence_of_an_empty_d_and_a_missed_window(group):
     f = PolyF.standard(3, group)
     window = BALLS[group]
-    assert _phi_numerators(group, {}, window, 3)[1] == [0] * len(window)
+    assert kernel_convolution(f, {}, window, star=True)[0] == [0] * len(window)
     # supp(d).{A,B}* misses every site above the support
     t = {F2: "BAB", Z2: (-2, -1)}[group]
-    nums = _phi_numerators(group, {t: -2}, window, 3)[1]
-    assert nums == kernel_convolution(f, {t: -2}, window, star=True)[0]
+    nums, E = kernel_convolution(f, {t: -2}, window, star=True)
+    want = reference_convolution(f, {t: -2}, window, star=True)
+    assert [Fraction(n, 3 ** (E + 1)) for n in nums] == [want[s] for s in window]
     above = [s for s in window if groups.height(group, s) > groups.height(group, t)]
     assert above and all(n == 0 for s, n in zip(window, nums) if s in above)
 
@@ -364,9 +357,14 @@ def test_phi_exact_and_windowed_match_the_fraction_loop(case):
 def test_cone_tail_matches_the_recursive_walk(case, M):
     # phi_windowed's tail: the full mass 1/(M-2) less phi of the indicator
     group, s, window = case
-    _, [inside], den = _phi_numerators(group, dict.fromkeys(window, 1), [s], M)
+    indicator = dict.fromkeys(window, 1)
+    [inside], E = kernel_convolution(PolyF.standard(M, group), indicator, [s],
+                                     star=True)
+    inside = Fraction(inside, M ** (E + 1))
+    assert inside == reference_convolution(
+        PolyF.standard(M, group), indicator, [s], star=True)[s]
     max_len = max((groups.word_length(group, t) for t in window), default=-1)
-    assert (Fraction(1, M - 2) - Fraction(inside, den)
+    assert (Fraction(1, M - 2) - inside
             == reference_tail(group, s, window, M, max_len))
 
 
@@ -384,6 +382,40 @@ def test_fourier_plan_denominator_is_the_lcm(group, text):
     assert den == math.lcm(*(v.denominator for v in coords.values()))
     assert ({s: Fraction(n, den) for s, n in zip(sites, nums)}
             == {s: v for s, v in coords.items() if v})
+
+
+# -- division over the whole support ------------------------------------------
+
+@st.composite
+def division_cases(draw):
+    """f, an integral h, and g: either the member h*f or h itself."""
+    group = draw(st.sampled_from((F2, Z2)))
+    f = draw(st.sampled_from(polys(group)))
+    h = RingElement(group, draw(integer_terms(group)))
+    return f, h, h * f.as_ring() if draw(st.booleans()) else h
+
+
+@PROPERTY
+@given(division_cases())
+def test_divide_by_f_inverts_multiplication(case):
+    f, h, _ = case
+    assert divide_by_f(h * f.as_ring(), f) == h
+
+
+@PROPERTY
+@given(division_cases())
+def test_rational_witness_is_a_quotient_or_a_k_over_M_coordinate(case):
+    f, _, g = case
+    verdict = rational_witness(g, f)
+    if isinstance(verdict, InIdeal):
+        assert verdict.quotient * f.as_ring() == g
+        return
+    assert isinstance(verdict, Witness)
+    assert 1 <= verdict.k <= f.M - 1
+    # the witness is the coordinate of g/f at its site, k/M mod 1
+    site = verdict.site
+    assert verdict.value == reference_convolution(f, g.terms, [site])[site]
+    assert (verdict.value - Fraction(verdict.k, f.M)).denominator == 1
 
 
 @pytest.mark.parametrize("group", [F2, Z2])

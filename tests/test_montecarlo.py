@@ -1,4 +1,5 @@
 from itertools import islice
+import os
 
 import numpy as np
 import pytest
@@ -114,6 +115,13 @@ def test_haar_window_test_z2():
 def test_haar_jobs_merge_bit_identical():
     cfg = cfg_with(samples=60, sample_radius=8, bins=6)
     assert haar_window_test(cfg, jobs=2) == haar_window_test(cfg, jobs=1)
+
+
+def test_worker_count_is_capped_at_the_cpu_count(inline_pool, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    cfg = cfg_with(samples=60, sample_radius=8, bins=6)
+    assert haar_window_test(cfg, jobs=10_000) == haar_window_test(cfg, jobs=1)
+    assert inline_pool == [3]
 
 
 def test_haar_rejects_wide_enclosure():

@@ -120,6 +120,17 @@ def test_lopsided_polynomial():
         PolyF.lopsided(3, F2, {"a": 2, "b": 1})
 
 
+def test_lower_part_lies_on_the_generators():
+    for terms in ({"ab": 1}, {"A": 1}, {"": 1}):
+        with pytest.raises(ValueError):
+            PolyF.lopsided(5, F2, terms)
+    with pytest.raises(ValueError):
+        PolyF.lopsided(5, Z2, {(1, 1): 1})
+    with pytest.raises(ValueError):
+        PolyF(M=5, group=F2, lower=(("a", 1), ("a", 1)))
+    assert PolyF.lopsided(5, Z2, {(0, 1): 3}).lower_mass == 3
+
+
 def test_inv_coeff_supported_on_positive_words():
     f = PolyF.standard(3, F2)
     assert f.inv_coeff("") == Fraction(1, 3)
