@@ -213,6 +213,35 @@ def test_kernel_convolution_validates_once_at_entry():
 
 # -- the recurrence behind phi and the integer lift ---------------------------
 
+@st.composite
+def phi_cases(draw):
+    group = draw(st.sampled_from((F2, Z2)))
+    terms = draw(integer_terms(group))
+    # windows mix sites of supp(d).{A,B}* with sites of ball(3) and beyond
+    # it that mostly miss it
+    cone = [groups.multiply(group, t, v)
+            for t in terms for v in MONOIDS[group][True]]
+    window = draw(st.lists(st.sampled_from(BALLS[group] + FAR[group] + cone),
+                           max_size=8))
+    return group, terms, window, draw(st.integers(3, 5))
+
+
+@PROPERTY
+@given(phi_cases())
+def test_phi_recurrence_matches_kernel_convolution(case):
+    # phi's recurrence x . f* = d for the standard f, read through phi_exact,
+    # is kernel_convolution with the star and matches the Fraction loop
+    group, terms, window, M = case
+    f = PolyF.standard(M, group)
+    nums, E = kernel_convolution(f, terms, window, star=True)
+    want = reference_convolution(f, terms, window, star=True)
+    assert [Fraction(n, M ** (E + 1)) for n in nums] == [want[s] for s in window]
+    d = Configuration(group, terms, (-3, 3))
+    got = phi_exact(d, window, M)
+    assert list(got) == list(dict.fromkeys(window))
+    assert all(got[s] == TorusValue.exact(want[s]) for s in window)
+
+
 @pytest.mark.parametrize("group", [F2, Z2])
 def test_phi_recurrence_of_an_empty_d_and_a_missed_window(group):
     f = PolyF.standard(3, group)
