@@ -1,6 +1,6 @@
 """Pinned documents: sha256 of the canonical JSON (sort_keys=True) of small
-runs of each statistical experiment, of the details of criteria 3, 5, 6, 8,
-9 and 11 (some at reduced sizes), and of the exact stdout of the CLI
+runs of each statistical experiment, of the details of criteria 3, 5, 6, 7,
+8, 9, 10 and 11 (some at reduced sizes), and of the exact stdout of the CLI
 documents built on the carry machines and on the convolution solver.
 
 The determinism contract says a document is byte-identical for a fixed
@@ -209,6 +209,29 @@ def test_criterion_11_details_are_pinned(monkeypatch):
     assert _reduced_criterion_digest(
         monkeypatch, acceptance.criterion_11, 500) == \
         "f9adab642ee5a1c1d3df98e77731bf7866ad9066dbb176fde975008ee51a59ca"
+
+
+# criterion 7 with 1,000 random pairs (it asks for 10,000 itself): the
+# collision-mass identity, the control family, the pairs and the exact family
+CRITERION_07_PAIRS = 1_000
+
+
+def test_criterion_07_details_are_pinned(monkeypatch):
+    search = montecarlo.collision_search
+
+    def reduced(cfg, **kw):
+        return search(cfg, **dict(kw, pairs=CRITERION_07_PAIRS))
+
+    monkeypatch.setattr(montecarlo, "collision_search", reduced)
+    assert digest(acceptance.criterion_07().details) == \
+        "22596fb1bab02bc0e002bb6c5cfa34be8209c04481eeba443d4ff49c5676df90"
+
+
+# criterion 10's two carry variants at 1,000 samples each
+def test_criterion_10_details_are_pinned(monkeypatch):
+    assert _reduced_criterion_digest(
+        monkeypatch, acceptance.criterion_10, 1_000) == \
+        "115e192d2aa733560cfe2da5cf6fbce31695e412c14d2a987846bad97e64c3c4"
 
 
 # criterion 6's first 20 round trips per group (same seed, sample indices,
