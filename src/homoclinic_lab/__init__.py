@@ -1,11 +1,12 @@
 """Computational laboratory for the principal algebraic action of
 f = M - a - b over the free group and Z^2.
 
-Exact layers: reduced-word and lattice arithmetic (groups), group-ring
-convolution and division with witnesses (ring), rational interval
-enclosures of cos/sin (intervals), homoclinic kernels and the window
-parametrization (homoclinic), symbolic covers with the carry machine and
-SFT pattern tables (symbolic), certified transform values (spectral).
+Exact layers: reduced-word and lattice arithmetic (groups), convolution
+with 1/f and the homoclinic kernel 1/f* and division with witnesses
+(ring), rational interval enclosures of cos/sin (intervals), the window
+parametrization and its lift (homoclinic), symbolic covers with the carry
+machine and SFT pattern tables (symbolic), certified transform values
+(spectral).
 Statistical layer: seeded counter-based experiments (montecarlo) gated by
 the acceptance suite (acceptance) behind the homoclinic-lab CLI (cli).
 """
@@ -13,11 +14,9 @@ the acceptance suite (acceptance) behind the homoclinic-lab CLI (cli).
 from .groups import F2, Z2, GroupMismatch, WindowTooLarge, ball, sphere
 from .homoclinic import (
     Configuration,
-    Kernel,
     TorusValue,
     four_cover_lift,
     homoclinic_point,
-    kernel,
     phi_exact,
     phi_windowed,
     xf_residual,
@@ -53,13 +52,11 @@ from .spectral import (
 from .symbolic import (
     BoundaryOverflow,
     CarryResult,
-    CylinderSpec,
     PatternTable,
     Tree,
     allowed_patterns,
     carry_add,
     catalan,
-    cylinder_measure,
     enumerate_trees,
     partition_mass,
     pattern_completions,
@@ -71,8 +68,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "F2", "Z2", "GroupMismatch", "WindowTooLarge", "ball", "sphere",
-    "Configuration", "Kernel", "TorusValue", "four_cover_lift",
-    "homoclinic_point", "kernel", "phi_exact", "phi_windowed", "xf_residual",
+    "Configuration", "TorusValue", "four_cover_lift", "homoclinic_point",
+    "phi_exact", "phi_windowed", "xf_residual",
     "RationalInterval", "cos2pi", "cos_sin_2pi", "sin2pi",
     "EnclosureTooWide", "ExperimentConfig", "collision_search",
     "empirical_fourier", "haar_window_test", "sample_config",
@@ -81,9 +78,9 @@ __all__ = [
     "parse_ring_element", "quotient_coordinates",
     "CharacterValue", "InIdeal", "RadiusInsufficient", "Witness",
     "haar_indicator_check", "mu_hat", "nu0_hat", "rational_witness",
-    "BoundaryOverflow", "CarryResult", "CylinderSpec", "PatternTable",
-    "Tree", "allowed_patterns", "carry_add", "catalan", "cylinder_measure",
-    "enumerate_trees", "partition_mass", "pattern_completions",
-    "percolation_path", "reduce_cover",
+    "BoundaryOverflow", "CarryResult", "PatternTable", "Tree",
+    "allowed_patterns", "carry_add", "catalan", "enumerate_trees",
+    "partition_mass", "pattern_completions", "percolation_path",
+    "reduce_cover",
     "__version__",
 ]

@@ -13,7 +13,7 @@ import time
 
 from . import groups, montecarlo, rng, spectral, symbolic
 from .groups import F2, Z2
-from .homoclinic import Configuration, four_cover_lift, kernel, phi_exact, phi_windowed
+from .homoclinic import Configuration, four_cover_lift, phi_exact, phi_windowed
 from .montecarlo import ExperimentConfig
 from .ring import PolyF, RingElement, parse_ring_element
 from .symbolic import BoundaryOverflow
@@ -63,17 +63,16 @@ def criterion_02(seed=DEFAULT_SEED, jobs=1):
 
 def criterion_03(seed=DEFAULT_SEED, jobs=1):
     """Kernel l1 mass: exact partial sums and the closed-form full norm."""
-    k3 = kernel(3, F2)
-    k3z = kernel(3, Z2)
     partials_ok = all(
-        k.partial_l1(n) == 1 - Fraction(2, 3) ** (n + 1)
-        for k in (k3, k3z) for n in range(31))
-    k5 = kernel(5, F2)
-    full_ok = k5.full_l1 == Fraction(1, 3) and kernel(5, Z2).full_l1 == Fraction(1, 3)
+        f.full_inverse_l1 - f.tail_l1_beyond(n) == 1 - Fraction(2, 3) ** (n + 1)
+        for f in (PolyF.standard(3, F2), PolyF.standard(3, Z2))
+        for n in range(31))
+    full = {group: PolyF.standard(5, group).full_inverse_l1 for group in (F2, Z2)}
+    full_ok = full[F2] == full[Z2] == Fraction(1, 3)
     return CriterionResult(
         3, "kernel l1 mass", partials_ok and full_ok,
         {"partials_checked": 31, "partials_ok": partials_ok,
-         "full_norm_M5": str(k5.full_l1)})
+         "full_norm_M5": str(full[F2])})
 
 
 # Smallest tree size whose cylinder partition mass (M = 3) is within 1e-6
@@ -219,7 +218,7 @@ def criterion_07(seed=DEFAULT_SEED, jobs=1):
     restriction along percolation paths, the exact collision family, and a
     pair search expecting full separation."""
     binom_ok = all(
-        symbolic.binomial_collision_mass(n) == Fraction(8, 9) ** n
+        symbolic.binomial_collision_mass(n) == symbolic.injectivity_bound(n, 3)
         for n in range(21))
     cfg = ExperimentConfig(seed=seed, samples=10_000, M=3, group=F2,
                            sample_radius=12, eval_radius=1)

@@ -8,6 +8,7 @@ Output is deterministic for fixed flags.
 
 import argparse
 import csv
+from fractions import Fraction
 import io
 import json
 import os
@@ -15,9 +16,9 @@ import sys
 
 from . import acceptance, groups, montecarlo, rng, spectral, symbolic
 from .groups import F2
-from .homoclinic import Configuration, kernel
+from .homoclinic import Configuration
 from .montecarlo import ExperimentConfig
-from .ring import PolyF, parse_ring_element
+from .ring import PolyF, RingElement, kernel_convolution, parse_ring_element
 from .spectral import InIdeal
 
 
@@ -102,12 +103,19 @@ def _cmd_trees(args):
 
 
 def _cmd_kernel(args):
-    k = kernel(args.M, args.group, args.radius)
-    ring = k.truncated_ring()
+    if args.radius < 0:
+        raise ValueError("radius must be nonnegative")
+    f = PolyF.standard(args.M, args.group)
+    window = groups.negative_monoid(args.group, args.radius)
+    nums, E = kernel_convolution(f, {groups.identity(args.group): 1}, window,
+                                 star=True)
+    ring = RingElement(args.group, {s: Fraction(n, args.M ** (E + 1))
+                                    for s, n in zip(window, nums)})
+    full = f.full_inverse_l1
     doc = _doc("kernel",
                {"M": args.M, "group": args.group, "radius": args.radius},
-               partial_l1=str(k.partial_l1(args.radius)),
-               full_l1=str(k.full_l1),
+               partial_l1=str(full - f.tail_l1_beyond(args.radius)),
+               full_l1=str(full),
                element=ring.to_json_dict())
     rows = [("w", "num", "den")] + [
         (t["w"], t["num"], t["den"]) for t in ring.to_json_dict()["terms"]]

@@ -1,5 +1,6 @@
-"""The homoclinic kernel w = (f*)^-1, the map phi(d) = pi(d . w), membership
-residuals for X_f windows, and the 4-cover lift.
+"""The map phi(d) = pi(d . w) through the homoclinic kernel w = (f*)^-1,
+membership residuals for X_f windows, and the 4-cover lift.  The kernel's
+coefficients and l1 masses are those of 1/f (ring.PolyF) read at inverses.
 
 Coordinates of phi on finite-support inputs are exact rationals, computed
 by ring.kernel_convolution as integer numerators over one power of M from
@@ -17,68 +18,12 @@ from .groups import F2, Z2, check_group
 from .ring import PolyF, RingElement, kernel_convolution
 
 
-class UnsupportedGroup(ValueError):
-    """Only the free group f2 and z2 instances are implemented."""
-
-
 class ResidualNonzero(ValueError):
     """A window failed the X_f membership residual check."""
 
 
 class WidthExceedsOne(ValueError):
     """An interval mod 1 is vacuous because its width reached 1."""
-
-
-@dataclass(frozen=True)
-class Kernel:
-    """Closed-form geometric-series inverse of f* for f = M - a - b.
-
-    Coefficients are nonnegative, supported on the negative monoid, with
-    value M^-(len+1) at each monoid word in the free group and binomial
-    multiplicity in z2.  The full l1 norm is 1/(M-2).
-    """
-
-    M: int
-    group: str
-    truncation_radius: int
-
-    @property
-    def _poly(self):
-        return PolyF.standard(self.M, self.group)
-
-    def coefficient(self, el):
-        """Exact coefficient at el; zero off the negative monoid."""
-        return self._poly.inv_coeff(groups.inverse(self.group, el))
-
-    def partial_l1(self, n=None):
-        """l1 mass through word length n: (1 - (2/M)^(n+1)) / (M - 2)."""
-        return self.full_l1 - self.tail_l1(n)
-
-    def tail_l1(self, n=None):
-        """l1 mass beyond word length n: (2/M)^(n+1) / (M - 2)."""
-        if n is None:
-            n = self.truncation_radius
-        return self._poly.tail_l1_beyond(n)
-
-    @property
-    def full_l1(self):
-        return self._poly.full_inverse_l1
-
-    def truncated_ring(self):
-        """The kernel restricted to its truncation radius, as a RingElement."""
-        terms = {el: self.coefficient(el)
-                 for el in groups.negative_monoid(self.group, self.truncation_radius)}
-        return RingElement(self.group, terms)
-
-
-def kernel(M, group=F2, radius=0):
-    if group not in groups.GROUPS:
-        raise UnsupportedGroup(f"no kernel for group {group!r}")
-    if M < 3:
-        raise ValueError("M must be at least 3")
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    return Kernel(M=M, group=group, truncation_radius=radius)
 
 
 @dataclass
@@ -212,16 +157,21 @@ def _forward(group):
     return lambda u: ((u[0] + 1, u[1]), (u[0], u[1] + 1))
 
 
+def _exact_coordinates(group, terms, window, M):
+    """sum_t terms_t w(t^-1 s) mod 1 at every s of the window, exactly."""
+    window = list(window)
+    nums, E = kernel_convolution(PolyF.standard(M, group), terms, window,
+                                 star=True)
+    den = M ** (E + 1)
+    return {s: TorusValue.from_numerator(n, den) for s, n in zip(window, nums)}
+
+
 def phi_exact(d, window, M):
     """Exact torus coordinates of phi(d) = pi(d . w) on the window.
 
     d is treated as zero outside its own window (finite support).
     """
-    window = list(window)
-    f = PolyF.standard(M, d.group)
-    nums, E = kernel_convolution(f, d.values, window, star=True)
-    den = M ** (E + 1)
-    return {s: TorusValue.from_numerator(n, den) for s, n in zip(window, nums)}
+    return _exact_coordinates(d.group, d.values, window, M)
 
 
 def phi_windowed(d, eval_window, M):
@@ -309,9 +259,5 @@ def homoclinic_point(g, window, M):
     """Exact coordinates of g . x_delta on the window, for integral g."""
     if not g.is_integral():
         raise ValueError("homoclinic points come from integral ring elements")
-    terms = {el: int(c) for el, c in g.terms.items()}
-    window = list(window)
-    nums, E = kernel_convolution(PolyF.standard(M, g.group), terms, window,
-                                 star=True)
-    den = M ** (E + 1)
-    return {s: TorusValue.from_numerator(n, den) for s, n in zip(window, nums)}
+    return _exact_coordinates(
+        g.group, {el: int(c) for el, c in g.terms.items()}, window, M)

@@ -29,7 +29,7 @@ from . import groups, rng, symbolic
 from .groups import F2, Z2
 from .homoclinic import Configuration, phi_windowed
 from .intervals import PI_HI
-from .ring import NotDivisible, PolyF, divide_by_f, kernel_convolution
+from .ring import PolyF, RingElement, kernel_convolution
 from .spectral import quotient_tail_l1
 
 
@@ -383,23 +383,21 @@ def _fourier_plan(g, f, radius):
         if cap < 0:
             raise ValueError("sample radius smaller than the support of g")
         site_set.update(dict.fromkeys(groups.positive_cone_sites(group, t, cap)))
-    tail = quotient_tail_l1(g, f, radius)
     sites = list(site_set)
-    try:
-        q = divide_by_f(g, f)
-        if all(s in site_set for s in q.support()):
-            # finitely supported quotient inside the window: nothing is
-            # truncated, the window pairing is exact
-            tail = Fraction(0)
-    except NotDivisible:
-        pass
     nums, E = kernel_convolution(f, {t: int(c) for t, c in g.terms.items()}, sites)
     # coordinates are nums / M^(E+1); dividing out the common factor gives
     # the lcm of their reduced denominators
     power = f.M ** (E + 1)
     common = math.gcd(power, *nums)
-    kept_sites = [s for s, n in zip(sites, nums) if n]
-    return kept_sites, [n // common for n in nums if n], power // common, tail
+    kept = {s: n // common for s, n in zip(sites, nums) if n}
+    den = power // common
+    if den == 1 and RingElement(group, kept) * f.as_ring() == g:
+        # an integral quotient inside the sites that reproduces g is all of
+        # g/f: nothing is truncated, the window pairing is exact
+        tail = Fraction(0)
+    else:
+        tail = quotient_tail_l1(g, f, radius)
+    return list(kept), list(kept.values()), den, tail
 
 
 def _fourier_chunk(cfg, lo, hi, ids_list, nums_list, den):

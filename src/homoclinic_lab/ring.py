@@ -411,43 +411,31 @@ def divide_by_f(g, f, max_levels=100_000):
         return RingElement.zero(group)
 
     M = f.M
-    lower = [(u, c, groups.inverse(group, u)) for u, c in f.lower]
-
     g_levels = {}
     for el, c in g.terms.items():
-        g_levels.setdefault(groups.height(group, el), {})[el] = c
+        g_levels.setdefault(groups.height(group, el), {})[el] = int(c)
     k_min = min(g_levels)
     k_max = max(g_levels)
 
     quotient = {}
     prev = {}
-    peak = Fraction(1)
+    peak = 1
     k = k_min
     while True:
-        g_here = g_levels.get(k, {})
-        sites = set(g_here)
-        for u, _, _ in lower:
-            for t in prev:
-                sites.add(groups.multiply(group, t, u))
-        current = {}
-        bad = []
-        for s in sites:
-            total = Fraction(g_here.get(s, 0))
-            for _, c, u_inv in lower:
-                t = groups.multiply(group, s, u_inv)
-                if t in prev:
-                    total += c * prev[t]
-            value = total / M
-            if value:
-                current[s] = value
-                if value.denominator != 1:
-                    bad.append(s)
+        # M x_s = g_s + sum_u f_u x_{s u^-1}: push level k-1 along f.lower
+        totals = dict(g_levels.get(k, {}))
+        for t, x in prev.items():
+            for u, c in f.lower:
+                s = groups.multiply(group, t, u)
+                totals[s] = totals.get(s, 0) + c * x
+        bad = [s for s, total in totals.items() if total % M]
         if bad:
             s0 = min(bad, key=lambda el: groups.sort_key(group, el))
-            raise NotDivisible(group, s0, current[s0])
+            raise NotDivisible(group, s0, Fraction(totals[s0], M))
+        current = {s: total // M for s, total in totals.items() if total}
         if current:
             quotient.update(current)
-            peak = max(peak, sum(abs(c) for c in current.values()))
+            peak = max(peak, sum(map(abs, current.values())))
         elif k >= k_max:
             break
         prev = current
@@ -457,7 +445,7 @@ def divide_by_f(g, f, max_levels=100_000):
         if k > k_max:
             # geometric decay cap: beyond k_max an all-integral nonzero level
             # has l1 >= 1, but masses contract by ratio per level
-            levels = math.log(float(peak)) / -math.log(float(f.ratio)) + 3
+            levels = math.log(peak) / -math.log(float(f.ratio)) + 3
             if k > k_max + int(levels + 1):
                 raise RuntimeError("division failed to terminate within its decay cap")
 

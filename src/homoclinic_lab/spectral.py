@@ -109,8 +109,9 @@ def mu_hat(g, f, radius):
     """Certified transform value at the integral character g.
 
     Strategy: scan the quotient coordinates inside the window for a factor
-    that is exactly zero; if g is divisible by f with quotient supported in
-    the window the value is exactly 1; otherwise multiply the in-window
+    that is exactly zero; if they are integers whose product with f is g (g
+    is divisible by f with quotient supported in the window) the value is
+    exactly 1; otherwise multiply the in-window
     factors and widen by the l1 tail of the quotient beyond the window.
     Raises RadiusInsufficient when the result still straddles both 0 and 1.
     """
@@ -132,15 +133,10 @@ def mu_hat(g, f, radius):
             return CharacterValue.zero()
         nonint.append(xi)
 
-    try:
-        q = divide_by_f(g, f)
-    except NotDivisible:
-        q = None
-    if q is not None and q.max_word_length() <= radius:
-        # every factor outside the window is exactly 1
-        if nonint:
-            raise AssertionError("integral quotient cannot leave fractional "
-                                 "coordinates in the window")
+    # an integral window whose quotient reproduces g is all of g/f: every
+    # factor outside the window is exactly 1
+    if not nonint and RingElement(
+            g.group, {s: c for s, c in coords.items() if c}) * f.as_ring() == g:
         return CharacterValue.one()
 
     re, im = _POINT_ONE, _POINT_ZERO

@@ -70,23 +70,6 @@ class Tree:
         return sorted(self.nodes, key=lambda w: groups.sort_key(F2, w))
 
 
-@dataclass(frozen=True)
-class CylinderSpec:
-    """The cylinder E_{T, omega}: value M-1 on T, prescribed sub-maximal
-    boundary values omega on the boundary of T."""
-
-    tree: Tree
-    omega: tuple  # sorted ((word, value), ...)
-
-    @classmethod
-    def make(cls, tree, omega):
-        omega = dict(omega)
-        if set(omega) != set(tree.boundary()):
-            raise ValueError("omega must be defined exactly on the tree boundary")
-        items = tuple(sorted(omega.items(), key=lambda kv: groups.sort_key(F2, kv[0])))
-        return cls(tree=tree, omega=items)
-
-
 def catalan(n):
     return math.comb(2 * n, n) // (n + 1)
 
@@ -115,16 +98,14 @@ def enumerate_trees(n, cap=12):
     return [Tree(nodes) for nodes in _tree_sets(n)]
 
 
-def cylinder_measure(spec, M=3):
-    """Product measure of E_{T, omega}: (1/M) ** |T-bar|."""
-    return Fraction(1, M) ** (2 * spec.tree.size + 1)
-
-
 def partition_mass(n_max, M=3):
     """Sum over tree sizes n <= n_max of C_n (M-1)^(n+1) M^-(2n+1).
 
-    This is the total measure of all cylinders with |T| <= n_max; the full
-    series sums to 1.
+    This is the total measure of all cylinders E_{T, omega} with |T| <=
+    n_max: value M-1 on T and sub-maximal values omega on its n+1 boundary
+    sites fix all 2n+1 sites of T-bar, so each cylinder has measure
+    M^-(2n+1), and there are C_n trees and (M-1)^(n+1) choices of omega.
+    The full series sums to 1.
     """
     total = Fraction(0)
     for n in range(n_max + 1):
@@ -142,35 +123,6 @@ def partition_mass_limit(M=3):
     x = Fraction(M - 1, M * M)
     root = Fraction(M - 2, M)
     return Fraction(M - 1, M) * (1 - root) / (2 * x)
-
-
-def classify_cylinder(d, M=3):
-    """The unique cylinder E_{T, omega} containing the configuration, or None
-    when the window cannot decide (the tree of M-1 values reaches sites
-    outside the window)."""
-    if d.group != F2:
-        raise ValueError("cylinders are defined over words, not z2 pairs")
-    window = d.values
-    if "" not in window:
-        return None
-    if window[""] != M - 1:
-        tree = Tree(frozenset())
-        return CylinderSpec.make(tree, {"": window[""]})
-    tree_nodes = {""}
-    omega = {}
-    frontier = [""]
-    while frontier:
-        w = frontier.pop()
-        for c in "AB":
-            child = w + c
-            if child not in window:
-                return None
-            if window[child] == M - 1:
-                tree_nodes.add(child)
-                frontier.append(child)
-            else:
-                omega[child] = window[child]
-    return CylinderSpec.make(Tree(frozenset(tree_nodes)), omega)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import contextlib
+from fractions import Fraction
 import io
 import json
 import os
@@ -68,6 +69,10 @@ def test_kernel_values():
     assert by_word[""] == ("1", "3")
     assert by_word["A"] == ("1", "9")
     assert by_word["AB"] == ("1", "27")
+    # the element is the kernel on the negative monoid, with the partial mass
+    assert set(by_word) == set(groups.negative_monoid(F2, 2))
+    assert sum(Fraction(int(n), int(d)) for n, d in by_word.values()) == \
+        Fraction(19, 27)
 
 
 def test_kernel_z2_and_csv():
@@ -239,6 +244,15 @@ def test_m_below_three_exits_one():
     code, _, err = run_cli("patterns", "--M", "2")
     assert code == 1
     assert "error:" in err
+
+
+def test_kernel_rejects_a_negative_radius_and_small_m():
+    for flags in (("--radius", "-1"), ("--M", "2")):
+        code, out, err = run_cli("kernel", *flags)
+        assert code == 1
+        assert out == ""
+        assert "error:" in err
+    assert "radius must be nonnegative" in run_cli("kernel", "--radius", "-1")[2]
 
 
 def test_unknown_command_exits_two():

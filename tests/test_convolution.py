@@ -23,10 +23,11 @@ from homoclinic_lab.homoclinic import (Configuration, ResidualNonzero,
                                        four_cover_lift, phi_exact,
                                        phi_windowed, xf_residual)
 from homoclinic_lab.montecarlo import _fourier_plan
-from homoclinic_lab.ring import (PolyF, RingElement, divide_by_f,
-                                 kernel_convolution, parse_ring_element,
-                                 quotient_coordinates)
-from homoclinic_lab.spectral import InIdeal, Witness, rational_witness
+from homoclinic_lab.ring import (NotDivisible, PolyF, RingElement,
+                                 divide_by_f, kernel_convolution,
+                                 parse_ring_element, quotient_coordinates)
+from homoclinic_lab.spectral import (InIdeal, Witness, quotient_tail_l1,
+                                     rational_witness)
 
 # the rest of the settings come from the profile in conftest.py
 PROPERTY = settings(max_examples=60)
@@ -397,20 +398,34 @@ def test_cone_tail_matches_the_recursive_walk(case, M):
             == reference_tail(group, s, window, M, max_len))
 
 
+# the member (1 + 3A + 9AA)*f has no term at 1, A or A^2, so at radius 3
+# its quotient's site 1 is two steps from AA, one past the cone's cap
+LEAVES_THE_SITES = "(1 + 3A + 9A*A)*(3 - a - b)"
+
+
 @pytest.mark.parametrize("group", [F2, Z2])
-@pytest.mark.parametrize("text", ["1", "3 - a - b", "2a - b + 1", "a"])
+@pytest.mark.parametrize("text", ["1", "3 - a - b", "2a - b + 1", "a",
+                                  "(1 + a*a*a)*(3 - a - b)", LEAVES_THE_SITES])
 def test_fourier_plan_denominator_is_the_lcm(group, text):
     f = PolyF.standard(3, group)
     g = parse_ring_element(text, group)
-    sites, nums, den, _ = _fourier_plan(g, f, 5)
+    radius = 3 if text == LEAVES_THE_SITES else 5
+    sites, nums, den, tail = _fourier_plan(g, f, radius)
     cones = []
     for t in g.terms:
-        cap = 5 - groups.word_length(group, t)
+        cap = radius - groups.word_length(group, t)
         cones += groups.positive_cone_sites(group, t, cap)
     coords = quotient_coordinates(g, f, cones)
     assert den == math.lcm(*(v.denominator for v in coords.values()))
     assert ({s: Fraction(n, den) for s, n in zip(sites, nums)}
             == {s: v for s, v in coords.items() if v})
+    # nothing is truncated exactly when g/f is a quotient inside the sites
+    try:
+        inside = set(divide_by_f(g, f).support()) <= set(cones)
+    except NotDivisible:
+        inside = False
+    assert inside == (text not in ("1", "2a - b + 1", "a", LEAVES_THE_SITES))
+    assert tail == (0 if inside else quotient_tail_l1(g, f, radius))
 
 
 # -- division over the whole support ------------------------------------------
@@ -445,6 +460,20 @@ def test_rational_witness_is_a_quotient_or_a_k_over_M_coordinate(case):
     site = verdict.site
     assert verdict.value == reference_convolution(f, g.terms, [site])[site]
     assert (verdict.value - Fraction(verdict.k, f.M)).denominator == 1
+    # and it is minimal: g/f lives on supp(g).{a,b}*, and every coordinate
+    # there below its height, or at its height before it in sort_key order,
+    # is an integer
+    group = g.group
+    top = groups.height(group, site)
+    below = set()
+    for t in g.terms:
+        below.update(groups.positive_cone_sites(
+            group, t, top - groups.height(group, t)))
+    key = groups.sort_key(group, site)
+    below = [s for s in below if groups.height(group, s) < top
+             or groups.sort_key(group, s) < key]
+    assert all(v.denominator == 1
+               for v in reference_convolution(f, g.terms, below).values())
 
 
 @pytest.mark.parametrize("group", [F2, Z2])

