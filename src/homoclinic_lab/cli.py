@@ -57,7 +57,7 @@ def _emit(doc, args, csv_rows=None):
 
 
 def _doc(command, config, **payload):
-    doc = {"schema": "1", "command": command, "config": config}
+    doc = {"schema": acceptance.SCHEMA, "command": command, "config": config}
     doc.update(payload)
     return doc
 
@@ -218,7 +218,7 @@ def _experiment_config(args):
 def _cmd_haar_test(args):
     cfg = _experiment_config(args)
     rep = montecarlo.haar_window_test(cfg, jobs=args.jobs)
-    rep["schema"] = "1"
+    rep["schema"] = acceptance.SCHEMA
     rows = [("site", "bin", "count")]
     for c in rep["coordinates"]:
         for b, n in enumerate(c["histogram"]):
@@ -232,7 +232,7 @@ def _cmd_tau_test(args):
                            group=F2, sample_radius=args.radius,
                            eval_radius=args.eval_radius)
     rep = montecarlo.tau_invariance_test(cfg)
-    rep["schema"] = "1"
+    rep["schema"] = acceptance.SCHEMA
     _emit(rep, args)
     return 0 if rep["passed"] else 1
 
@@ -242,7 +242,7 @@ def _cmd_collisions(args):
                            group=args.group, sample_radius=args.radius,
                            eval_radius=args.eval_radius)
     rep = montecarlo.collision_search(cfg)
-    rep["schema"] = "1"
+    rep["schema"] = acceptance.SCHEMA
     _emit(rep, args)
     return 0 if rep["passed"] else 1
 

@@ -23,6 +23,9 @@ _INVERSE = {"a": "A", "b": "B", "A": "a", "B": "b"}
 # lexicographic order used everywhere: a < b < A < B
 _LETTER_RANK = {c: i for i, c in enumerate(LETTERS)}
 
+# the most elements a ball or a convolution window may hold
+MAX_ELEMENTS = 2_000_000
+
 
 class GroupMismatch(TypeError):
     """An element of one group was passed where the other was expected."""
@@ -124,11 +127,11 @@ def sort_key(group, g):
     return (len(g), tuple(_LETTER_RANK[c] for c in g))
 
 
-def ball(group, radius, max_elements=2_000_000):
+def ball(group, radius):
     """All elements with word length <= radius, sorted by sort_key.
 
     |B_n| = 2 * 3^n - 1 for f2 and 2n^2 + 2n + 1 for z2, so the guard on
-    max_elements keeps an oversized radius from exhausting memory.
+    MAX_ELEMENTS keeps an oversized radius from exhausting memory.
     """
     check_group(group)
     if radius < 0:
@@ -137,10 +140,10 @@ def ball(group, radius, max_elements=2_000_000):
         size = 2 * 3**radius - 1
     else:
         size = 2 * radius * radius + 2 * radius + 1
-    if size > max_elements:
+    if size > MAX_ELEMENTS:
         raise WindowTooLarge(
             f"ball of radius {radius} in {group} has {size} elements "
-            f"(limit {max_elements})"
+            f"(limit {MAX_ELEMENTS})"
         )
     if group == Z2:
         out = [

@@ -188,11 +188,12 @@ def phi_windowed(d, eval_window, M):
     inside, E_in = kernel_convolution(f, dict.fromkeys(d.values, 1),
                                       eval_window, star=True)
     den, den_in = M ** (E + 1), M ** (E_in + 1)
+    full = f.full_inverse_l1
     alo, ahi = d.alphabet
     out = {}
     for s, n, m in zip(eval_window, nums, inside):
         exact = Fraction(n, den)
-        tail = Fraction(1, M - 2) - Fraction(m, den_in)
+        tail = full - Fraction(m, den_in)
         out[s] = TorusValue.enclosure(exact + alo * tail, exact + ahi * tail)
     return out
 

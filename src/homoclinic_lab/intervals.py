@@ -15,6 +15,7 @@ PI_LO = Fraction(_PI_DIGITS, 10**49)
 PI_HI = Fraction(_PI_DIGITS + 1, 10**49)
 
 _TAYLOR_TERMS = 12
+_ROUND_BITS = 256
 
 
 @dataclass(frozen=True)
@@ -79,13 +80,13 @@ class RationalInterval:
 
     __rmul__ = __mul__
 
-    def rounded(self, bits=256):
-        """Outward-round endpoints to denominator 2**bits.
+    def rounded(self):
+        """Outward-round endpoints to denominator 2**_ROUND_BITS.
 
         Caps denominator growth in long interval products while preserving
         containment.
         """
-        scale = 1 << bits
+        scale = 1 << _ROUND_BITS
         lo = Fraction(math.floor(self.lo * scale), scale)
         hi = Fraction(math.ceil(self.hi * scale), scale)
         return RationalInterval(lo, hi)

@@ -161,10 +161,6 @@ def _tail_units(M, depth):
     return -(-t // (M - 2))
 
 
-def _enclosure_width(M, depth):
-    return Fraction((M - 1) * (1 << (depth + 1)), (M - 2) * M ** (depth + 1))
-
-
 def _assign_bin(num, depth, M, bins):
     """Histogram bin of the enclosed coordinate, or None if the enclosure
     wraps past an integer or straddles a bin boundary."""
@@ -294,8 +290,12 @@ def _haar_chunk(cfg, lo, hi, max_extra):
     return hist, ambiguous, grid, pair_total
 
 
-def haar_window_test(cfg, max_extra=12, p_threshold=1e-3,
-                     ambiguity_threshold=0.01, jobs=1):
+# haar_window_test fails below this p-value or at this ambiguity rate
+_P_THRESHOLD = 1e-3
+_AMBIGUITY_THRESHOLD = 0.01
+
+
+def haar_window_test(cfg, max_extra=12, jobs=1):
     """Per-coordinate uniformity and pairwise independence of sampled
     window coordinates, using only bin assignments that are certified by
     the interval enclosure.
@@ -304,10 +304,11 @@ def haar_window_test(cfg, max_extra=12, p_threshold=1e-3,
     histogram; one pair of coordinates gets an independence test on a
     coarse product grid (cells are unions of whole bins, so a certified
     bin implies a certified cell).  Fails if any p-value drops below
-    p_threshold or the ambiguity rate reaches ambiguity_threshold.
+    _P_THRESHOLD or the ambiguity rate reaches _AMBIGUITY_THRESHOLD.
     """
     _check_fold_depth(cfg.group, cfg.sample_radius + max_extra)
-    width = _enclosure_width(cfg.M, cfg.sample_radius)
+    f = PolyF.standard(cfg.M, cfg.group)
+    width = (cfg.M - 1) * f.tail_l1_beyond(cfg.sample_radius)
     if width >= Fraction(1, cfg.bins):
         raise EnclosureTooWide(
             "enclosure width %s at depth %d is not below bin width 1/%d"
@@ -350,7 +351,7 @@ def haar_window_test(cfg, max_extra=12, p_threshold=1e-3,
 
     total_evals = cfg.samples * len(sites)
     amb_rate = float(ambiguous.sum()) / total_evals
-    passed = worst_p > p_threshold and amb_rate < ambiguity_threshold
+    passed = worst_p > _P_THRESHOLD and amb_rate < _AMBIGUITY_THRESHOLD
     return {
         "experiment": "haar_window",
         "config": cfg.to_json_dict(),
@@ -366,8 +367,8 @@ def haar_window_test(cfg, max_extra=12, p_threshold=1e-3,
         },
         "ambiguous_rate": amb_rate,
         "min_p_value": worst_p,
-        "thresholds": {"p_value": p_threshold,
-                       "ambiguity": ambiguity_threshold},
+        "thresholds": {"p_value": _P_THRESHOLD,
+                       "ambiguity": _AMBIGUITY_THRESHOLD},
         "passed": bool(passed),
     }
 
@@ -623,16 +624,16 @@ def _interval_overlap(n1, n2, t_units, den):
     return d <= t_units or (den - d) <= t_units
 
 
-def collision_search(cfg, pairs=None, control=64, pair_depth=8, max_extra=6):
+def collision_search(cfg, control=64, pair_depth=8, max_extra=6):
     """Search for distinct samples with equal parametrized coordinates.
 
     Three parts: (i) a positive control on the known family d -> d + 1,
     whose windowed coordinate enclosures must agree exactly; (ii) random
-    pairs of independent samples, separated by certified intervals with
-    adaptive deepening, expecting zero unresolved pairs; (iii) a symbolic
-    reconstruction of the family from an all-ones pattern configuration,
-    confirming the forced pair-restriction structure along percolation
-    paths.
+    pairs of independent samples, cfg.samples of them, separated by
+    certified intervals with adaptive deepening, expecting zero unresolved
+    pairs; (iii) a symbolic reconstruction of the family from an all-ones
+    pattern configuration, confirming the forced pair-restriction structure
+    along percolation paths.
     """
     if cfg.M != 3:
         raise ValueError("the exact collision family needs M = 3")
@@ -655,7 +656,7 @@ def collision_search(cfg, pairs=None, control=64, pair_depth=8, max_extra=6):
     control_ok = control_matches == control
 
     # (ii) independent pairs
-    n_pairs = pairs if pairs is not None else cfg.samples
+    n_pairs = cfg.samples
     cones = [_Cone(group, s) for s in eval_sites]
     folds_ok = 0
     unresolved = 0

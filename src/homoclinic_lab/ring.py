@@ -1,15 +1,14 @@
-"""Exact rational group-ring arithmetic and division by lopsided elements.
+"""Exact rational group-ring arithmetic and division by f = M - a - b.
 
 RingElement is a finitely supported map from group elements to Fractions
-with convolution and the star involution.  PolyF represents the lopsided
-elements f = M - alpha a - beta b (the lower part lies on {a, b} and M
-exceeds its mass), whose inverse 1/f is the geometric series
-sum_k (h/M)^k / M; each coordinate of 1/f at u is an integer over
-M^(height(u)+1).  kernel_convolution computes every convolution of an
-integer window with 1/f or 1/f* from the one identity x . f = g (x . f* = g
-for the star), solved site by site as integer numerators over one power of
-M; Fractions are built only by its callers, at their document boundary.
-divide_by_f reads the same identity level by level over the whole support.
+with convolution and the star involution.  PolyF is f = M - a - b (M >= 3),
+whose inverse 1/f is the geometric series sum_k ((a + b)/M)^k / M; each
+coordinate of 1/f at u is an integer over M^(height(u)+1).
+kernel_convolution computes every convolution of an integer window with 1/f
+or 1/f* from the one identity x . f = g (x . f* = g for the star), solved
+site by site as integer numerators over one power of M; Fractions are built
+only by its callers, at their document boundary.  divide_by_f reads the
+same identity level by level over the whole support.
 """
 
 from dataclasses import dataclass
@@ -18,8 +17,6 @@ import math
 
 from . import groups
 from .groups import F2, GroupMismatch, WindowTooLarge, check_group
-
-_WINDOW_GUARD = 2_000_000
 
 
 class NotDivisible(Exception):
@@ -64,8 +61,8 @@ class RingElement:
         return cls(group, {groups.identity(group): 1})
 
     @classmethod
-    def delta(cls, group, el, coeff=1):
-        return cls(group, {el: coeff})
+    def delta(cls, group, el):
+        return cls(group, {el: 1})
 
     def coefficient(self, el):
         return self.terms.get(el, Fraction(0))
@@ -81,9 +78,6 @@ class RingElement:
 
     def is_integral(self):
         return all(c.denominator == 1 for c in self.terms.values())
-
-    def l1(self):
-        return sum((abs(c) for c in self.terms.values()), Fraction(0))
 
     def max_word_length(self):
         if not self.terms:
@@ -184,85 +178,41 @@ class RingElement:
             ],
         }
 
-    @classmethod
-    def from_json_dict(cls, data):
-        group = data["group"]
-        terms = {}
-        for entry in data["terms"]:
-            el = groups.parse_element(group, entry["w"])
-            num = int(entry["num"])
-            den = int(entry.get("den", 1))
-            terms[el] = terms.get(el, Fraction(0)) + Fraction(num, den)
-        return cls(group, terms)
-
 
 @dataclass(frozen=True)
 class PolyF:
-    """A lopsided element f = M - alpha a - beta b with M > alpha + beta."""
+    """The element f = M - a - b of the integral group ring, M >= 3."""
 
     M: int
     group: str
-    lower: tuple  # ((generator, positive int coefficient), ...) sorted
 
     def __post_init__(self):
         check_group(self.group)
         if not isinstance(self.M, int) or self.M < 3:
             raise ValueError("M must be an integer >= 3")
-        for el, c in self.lower:
-            groups.check_element(self.group, el)
-            if not isinstance(c, int) or c <= 0:
-                raise ValueError("lower-part coefficients must be positive integers")
-        sites = [el for el, _ in self.lower]
-        gens = groups.generators(self.group)
-        if not sites or len(set(sites)) < len(sites) or not set(sites) <= set(gens):
-            raise ValueError("lower part must be nonempty, on distinct a and b")
-        if self.M <= self.lower_mass:
-            raise ValueError("not lopsided: M must exceed the lower-part mass")
 
     @classmethod
     def standard(cls, M, group=F2):
-        a, b = groups.generators(group)
-        return cls(M=int(M), group=group, lower=((a, 1), (b, 1)))
-
-    @classmethod
-    def lopsided(cls, M, group, terms):
-        items = sorted(
-            ((el, int(c)) for el, c in dict(terms).items()),
-            key=lambda pair: groups.sort_key(group, pair[0]),
-        )
-        return cls(M=int(M), group=group, lower=tuple(items))
+        return cls(M, group)
 
     def as_ring(self):
-        terms = {groups.identity(self.group): Fraction(self.M)}
-        for el, c in self.lower:
-            terms[el] = -Fraction(c)
-        return RingElement(self.group, terms)
+        a, b = groups.generators(self.group)
+        return RingElement(self.group, {groups.identity(self.group): self.M,
+                                        a: -1, b: -1})
 
     def star_ring(self):
         return self.as_ring().star()
 
-    @property
-    def lower_mass(self):
-        return sum(c for _, c in self.lower)
-
-    @property
-    def ratio(self):
-        return Fraction(self.lower_mass, self.M)
-
     def tail_l1_beyond(self, n):
-        """Exact l1 mass of 1/f at word lengths > n.
-
-        The series term (h/M)^k / M lies at word length k and has mass
-        r^k / M, r = lower mass / M; for the standard f the tail is
-        (2/M)^(n+1) / (M-2).
-        """
-        r = self.ratio
-        return r ** max(n + 1, 0) / (self.M * (1 - r))
+        """Exact l1 mass of 1/f at word lengths > n: the series term
+        ((a + b)/M)^k / M lies at word length k and has mass (2/M)^k / M,
+        so the tail is (2/M)^(n+1) / (M-2), the full mass for n < 0."""
+        return Fraction(2, self.M) ** max(n + 1, 0) / (self.M - 2)
 
     @property
     def full_inverse_l1(self):
-        """l1 norm of 1/f: 1/(M - lower mass); 1/(M-2) for the standard f."""
-        return Fraction(1, self.M - self.lower_mass)
+        """l1 norm of 1/f: 1/(M-2)."""
+        return Fraction(1, self.M - 2)
 
     def inv_coeff(self, el):
         """Exact coefficient of 1/f at el."""
@@ -327,19 +277,19 @@ def kernel_convolution(f, terms, window, star=False):
 
     K is 1/f, or 1/f* (the homoclinic kernel of phi) when star is set;
     terms maps t to the integer g_t.  x = g . K solves x . f = g, that is
-    M x_u = g_u + alpha x_{uA} + beta x_{uB} for f = M - alpha a - beta b
-    (x_{ua}, x_{ub} for the star).  Each coefficient of 1/f at v is an
-    integer over M^(height(v)+1), and at a site u reached from a window site
-    s by these steps, x_u reads 1/f only at heights <= |t| + |s| <= E, with
-    E = max |t| + max |s|.  So N_u = M^(E+1) x_u is an integer, and
-    N_u = (g_u M^(E+1) + alpha N_{u x} + beta N_{u y}) / M divides exactly.
+    M x_u = g_u + x_{uA} + x_{uB} (x_{ua}, x_{ub} for the star).  Each
+    coefficient of 1/f at v is an integer over M^(height(v)+1), and at a
+    site u reached from a window site s by these steps, x_u reads 1/f only
+    at heights <= |t| + |s| <= E, with E = max |t| + max |s|.  So
+    N_u = M^(E+1) x_u is an integer, and N_u = (g_u M^(E+1) + N_{u x} +
+    N_{u y}) / M divides exactly.
     The reached sites are solved once each, by height.  Returns (numerators
     in window order, E).  Window elements and terms are validated once
     here; the recurrence runs unchecked.
     """
     group = f.group
     window = list(window)
-    if len(window) > _WINDOW_GUARD:
+    if len(window) > groups.MAX_ELEMENTS:
         raise WindowTooLarge(f"window of {len(window)} elements exceeds the guard")
     for s in window:
         groups.check_element(group, s)
@@ -353,8 +303,6 @@ def kernel_convolution(f, terms, window, star=False):
     length, height, step, live = _pull(group, items, star)
     E = max(map(length, items), default=0) + max(map(length, window), default=0)
     M, scale = f.M, f.M ** (E + 1)
-    weights = dict(f.lower)
-    alpha, beta = (weights.get(x, 0) for x in groups.generators(group))
     successors = {}
     todo = list(window)
     while todo:
@@ -365,8 +313,8 @@ def kernel_convolution(f, terms, window, star=False):
     nums = {}
     for u in sorted(successors, key=height, reverse=star):
         ux, uy = successors[u]
-        nums[u] = (items.get(u, 0) * scale + alpha * nums.get(ux, 0)
-                   + beta * nums.get(uy, 0)) // M
+        nums[u] = (items.get(u, 0) * scale + nums.get(ux, 0)
+                   + nums.get(uy, 0)) // M
     return [nums.get(s, 0) for s in window], E
 
 
@@ -387,18 +335,18 @@ def quotient_coordinates(g, f, window):
     return {s: Fraction(n, den) for s, n in zip(window, nums)}
 
 
-def divide_by_f(g, f, max_levels=100_000):
+def divide_by_f(g, f):
     """Divide g by f in the integral group ring.
 
     Returns the unique finitely supported h with h*f = g when g lies in
     ZGamma*f, and raises NotDivisible with a minimal-height witness
     coordinate of g/f otherwise.
 
-    Writing g_s = M x_s - sum_u f_u x_{s u^{-1}} with u in {a, b}, the level
-    of x at height k is determined by level k-1, starting from the minimal
-    height of g.  Once past the top height of g, level masses contract by
-    ratio < 1 per level, and an all-integral level of l1 mass < 1 is zero;
-    a zero level past the top height therefore ends the recursion.
+    Writing g_s = M x_s - x_{sA} - x_{sB}, the level of x at height k is
+    determined by level k-1, starting from the minimal height of g.  Once
+    past the top height of g, level masses contract by 2/M per level, and
+    an all-integral level of l1 mass < 1 is zero; a zero level past the top
+    height therefore ends the recursion.
     """
     if not isinstance(f, PolyF):
         raise TypeError("f must be a PolyF")
@@ -411,6 +359,7 @@ def divide_by_f(g, f, max_levels=100_000):
         return RingElement.zero(group)
 
     M = f.M
+    gens = groups.generators(group)
     g_levels = {}
     for el, c in g.terms.items():
         g_levels.setdefault(groups.height(group, el), {})[el] = int(c)
@@ -422,12 +371,12 @@ def divide_by_f(g, f, max_levels=100_000):
     peak = 1
     k = k_min
     while True:
-        # M x_s = g_s + sum_u f_u x_{s u^-1}: push level k-1 along f.lower
+        # M x_s = g_s + x_{sA} + x_{sB}: push level k-1 along a and b
         totals = dict(g_levels.get(k, {}))
         for t, x in prev.items():
-            for u, c in f.lower:
+            for u in gens:
                 s = groups.multiply(group, t, u)
-                totals[s] = totals.get(s, 0) + c * x
+                totals[s] = totals.get(s, 0) + x
         bad = [s for s, total in totals.items() if total % M]
         if bad:
             s0 = min(bad, key=lambda el: groups.sort_key(group, el))
@@ -440,12 +389,10 @@ def divide_by_f(g, f, max_levels=100_000):
             break
         prev = current
         k += 1
-        if k - k_min > max_levels:
-            raise RuntimeError("division level recursion exceeded the level cap")
         if k > k_max:
             # geometric decay cap: beyond k_max an all-integral nonzero level
-            # has l1 >= 1, but masses contract by ratio per level
-            levels = math.log(peak) / -math.log(float(f.ratio)) + 3
+            # has l1 >= 1, but masses contract by 2/M per level
+            levels = math.log(peak) / -math.log(2 / M) + 3
             if k > k_max + int(levels + 1):
                 raise RuntimeError("division failed to terminate within its decay cap")
 

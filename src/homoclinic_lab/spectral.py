@@ -41,11 +41,6 @@ class CharacterValue:
     def one(cls):
         return cls(False, _POINT_ONE, _POINT_ZERO)
 
-    @property
-    def is_exact_one(self):
-        return (not self.exact_zero and self.re.lo == self.re.hi == 1
-                and self.im.lo == self.im.hi == 0)
-
     def contains_zero(self):
         return self.exact_zero or (self.re.contains(0) and self.im.contains(0))
 
@@ -208,18 +203,18 @@ def auto_radius(g, f, verdict):
     return max(1, r)
 
 
-def haar_indicator_check(g_list, f, radius=None):
+def haar_indicator_check(g_list, f):
     """Cross-check exact ideal membership against the certified transform
-    for each character in g_list: members must give transform exactly 1,
-    non-members exactly 0 (their first bad coordinate has denominator M).
+    for each character in g_list, each at its auto_radius: members must
+    give transform exactly 1, non-members exactly 0 (their first bad
+    coordinate has denominator M).
     """
     entries = []
     all_ok = True
     for g in g_list:
         verdict = rational_witness(g, f)
         member = isinstance(verdict, InIdeal)
-        r = radius if radius is not None else auto_radius(g, f, verdict)
-        value = mu_hat(g, f, r)
+        value = mu_hat(g, f, auto_radius(g, f, verdict))
         if member:
             ok = value.contains_one() and not value.contains_zero()
         else:

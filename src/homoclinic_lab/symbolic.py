@@ -26,9 +26,9 @@ class ValueOutOfRange(ValueError):
 class BoundaryOverflow(RuntimeError):
     """A carry tried to leave the stored window."""
 
-    def __init__(self, site, message=None):
+    def __init__(self, site):
         self.site = site
-        super().__init__(message or f"carry left the window at {site!r}")
+        super().__init__(f"carry left the window at {site!r}")
 
 
 class ConstraintViolated(ValueError):
@@ -89,12 +89,17 @@ def _tree_sets(n):
     return tuple(out)
 
 
-def enumerate_trees(n, cap=12):
+# catalan(12) = 208,012 trees; the next size has 742,900
+_TREE_CAP = 12
+
+
+def enumerate_trees(n):
     """All trees with exactly n nodes; there are catalan(n) of them."""
     if n < 0:
         raise ValueError("tree size must be nonnegative")
-    if n > cap:
-        raise ValueError(f"tree size {n} exceeds the enumeration cap {cap}")
+    if n > _TREE_CAP:
+        raise ValueError(
+            f"tree size {n} exceeds the enumeration cap {_TREE_CAP}")
     return [Tree(nodes) for nodes in _tree_sets(n)]
 
 
@@ -149,16 +154,9 @@ def allowed_patterns(M, bound):
     return PatternTable(M=M, bound=bound, allowed=allowed)
 
 
-def pattern_completions(table, k, l=None, m=None):
-    """All allowed triples with the given first entry and optional others."""
-    out = [
-        triple
-        for triple in table.allowed
-        if triple[0] == k
-        and (l is None or triple[1] == l)
-        and (m is None or triple[2] == m)
-    ]
-    return sorted(out)
+def pattern_completions(table, k):
+    """All allowed triples with the given first entry, sorted."""
+    return sorted(triple for triple in table.allowed if triple[0] == k)
 
 
 @dataclass

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import settings
 
 # derandomized and without an example database, so the suite is
-# reproducible and leaves no files behind
+# reproducible; hypothesis still writes .hypothesis/constants/ under the
+# working directory, which .gitignore covers
 settings.register_profile(
     "homoclinic-lab", deadline=None, derandomize=True, database=None)
 settings.load_profile("homoclinic-lab")

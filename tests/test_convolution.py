@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homoclinic_lab import groups, ring
+from homoclinic_lab import groups
 from homoclinic_lab.groups import F2, Z2, GroupMismatch, WindowTooLarge
 from homoclinic_lab.homoclinic import (Configuration, ResidualNonzero,
                                        TorusValue, WidthExceedsOne,
@@ -72,8 +72,9 @@ def reference_tail(group, s, window, M, max_len):
 
 
 def reference_inverse(f, max_height):
-    """1/f = sum_k h^k / M^(k+1) as Fractions, at heights <= max_height."""
-    lower = RingElement(f.group, dict(f.lower))
+    """1/f = sum_k h^k / M^(k+1) as Fractions, at heights <= max_height,
+    with the lower part h = M - f read from f.as_ring()."""
+    lower = f.M * RingElement.one(f.group) - f.as_ring()
     power = RingElement.one(f.group)
     acc = {}
     for k in range(max_height + 1):
@@ -122,11 +123,8 @@ def reference_residual(x, M):
 
 
 def polys(group):
-    """The standard f for M in 3..5 and one lopsided f with other weights."""
-    out = [PolyF.standard(M, group) for M in (3, 4, 5)]
-    a, b = groups.generators(group)
-    out.append(PolyF.lopsided(5, group, {a: 2, b: 1}))
-    return out
+    """f = M - a - b for M in 3..5."""
+    return [PolyF.standard(M, group) for M in (3, 4, 5)]
 
 
 # -- strategies --------------------------------------------------------------
@@ -261,11 +259,13 @@ def test_phi_validates_the_window_once_at_entry(monkeypatch):
     d = Configuration(F2, {"": 1}, (0, 1))
     with pytest.raises(GroupMismatch):
         phi_exact(d, ["", (0, 0)], 3)
-    monkeypatch.setattr(ring, "_WINDOW_GUARD", 4)
-    with pytest.raises(WindowTooLarge):
-        phi_exact(d, groups.ball(F2, 1), 3)
-    with pytest.raises(WindowTooLarge):
-        phi_windowed(d, groups.ball(F2, 1), 3)
+    # the window is built first: ball reads the same budget
+    window = groups.ball(F2, 1)
+    monkeypatch.setattr(groups, "MAX_ELEMENTS", 4)
+    with pytest.raises(WindowTooLarge, match="exceeds the guard"):
+        phi_exact(d, window, 3)
+    with pytest.raises(WindowTooLarge, match="exceeds the guard"):
+        phi_windowed(d, window, 3)
 
 
 @st.composite
@@ -345,7 +345,7 @@ def test_quotient_coordinates_match_the_fraction_loop(case, den):
 
 
 def test_quotient_coordinates_of_a_non_integral_g():
-    f = PolyF.lopsided(5, F2, {"a": 2, "b": 1})
+    f = PolyF.standard(5, F2)
     g = RingElement(F2, {"": Fraction(1, 2), "A": Fraction(-2, 3), "b": 3})
     window = groups.ball(F2, 3)
     coords = quotient_coordinates(g, f, window)

@@ -217,13 +217,8 @@ CRITERION_07_PAIRS = 1_000
 
 
 def test_criterion_07_details_are_pinned(monkeypatch):
-    search = montecarlo.collision_search
-
-    def reduced(cfg, **kw):
-        return search(cfg, **dict(kw, pairs=CRITERION_07_PAIRS))
-
-    monkeypatch.setattr(montecarlo, "collision_search", reduced)
-    assert digest(acceptance.criterion_07().details) == \
+    assert _reduced_criterion_digest(
+        monkeypatch, acceptance.criterion_07, CRITERION_07_PAIRS) == \
         "22596fb1bab02bc0e002bb6c5cfa34be8209c04481eeba443d4ff49c5676df90"
 
 

@@ -102,12 +102,12 @@ def test_interval_arithmetic():
 
 def test_rounded_is_outward_and_tight():
     iv = RationalInterval(Fraction(1, 3), Fraction(2, 3))
-    r = iv.rounded(bits=64)
+    r = iv.rounded()
     assert r.lo <= iv.lo and iv.hi <= r.hi
-    assert r.width - iv.width < Fraction(1, 2**60)
-    assert r.lo.denominator <= 2**64
-    point = RationalInterval.point(Fraction(5, 7)).rounded(bits=16)
-    assert point.contains(Fraction(5, 7))
+    assert r.width - iv.width < Fraction(1, 2**252)
+    assert r.lo.denominator <= 2**256 and r.hi.denominator <= 2**256
+    point = RationalInterval.point(Fraction(5, 7)).rounded()
+    assert point.contains(Fraction(5, 7)) and point.width > 0
 
 
 def test_empty_interval_rejected():

@@ -225,8 +225,8 @@ def test_fold_depth_guard_fails_before_any_draw(monkeypatch):
 
 
 def test_collision_search_free_group():
-    cfg = cfg_with(samples=10)
-    rep = collision_search(cfg, pairs=40, control=16)
+    cfg = cfg_with(samples=40)
+    rep = collision_search(cfg, control=16)
     assert rep["passed"] is True
     assert rep["control"] == {"pairs": 16, "enclosure_matches": 16,
                               "passed": True}
@@ -241,15 +241,15 @@ def test_collision_search_free_group():
 
 
 def test_collision_search_z2_has_no_family_section():
-    cfg = cfg_with(samples=10, group=Z2)
-    rep = collision_search(cfg, pairs=15, control=8)
+    cfg = cfg_with(samples=15, group=Z2)
+    rep = collision_search(cfg, control=8)
     assert rep["family"] is None
     assert rep["passed"] is True
 
 
 def test_collision_search_requires_m_three():
     with pytest.raises(ValueError):
-        collision_search(cfg_with(M=4), pairs=5, control=2)
+        collision_search(cfg_with(M=4, samples=5), control=2)
 
 
 def test_empirical_fourier_member_is_exact():

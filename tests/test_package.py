@@ -1,5 +1,7 @@
 import ast
+import importlib
 import inspect
+import pathlib
 
 import homoclinic_lab
 
@@ -15,3 +17,27 @@ def test_exports_resolve_and_match_the_imports():
     assert set(exported) == imported | {"__version__"}
     for name in exported:
         assert hasattr(homoclinic_lab, name), name
+
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_benchmark_targets_and_workloads_resolve(monkeypatch):
+    # the benchmark patches its trace targets by name and builds its
+    # workloads from public calls, so a deletion in the package must not
+    # break perfbench/run.py or its --trace 1 mode; nothing here is timed
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run, tracing, workloads = (importlib.import_module(name)
+                               for name in ("run", "tracing", "workloads"))
+    for mod_name, path, _ in tracing.TARGETS:
+        owner = importlib.import_module(f"homoclinic_lab.{mod_name}")
+        *cls, attr = path.split(".")
+        if cls:
+            assert callable(vars(getattr(owner, cls[0]))[attr]), path
+        else:
+            assert callable(getattr(owner, attr)), path
+    tracing.Tracer()
+    for name, build in workloads.WORKLOADS.items():
+        workload = build(run.DEFAULT_SEED)
+        assert workload.name == name and workload.calls

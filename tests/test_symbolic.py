@@ -100,7 +100,6 @@ def test_pattern_completions():
     assert pattern_completions(wide, 2) == [(2, 2, 2)]
     narrow = allowed_patterns(3, 1)
     assert pattern_completions(narrow, 1) == [(1, 0, 1), (1, 1, 0), (1, 1, 1)]
-    assert pattern_completions(narrow, 1, l=1) == [(1, 1, 0), (1, 1, 1)]
     assert pattern_completions(narrow, -1) == [(-1, -1, -1), (-1, -1, 0),
                                                (-1, 0, -1)]
     # sign symmetry of the table
