@@ -3,10 +3,10 @@ f = M - a - b over the free group and Z^2.
 
 Exact layers: reduced-word and lattice arithmetic (groups), convolution
 with 1/f and the homoclinic kernel 1/f* and division with witnesses
-(ring), rational interval enclosures of cos/sin (intervals), the window
-parametrization and its lift (homoclinic), symbolic covers with the carry
-machine and SFT pattern tables (symbolic), certified transform values
-(spectral).
+(ring), pi bounds and rational enclosures of cos/sin (intervals), the
+window parametrization and its lift (homoclinic), symbolic covers with the
+carry machine and SFT pattern tables (symbolic), exact transform values of
+Haar measure, 0 or 1, with membership witnesses (spectral).
 Statistical layer: seeded counter-based experiments (montecarlo) gated by
 the acceptance suite (acceptance) behind the homoclinic-lab CLI (cli).
 """
@@ -21,7 +21,7 @@ from .homoclinic import (
     phi_windowed,
     xf_residual,
 )
-from .intervals import RationalInterval, cos2pi, cos_sin_2pi, sin2pi
+from .intervals import RationalInterval, cos_sin_2pi
 from .montecarlo import (
     EnclosureTooWide,
     ExperimentConfig,
@@ -46,7 +46,6 @@ from .spectral import (
     Witness,
     haar_indicator_check,
     mu_hat,
-    nu0_hat,
     rational_witness,
 )
 from .symbolic import (
@@ -70,14 +69,14 @@ __all__ = [
     "F2", "Z2", "GroupMismatch", "WindowTooLarge", "ball", "sphere",
     "Configuration", "TorusValue", "four_cover_lift", "homoclinic_point",
     "phi_exact", "phi_windowed", "xf_residual",
-    "RationalInterval", "cos2pi", "cos_sin_2pi", "sin2pi",
+    "RationalInterval", "cos_sin_2pi",
     "EnclosureTooWide", "ExperimentConfig", "collision_search",
     "empirical_fourier", "haar_window_test", "sample_config",
     "tau_invariance_test",
     "NotDivisible", "PolyF", "RingElement", "divide_by_f",
     "parse_ring_element", "quotient_coordinates",
     "CharacterValue", "InIdeal", "RadiusInsufficient", "Witness",
-    "haar_indicator_check", "mu_hat", "nu0_hat", "rational_witness",
+    "haar_indicator_check", "mu_hat", "rational_witness",
     "BoundaryOverflow", "CarryResult", "PatternTable", "Tree",
     "allowed_patterns", "carry_add", "catalan", "enumerate_trees",
     "partition_mass", "pattern_completions", "percolation_path",

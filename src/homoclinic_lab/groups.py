@@ -127,6 +127,12 @@ def sort_key(group, g):
     return (len(g), tuple(_LETTER_RANK[c] for c in g))
 
 
+def _check_size(what, size):
+    """Refuse a set of more than MAX_ELEMENTS elements before building it."""
+    if size > MAX_ELEMENTS:
+        raise WindowTooLarge(f"{what} has {size} elements (limit {MAX_ELEMENTS})")
+
+
 def ball(group, radius):
     """All elements with word length <= radius, sorted by sort_key.
 
@@ -140,11 +146,7 @@ def ball(group, radius):
         size = 2 * 3**radius - 1
     else:
         size = 2 * radius * radius + 2 * radius + 1
-    if size > MAX_ELEMENTS:
-        raise WindowTooLarge(
-            f"ball of radius {radius} in {group} has {size} elements "
-            f"(limit {MAX_ELEMENTS})"
-        )
+    _check_size(f"ball of radius {radius} in {group}", size)
     if group == Z2:
         out = [
             (i, j)
@@ -207,6 +209,11 @@ def cone_levels(group, root, letters=None):
 
 
 def _cone_sites(group, root, depth, letters=None):
+    if group == F2:
+        size = 2 ** (depth + 1) - 1
+    else:
+        size = (depth + 1) * (depth + 2) // 2
+    _check_size(f"cone of depth {depth} in {group}", size)
     levels = islice(cone_levels(group, root, letters), max(depth + 1, 0))
     return [s for level in levels for s in level]
 

@@ -1,5 +1,5 @@
-"""Outward-rounded rational interval arithmetic, pi bounds, and rigorous
-enclosures of cos(2 pi t) and sin(2 pi t) for rational t.
+"""Pi bounds and rigorous enclosures of cos(2 pi t) and sin(2 pi t) for
+rational t.
 
 Everything here is exact Fraction arithmetic; an interval [lo, hi] is a
 proof that the true real value lies between its endpoints.
@@ -15,7 +15,6 @@ PI_LO = Fraction(_PI_DIGITS, 10**49)
 PI_HI = Fraction(_PI_DIGITS + 1, 10**49)
 
 _TAYLOR_TERMS = 12
-_ROUND_BITS = 256
 
 
 @dataclass(frozen=True)
@@ -34,65 +33,9 @@ class RationalInterval:
         value = Fraction(value)
         return cls(value, value)
 
-    @property
-    def width(self):
-        return self.hi - self.lo
-
-    @property
-    def midpoint(self):
-        return (self.lo + self.hi) / 2
-
-    def contains(self, value):
-        return self.lo <= value <= self.hi
-
-    def __add__(self, other):
-        if isinstance(other, RationalInterval):
-            return RationalInterval(self.lo + other.lo, self.hi + other.hi)
-        if isinstance(other, (int, Fraction)):
-            return RationalInterval(self.lo + other, self.hi + other)
-        return NotImplemented
-
-    __radd__ = __add__
-
     def __neg__(self):
         return RationalInterval(-self.hi, -self.lo)
 
-    def __sub__(self, other):
-        if isinstance(other, (RationalInterval, int, Fraction)):
-            return self + (-other if isinstance(other, RationalInterval) else -Fraction(other))
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, RationalInterval):
-            products = (
-                self.lo * other.lo,
-                self.lo * other.hi,
-                self.hi * other.lo,
-                self.hi * other.hi,
-            )
-            return RationalInterval(min(products), max(products))
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            if other >= 0:
-                return RationalInterval(self.lo * other, self.hi * other)
-            return RationalInterval(self.hi * other, self.lo * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def rounded(self):
-        """Outward-round endpoints to denominator 2**_ROUND_BITS.
-
-        Caps denominator growth in long interval products while preserving
-        containment.
-        """
-        scale = 1 << _ROUND_BITS
-        lo = Fraction(math.floor(self.lo * scale), scale)
-        hi = Fraction(math.ceil(self.hi * scale), scale)
-        return RationalInterval(lo, hi)
-
-
-PI = RationalInterval(PI_LO, PI_HI)
 
 ZERO = RationalInterval.point(0)
 ONE = RationalInterval.point(1)
@@ -162,11 +105,3 @@ def cos_sin_2pi(theta):
         cos_iv, sin_iv = cos_sin_2pi(Fraction(1, 2) - t)
         return -cos_iv, sin_iv
     return _cos_sin_quarter(t)
-
-
-def cos2pi(theta):
-    return cos_sin_2pi(theta)[0]
-
-
-def sin2pi(theta):
-    return cos_sin_2pi(theta)[1]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import chi2
+import scipy.special
 
 from . import groups, rng, symbolic
 from .groups import F2, Z2
@@ -232,7 +232,7 @@ def _chi_square_p(counts, expected):
     expected = np.asarray(expected, dtype=float)
     stat = float(((counts - expected) ** 2 / expected).sum())
     dof = counts.size - 1
-    return stat, float(chi2.sf(stat, dof))
+    return stat, float(scipy.special.chdtrc(dof, stat))
 
 
 def _chunk_ranges(n, parts):

@@ -1,94 +1,42 @@
-"""Exact-rational Fourier transform of the pushforward measure.
+"""Exact Fourier transform of Haar measure on X_f at integral characters.
 
-For an integral group ring element g, the transform of Haar measure on X_f
-evaluated at the character g factors over the quotient coordinates g/f.  A
-coordinate with denominator exactly M kills the product (that factor of the
-one-site average vanishes), an integral quotient of finite support gives
-exactly 1, and otherwise we certify a rectangle in the complex plane from
-finitely many factors plus an l1 tail bound.
+X_f is a principal algebraic action, with dual group ZGamma/ZGamma*f
+(Schmidt, Dynamical Systems of Algebraic Origin, 1995), so the transform
+of Haar measure at an integral character g is exactly 1 when g lies in the
+ideal ZGamma*f and exactly 0 when it does not.  mu_hat decides which from
+the exact quotient coordinates g/f on a ball.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import groups
-from .intervals import PI_HI, RationalInterval, cos_sin_2pi
 from .ring import NotDivisible, PolyF, RingElement, divide_by_f, quotient_coordinates
 
 
 class RadiusInsufficient(RuntimeError):
-    """The certified enclosure still contains both 0 and 1."""
-
-
-_POINT_ZERO = RationalInterval(0, 0)
-_POINT_ONE = RationalInterval(1, 1)
+    """The window holds no k/M coordinate and no whole integral quotient."""
 
 
 @dataclass(frozen=True)
 class CharacterValue:
-    """Value of the transform at one character: an exact zero flag or a
-    rectangle (re x im) guaranteed to contain the true complex value."""
+    """Value of the transform at one character: exactly 0 or exactly 1."""
 
     exact_zero: bool
-    re: RationalInterval
-    im: RationalInterval
 
     @classmethod
     def zero(cls):
-        return cls(True, _POINT_ZERO, _POINT_ZERO)
+        return cls(True)
 
     @classmethod
     def one(cls):
-        return cls(False, _POINT_ONE, _POINT_ZERO)
-
-    def contains_zero(self):
-        return self.exact_zero or (self.re.contains(0) and self.im.contains(0))
-
-    def contains_one(self):
-        return (not self.exact_zero) and self.re.contains(1) and self.im.contains(0)
+        return cls(False)
 
     def to_json_dict(self):
         if self.exact_zero:
             return {"zero": True}
-        return {
-            "zero": False,
-            "re": [str(self.re.lo), str(self.re.hi)],
-            "im": [str(self.im.lo), str(self.im.hi)],
-        }
-
-
-def nu0_hat(xi, M):
-    """Transform of the uniform measure on {0, 1/M, ..., (M-1)/M} at the
-    rational frequency xi, as a certified complex rectangle.
-
-    Exactly 1 at integers; exactly 0 iff M*xi is an integer but xi is not.
-    """
-    xi = Fraction(xi)
-    if xi.denominator == 1:
-        return CharacterValue.one()
-    if (M * xi).denominator == 1:
-        return CharacterValue.zero()
-    re = _POINT_ZERO
-    im = _POINT_ZERO
-    for k in range(M):
-        c, s = cos_sin_2pi(k * xi)
-        re = re + c
-        im = im + s
-    inv = Fraction(1, M)
-    return CharacterValue(False, (re * inv).rounded(), (im * inv).rounded())
-
-
-def _factor(xi, M):
-    """One product factor: nu0_hat at xi with conjugated phase, so that the
-    certified product matches empirical averages of exp(-2*pi*i <x, g>)."""
-    v = nu0_hat(xi, M)
-    return CharacterValue(v.exact_zero, v.re, -v.im)
-
-
-def _complex_mul(re1, im1, re2, im2):
-    re = (re1 * re2 - im1 * im2).rounded()
-    im = (re1 * im2 + im1 * re2).rounded()
-    return re, im
+        # 1 as the point rectangle [1, 1] x [0, 0] that pinned documents carry
+        return {"zero": False, "re": ["1", "1"], "im": ["0", "0"]}
 
 
 def quotient_tail_l1(g, f, radius):
@@ -101,14 +49,13 @@ def quotient_tail_l1(g, f, radius):
 
 
 def mu_hat(g, f, radius):
-    """Certified transform value at the integral character g.
+    """Exact transform value at the integral character g, decided from the
+    quotient coordinates of g/f on the ball of the given radius.
 
-    Strategy: scan the quotient coordinates inside the window for a factor
-    that is exactly zero; if they are integers whose product with f is g (g
-    is divisible by f with quotient supported in the window) the value is
-    exactly 1; otherwise multiply the in-window
-    factors and widen by the l1 tail of the quotient beyond the window.
-    Raises RadiusInsufficient when the result still straddles both 0 and 1.
+    A coordinate that is k/M mod 1 (0 < k < M) gives exactly 0.  Integral
+    coordinates whose product with f is g are all of g/f (every factor
+    outside the window is 1) and give exactly 1.  Otherwise the window
+    decides neither, and RadiusInsufficient is raised.
     """
     if not isinstance(f, PolyF):
         raise TypeError("f must be a PolyF")
@@ -116,41 +63,16 @@ def mu_hat(g, f, radius):
         raise groups.GroupMismatch("g and f live over different groups")
     if not g.is_integral():
         raise ValueError("mu_hat is defined for integral characters")
-    M = f.M
-    window = groups.ball(g.group, radius)
-    coords = quotient_coordinates(g, f, window)
-    nonint = []
-    for s in window:
-        xi = coords[s]
-        if xi.denominator == 1:
-            continue
-        if (M * xi).denominator == 1:
-            return CharacterValue.zero()
-        nonint.append(xi)
-
-    # an integral window whose quotient reproduces g is all of g/f: every
-    # factor outside the window is exactly 1
-    if not nonint and RingElement(
-            g.group, {s: c for s, c in coords.items() if c}) * f.as_ring() == g:
+    coords = quotient_coordinates(g, f, groups.ball(g.group, radius))
+    fractional = [xi for xi in coords.values() if xi.denominator != 1]
+    if any((f.M * xi).denominator == 1 for xi in fractional):
+        return CharacterValue.zero()
+    q = RingElement(g.group, {s: c for s, c in coords.items() if c})
+    if not fractional and q * f.as_ring() == g:
         return CharacterValue.one()
-
-    re, im = _POINT_ONE, _POINT_ZERO
-    for xi in nonint:
-        fac = _factor(xi, M)
-        re, im = _complex_mul(re, im, fac.re, fac.im)
-
-    # |prod over tail - 1| <= sum |factor_s - 1| <= pi*(M-1) * sum |(g/f)_s|,
-    # each factor having modulus at most 1
-    eps = PI_HI * (M - 1) * quotient_tail_l1(g, f, radius)
-    band_re = RationalInterval(1 - eps, 1 + eps)
-    band_im = RationalInterval(-eps, eps)
-    re, im = _complex_mul(re, im, band_re, band_im)
-    out = CharacterValue(False, re, im)
-    if out.contains_zero() and out.contains_one():
-        raise RadiusInsufficient(
-            "window radius %d cannot separate the transform from both 0 and 1"
-            % radius)
-    return out
+    raise RadiusInsufficient(
+        "window radius %d cannot separate the transform from both 0 and 1"
+        % radius)
 
 
 @dataclass(frozen=True)
@@ -204,10 +126,10 @@ def auto_radius(g, f, verdict):
 
 
 def haar_indicator_check(g_list, f):
-    """Cross-check exact ideal membership against the certified transform
-    for each character in g_list, each at its auto_radius: members must
-    give transform exactly 1, non-members exactly 0 (their first bad
-    coordinate has denominator M).
+    """Cross-check exact ideal membership against the transform for each
+    character in g_list, each at its auto_radius: members must give
+    transform exactly 1, non-members exactly 0 (their first bad coordinate
+    has denominator M).
     """
     entries = []
     all_ok = True
@@ -215,10 +137,7 @@ def haar_indicator_check(g_list, f):
         verdict = rational_witness(g, f)
         member = isinstance(verdict, InIdeal)
         value = mu_hat(g, f, auto_radius(g, f, verdict))
-        if member:
-            ok = value.contains_one() and not value.contains_zero()
-        else:
-            ok = value.exact_zero
+        ok = value.exact_zero != member
         all_ok = all_ok and ok
         entry = {
             "g": g.to_json_dict(),

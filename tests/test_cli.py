@@ -111,6 +111,29 @@ def test_fourier_z2_witness():
     assert doc["witness"] == {"w": "(1,1)", "k": 1, "M": 4}
 
 
+def test_fourier_radius_that_decides_neither_exits_one():
+    # BA - a is not a member (witness at BA), but radius 1 holds no k/M
+    # coordinate and no whole quotient
+    code, out, err = run_cli("fourier", "--g", "BA - a", "--radius", "1")
+    assert code == 1
+    assert out == ""
+    assert re.search(r"^error: .*radius 1 ", err)
+    assert run_json("fourier", "--g", "BA - a")["mu_hat"] == {"zero": True}
+
+
+@pytest.mark.parametrize("command", ["kernel", "tau"])
+def test_too_deep_cone_exits_one_before_walking(monkeypatch, command):
+    def refuse(*args):
+        raise AssertionError("cone walked past the guard")
+        yield
+
+    monkeypatch.setattr(groups, "cone_levels", refuse)
+    code, out, err = run_cli(command, "--radius", "26")
+    assert code == 1
+    assert out == ""
+    assert "error: cone of depth 26 in f2 has 134217727 elements" in err
+
+
 def test_divide():
     doc = run_json("divide", "--g", "(1 + a)*(3 - a - b)")
     assert doc["divisible"] is True

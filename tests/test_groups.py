@@ -112,3 +112,24 @@ def test_parse_element_rejects_garbage():
 def test_ball_cap():
     with pytest.raises(groups.WindowTooLarge):
         groups.ball(F2, 30)
+
+
+@pytest.mark.parametrize("group,depth,size", [(F2, 5, 63), (Z2, 5, 21)])
+def test_cone_guard_counts_before_it_walks(monkeypatch, group, depth, size):
+    # a cone of exactly MAX_ELEMENTS sites is walked; one level more is
+    # refused from its size alone, without advancing the walk
+    monkeypatch.setattr(groups, "MAX_ELEMENTS", size)
+    root = groups.identity(group)
+    assert len(groups.positive_cone_sites(group, root, depth)) == size
+    assert len(groups.negative_monoid(group, depth)) == size
+
+    def refuse(*args):
+        raise AssertionError("cone walked past the guard")
+        yield
+
+    monkeypatch.setattr(groups, "cone_levels", refuse)
+    for walk in (lambda: groups.positive_cone_sites(group, root, depth + 1),
+                 lambda: groups.negative_monoid(group, depth + 1)):
+        with pytest.raises(groups.WindowTooLarge,
+                           match=f"cone of depth {depth + 1} in {group}"):
+            walk()

@@ -20,6 +20,19 @@ def cfg_with(**kw):
     return ExperimentConfig(**base)
 
 
+@pytest.mark.parametrize("dof", [4, 5, 8, 24, 29, 35, 99])
+def test_chi_square_p_is_the_scipy_stats_tail_bit_for_bit(dof):
+    # every pinned haar document's dof; the package itself never imports
+    # scipy.stats
+    from scipy.stats import chi2
+    gen = np.random.default_rng(dof)
+    expected = [10.0] * (dof + 1)
+    for _ in range(300):
+        counts = gen.poisson(10.0, dof + 1)
+        stat, p = montecarlo._chi_square_p(counts, expected)
+        assert p == float(chi2.sf(stat, dof))
+
+
 def test_experiment_config_validation():
     with pytest.raises(ValueError):
         cfg_with(M=2)

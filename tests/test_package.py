@@ -1,7 +1,10 @@
 import ast
 import importlib
 import inspect
+import os
 import pathlib
+import subprocess
+import sys
 
 import homoclinic_lab
 
@@ -17,6 +20,18 @@ def test_exports_resolve_and_match_the_imports():
     assert set(exported) == imported | {"__version__"}
     for name in exported:
         assert hasattr(homoclinic_lab, name), name
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats costs most of the import time; the package needs only
+    # scipy.special
+    src = pathlib.Path(homoclinic_lab.__file__).resolve().parent.parent
+    probe = ("import sys, homoclinic_lab, homoclinic_lab.cli; "
+             "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out.split() == ["False", "True"]
 
 
 

@@ -1,48 +1,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from homoclinic_lab.groups import F2, Z2, GroupMismatch
+from homoclinic_lab.groups import F2, Z2, GroupMismatch, ball
 from homoclinic_lab.ring import PolyF, RingElement, parse_ring_element
 from homoclinic_lab.spectral import (CharacterValue, InIdeal,
-                                     RadiusInsufficient, Witness, _factor,
-                                     haar_indicator_check, mu_hat, nu0_hat,
-                                     rational_witness)
+                                     RadiusInsufficient, Witness,
+                                     auto_radius, haar_indicator_check,
+                                     mu_hat, rational_witness)
 
 F3 = PolyF.standard(3, F2)
 ONE = CharacterValue.one()
-
-
-def test_nu0_hat_exact_points():
-    for xi in (0, 1, -2, Fraction(6, 1)):
-        assert nu0_hat(xi, 3) == ONE
-    for xi in (Fraction(1, 3), Fraction(2, 3), Fraction(4, 3), Fraction(-1, 3)):
-        v = nu0_hat(xi, 3)
-        assert v.exact_zero
-        assert v.contains_zero() and not v.contains_one()
-    # M*xi integral with xi non-integral, for M = 4
-    assert nu0_hat(Fraction(1, 2), 4).exact_zero
-    assert not nu0_hat(Fraction(1, 2), 3).exact_zero
-
-
-def test_nu0_hat_half_for_m_three():
-    v = nu0_hat(Fraction(1, 2), 3)
-    # (1 + e^{i pi} + e^{2 i pi}) / 3 = 1/3
-    assert v.re.contains(Fraction(1, 3))
-    assert v.im.contains(0)
-    assert v.re.width < Fraction(1, 10**20)
-    assert v.im.width < Fraction(1, 10**20)
-
-
-def test_factor_conjugates_the_phase():
-    xi = Fraction(1, 9)
-    plain = nu0_hat(xi, 3)
-    conj = _factor(xi, 3)
-    assert conj.re == plain.re
-    assert conj.im == -plain.im
-    # sin(2 pi k/9) > 0 for k = 1, 2, so the plain imaginary part is positive
-    assert plain.im.lo > 0
-    assert conj.im.hi < 0
 
 
 def test_mu_hat_members_are_exact_one():
@@ -68,8 +38,8 @@ def test_mu_hat_small_radius_raises():
 
 
 def test_mu_hat_deep_member_needs_quotient_radius():
-    # quotient 1 + a^3 leaves a radius-2 window, and the tail band alone
-    # cannot separate 0 from 1; widening the window restores exactness
+    # quotient 1 + a^3 leaves a radius-2 window with integral coordinates
+    # that do not reproduce g; the window holding all of it decides 1
     f = PolyF.standard(3, Z2)
     q = parse_ring_element("1 + a*a*a", Z2)
     g = q * f.as_ring()
@@ -85,6 +55,39 @@ def test_mu_hat_argument_validation():
         mu_hat(parse_ring_element("1", Z2), F3, 1)
     with pytest.raises(ValueError):
         mu_hat(RingElement(F2, {"": Fraction(1, 2)}), F3, 1)
+
+
+@st.composite
+def _characters(draw):
+    """(g, f): integral g on ball(2), either random or q*f with q on
+    ball(1), so that both members and non-members come up."""
+    group = draw(st.sampled_from([F2, Z2]))
+    f = PolyF.standard(draw(st.integers(3, 5)), group)
+    coeffs = st.integers(-3, 3)
+    if draw(st.booleans()):
+        g = draw(st.dictionaries(st.sampled_from(ball(group, 2)), coeffs,
+                                 min_size=1, max_size=4))
+        return RingElement(group, g), f
+    q = draw(st.dictionaries(st.sampled_from(ball(group, 1)), coeffs,
+                             min_size=1, max_size=3))
+    return RingElement(group, q) * f.as_ring(), f
+
+
+@settings(max_examples=150)
+@given(_characters())
+def test_mu_hat_is_exact_or_raises_below_the_auto_radius(case):
+    # at every radius up to auto_radius the value is the one membership
+    # implies, or the window decides neither; auto_radius always decides
+    g, f = case
+    verdict = rational_witness(g, f)
+    expected = (CharacterValue.one() if isinstance(verdict, InIdeal)
+                else CharacterValue.zero())
+    top = auto_radius(g, f, verdict)
+    for radius in range(top + 1):
+        try:
+            assert mu_hat(g, f, radius) == expected
+        except RadiusInsufficient:
+            assert radius < top
 
 
 def test_rational_witness_non_members():
@@ -114,9 +117,9 @@ def test_rational_witness_members():
 
 def test_character_value_helpers():
     z = CharacterValue.zero()
-    assert z.contains_zero() and not z.contains_one() and z != ONE
+    assert z.exact_zero and z != ONE
     o = CharacterValue.one()
-    assert o.contains_one() and not o.contains_zero()
+    assert not o.exact_zero and o == ONE
     assert z.to_json_dict() == {"zero": True}
     d = o.to_json_dict()
     assert d == {"zero": False, "re": ["1", "1"], "im": ["0", "0"]}
