@@ -5,8 +5,9 @@ Exact layers: reduced-word and lattice arithmetic (groups), convolution
 with 1/f and the homoclinic kernel 1/f* and division with witnesses
 (ring), pi bounds and rational enclosures of cos/sin (intervals), the
 window parametrization and its lift (homoclinic), symbolic covers with the
-carry machine and SFT pattern tables (symbolic), exact transform values of
-Haar measure, 0 or 1, with membership witnesses (spectral).
+carry machine and the allowed SFT patterns (symbolic), exact transform
+values of Haar measure, the int 0 or 1, with membership decided by a
+quotient or a witness (spectral).
 Statistical layer: seeded counter-based experiments (montecarlo) gated by
 the acceptance suite (acceptance) behind the homoclinic-lab CLI (cli).
 """
@@ -40,8 +41,6 @@ from .ring import (
     quotient_coordinates,
 )
 from .spectral import (
-    CharacterValue,
-    InIdeal,
     RadiusInsufficient,
     Witness,
     haar_indicator_check,
@@ -51,7 +50,6 @@ from .spectral import (
 from .symbolic import (
     BoundaryOverflow,
     CarryResult,
-    PatternTable,
     Tree,
     allowed_patterns,
     carry_add,
@@ -75,9 +73,9 @@ __all__ = [
     "tau_invariance_test",
     "NotDivisible", "PolyF", "RingElement", "divide_by_f",
     "parse_ring_element", "quotient_coordinates",
-    "CharacterValue", "InIdeal", "RadiusInsufficient", "Witness",
+    "RadiusInsufficient", "Witness",
     "haar_indicator_check", "mu_hat", "rational_witness",
-    "BoundaryOverflow", "CarryResult", "PatternTable", "Tree",
+    "BoundaryOverflow", "CarryResult", "Tree",
     "allowed_patterns", "carry_add", "catalan", "enumerate_trees",
     "partition_mass", "pattern_completions", "percolation_path",
     "reduce_cover",

@@ -8,6 +8,7 @@ Output is deterministic for fixed flags.
 
 import argparse
 import csv
+import dataclasses
 from fractions import Fraction
 import io
 import json
@@ -19,7 +20,6 @@ from .groups import F2
 from .homoclinic import Configuration
 from .montecarlo import ExperimentConfig
 from .ring import PolyF, RingElement, kernel_convolution, parse_ring_element
-from .spectral import InIdeal
 
 
 def _jobs(text):
@@ -80,8 +80,7 @@ def _load_config_arg(args, group, default_window, default_alphabet):
 
 
 def _cmd_patterns(args):
-    table = symbolic.allowed_patterns(args.M, args.range)
-    rows = sorted(table.allowed)
+    rows = sorted(symbolic.allowed_patterns(args.M, args.range))
     doc = _doc("patterns", {"M": args.M, "range": args.range},
                count=len(rows), patterns=[list(r) for r in rows])
     _emit(doc, args, csv_rows=[("k", "l", "m")] + rows)
@@ -142,19 +141,16 @@ def _cmd_tau(args):
     window = groups.negative_monoid(F2, args.radius)
     d = _load_config_arg(args, F2, window, (0, args.M - 1))
     site = groups.parse_element(F2, args.site)
+    config = {"M": args.M, "radius": args.radius, "site": args.site,
+              "seed": args.seed}
     try:
         res = symbolic.carry_add(d, site, args.M)
     except symbolic.BoundaryOverflow as exc:
-        _emit(_doc("tau", {"M": args.M, "radius": args.radius,
-                           "site": args.site, "seed": args.seed},
-                   error="boundary overflow",
+        _emit(_doc("tau", config, error="boundary overflow",
                    overflow_site=groups.format_element(F2, exc.site)), args)
         return 1
-    doc = _doc("tau", {"M": args.M, "radius": args.radius,
-                       "site": args.site, "seed": args.seed},
-               output=res.config.to_json_dict(),
-               carry=res.carry.to_json_dict())
-    _emit(doc, args)
+    _emit(_doc("tau", config, output=res.config.to_json_dict(),
+               carry=res.carry.to_json_dict()), args)
     return 0
 
 
@@ -178,20 +174,19 @@ def _cmd_fourier(args):
     f = PolyF.standard(args.M, args.group)
     g = parse_ring_element(args.g, group=args.group)
     verdict = spectral.rational_witness(g, f)
-    member = isinstance(verdict, InIdeal)
+    member = isinstance(verdict, RingElement)
     radius = (args.radius if args.radius is not None
-              else spectral.auto_radius(g, f, verdict))
+              else spectral.auto_radius(g, verdict))
     value = spectral.mu_hat(g, f, radius)
     doc = _doc("fourier",
                {"M": args.M, "group": args.group, "g": args.g,
                 "radius": radius})
-    doc["zero"] = value.exact_zero
-    doc["witness"] = (None if member
-                      else verdict.to_json_dict(args.group))
+    doc["zero"] = value == 0
+    doc["witness"] = None if member else verdict.to_json_dict(args.group)
     doc["member"] = member
-    doc["mu_hat"] = value.to_json_dict()
+    doc["mu_hat"] = spectral.value_json(value)
     if member:
-        doc["quotient"] = verdict.quotient.to_json_dict()
+        doc["quotient"] = verdict.to_json_dict()
     _emit(doc, args)
     return 0
 
@@ -200,51 +195,34 @@ def _cmd_divide(args):
     f = PolyF.standard(args.M, args.group)
     g = parse_ring_element(args.g, group=args.group)
     verdict = spectral.rational_witness(g, f)
-    member = isinstance(verdict, InIdeal)
+    member = isinstance(verdict, RingElement)
     doc = _doc("divide", {"M": args.M, "group": args.group, "g": args.g},
                divisible=member,
-               quotient=verdict.quotient.to_json_dict() if member else None,
+               quotient=verdict.to_json_dict() if member else None,
                witness=None if member else verdict.to_json_dict(args.group))
     _emit(doc, args)
     return 0
 
 
-def _experiment_config(args):
-    return ExperimentConfig(seed=args.seed, samples=args.samples, M=args.M,
-                            group=args.group, sample_radius=args.radius,
-                            eval_radius=args.eval_radius, bins=args.bins)
+def _experiment_command(run, csv_rows=None):
+    """A subcommand emitting run(cfg, args) with the schema, and
+    csv_rows(report) as its CSV form if given; cfg takes --radius and the
+    flags named like ExperimentConfig fields, its defaults for the rest."""
+    def command(args):
+        flags = {field.name for field in dataclasses.fields(ExperimentConfig)}
+        cfg = ExperimentConfig(sample_radius=args.radius, **{
+            name: value for name, value in vars(args).items() if name in flags})
+        rep = run(cfg, args)
+        rep["schema"] = acceptance.SCHEMA
+        _emit(rep, args, csv_rows=csv_rows(rep) if csv_rows else None)
+        return 0 if rep["passed"] else 1
+    return command
 
 
-def _cmd_haar_test(args):
-    cfg = _experiment_config(args)
-    rep = montecarlo.haar_window_test(cfg, jobs=args.jobs)
-    rep["schema"] = acceptance.SCHEMA
-    rows = [("site", "bin", "count")]
-    for c in rep["coordinates"]:
-        for b, n in enumerate(c["histogram"]):
-            rows.append((c["site"], b, n))
-    _emit(rep, args, csv_rows=rows)
-    return 0 if rep["passed"] else 1
-
-
-def _cmd_tau_test(args):
-    cfg = ExperimentConfig(seed=args.seed, samples=args.samples, M=args.M,
-                           group=F2, sample_radius=args.radius,
-                           eval_radius=args.eval_radius)
-    rep = montecarlo.tau_invariance_test(cfg)
-    rep["schema"] = acceptance.SCHEMA
-    _emit(rep, args)
-    return 0 if rep["passed"] else 1
-
-
-def _cmd_collisions(args):
-    cfg = ExperimentConfig(seed=args.seed, samples=args.samples, M=args.M,
-                           group=args.group, sample_radius=args.radius,
-                           eval_radius=args.eval_radius)
-    rep = montecarlo.collision_search(cfg)
-    rep["schema"] = acceptance.SCHEMA
-    _emit(rep, args)
-    return 0 if rep["passed"] else 1
+def _haar_rows(rep):
+    return [("site", "bin", "count")] + [
+        (c["site"], b, n) for c in rep["coordinates"]
+        for b, n in enumerate(c["histogram"])]
 
 
 def _cmd_report(args):
@@ -340,15 +318,19 @@ def build_parser():
     p = sub.add_parser("haar-test", help="coordinate uniformity experiment")
     _add_flags(p, "M", "group", "seed", "samples", "eval-radius", "bins",
                "jobs", radius=12)
-    p.set_defaults(fn=_cmd_haar_test)
+    p.set_defaults(fn=_experiment_command(
+        lambda cfg, args: montecarlo.haar_window_test(cfg, jobs=args.jobs),
+        _haar_rows))
 
     p = sub.add_parser("tau-test", help="carry invariance experiment")
     _add_flags(p, "M", "seed", "samples", "eval-radius", radius=14)
-    p.set_defaults(fn=_cmd_tau_test)
+    p.set_defaults(fn=_experiment_command(
+        lambda cfg, args: montecarlo.tau_invariance_test(cfg)))
 
     p = sub.add_parser("collisions", help="parametrization collision search")
     _add_flags(p, "M", "group", "seed", "samples", "eval-radius", radius=12)
-    p.set_defaults(fn=_cmd_collisions)
+    p.set_defaults(fn=_experiment_command(
+        lambda cfg, args: montecarlo.collision_search(cfg)))
 
     p = sub.add_parser("report", help="run the full acceptance suite")
     _add_flags(p, "seed", "jobs")
@@ -361,8 +343,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, symbolic.ConstraintViolated,
-            spectral.RadiusInsufficient) as exc:
+    except (OSError, ValueError, spectral.RadiusInsufficient) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -178,8 +178,16 @@ def sphere(group, radius):
 _Z2_STEP = {"a": (1, 0), "b": (0, 1), "A": (-1, 0), "B": (0, -1)}
 
 
-def _z2_add(g, h):
-    return (g[0] + h[0], g[1] + h[1])
+def steps(group, letters):
+    """u -> (u x, u y) for the letter pair letters, "ab" or "AB", without
+    validation: the one site step of every walk along the generators."""
+    if group == F2:
+        x, y = letters
+        xi, yi = letters.swapcase()
+        return lambda u: (u[:-1] if u[-1:] == xi else u + x,
+                          u[:-1] if u[-1:] == yi else u + y)
+    sign = 1 if letters == "ab" else -1
+    return lambda u: ((u[0] + sign, u[1]), (u[0], u[1] + sign))
 
 
 def cone_levels(group, root, letters=None):
@@ -194,26 +202,26 @@ def cone_levels(group, root, letters=None):
     sites counted binomial(l, k), each kept at its first position.
     """
     check_element(group, root)
-    steps, child = letters or "ab", f2_multiply
-    if group == Z2:
-        steps, child = [_Z2_STEP[c] for c in steps], _z2_add
+    step = steps(group, letters or "ab")
     level = {root: 1}
     while True:
         yield level
         nxt = {}
         for s, n in level.items():
-            for c in steps:
-                t = child(s, c)
+            for t in step(s):
                 nxt[t] = nxt.get(t, 0) + n
         level = nxt
 
 
-def _cone_sites(group, root, depth, letters=None):
+def cone_size(group, depth):
+    """Number of sites of a monoid cone to the given depth."""
     if group == F2:
-        size = 2 ** (depth + 1) - 1
-    else:
-        size = (depth + 1) * (depth + 2) // 2
-    _check_size(f"cone of depth {depth} in {group}", size)
+        return 2 ** (depth + 1) - 1
+    return (depth + 1) * (depth + 2) // 2
+
+
+def _cone_sites(group, root, depth, letters=None):
+    _check_size(f"cone of depth {depth} in {group}", cone_size(group, depth))
     levels = islice(cone_levels(group, root, letters), max(depth + 1, 0))
     return [s for level in levels for s in level]
 

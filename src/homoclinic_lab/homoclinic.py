@@ -64,13 +64,16 @@ class Configuration:
 
     @classmethod
     def from_json_dict(cls, data):
-        group = data["group"]
-        values = {
-            groups.parse_element(group, entry["w"]): int(entry["v"])
-            for entry in data["values"]
-        }
-        lo, hi = data["alphabet"]
-        return cls(group, values, (int(lo), int(hi)))
+        """Inverse of to_json_dict; ValueError for any other shape."""
+        try:
+            group = data["group"]
+            values = {groups.parse_element(group, entry["w"]): int(entry["v"])
+                      for entry in data["values"]}
+            lo, hi = data["alphabet"]
+            return cls(group, values, (int(lo), int(hi)))
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError("malformed configuration document (%s: %s)"
+                             % (type(exc).__name__, exc)) from exc
 
 
 def _fraction_json(value):
@@ -113,10 +116,6 @@ class TorusValue:
         object.__setattr__(out, "hi", value)
         return out
 
-    @classmethod
-    def enclosure(cls, lo, hi):
-        return cls(lo, hi)
-
     @property
     def is_exact(self):
         # exact values from from_numerator share one Fraction
@@ -127,10 +126,6 @@ class TorusValue:
         if not self.is_exact:
             raise ValueError("torus value is an enclosure, not exact")
         return self.lo
-
-    @property
-    def width(self):
-        return self.hi - self.lo
 
     def contains(self, value):
         """Whether the real number `value` lies in the interval mod 1."""
@@ -147,14 +142,6 @@ class TorusValue:
         if self.is_exact:
             return f"TorusValue({self.lo})"
         return f"TorusValue([{self.lo}, {self.hi}])"
-
-
-def _forward(group):
-    """u -> (ua, ub), without validation (inner loops)."""
-    if group == F2:
-        return lambda u: (u[:-1] if u[-1:] == "A" else u + "a",
-                          u[:-1] if u[-1:] == "B" else u + "b")
-    return lambda u: ((u[0] + 1, u[1]), (u[0], u[1] + 1))
 
 
 def _exact_coordinates(group, terms, window, M):
@@ -194,7 +181,7 @@ def phi_windowed(d, eval_window, M):
     for s, n, m in zip(eval_window, nums, inside):
         exact = Fraction(n, den)
         tail = full - Fraction(m, den_in)
-        out[s] = TorusValue.enclosure(exact + alo * tail, exact + ahi * tail)
+        out[s] = TorusValue(exact + alo * tail, exact + ahi * tail)
     return out
 
 
@@ -202,7 +189,7 @@ def _interior(x):
     """The group of a nonempty window x and its interior sites (t, ta, tb),
     those whose a- and b-successors are also in x, in the order of x."""
     group = F2 if isinstance(next(iter(x)), str) else Z2
-    step = _forward(group)
+    step = groups.steps(group, "ab")
     sites = [(t, *step(t)) for t in x]
     return group, [s for s in sites if s[1] in x and s[2] in x]
 
@@ -217,8 +204,8 @@ def xf_residual(x, M):
         return {}
     lo = {t: v.lo if isinstance(v, TorusValue) else Fraction(v) for t, v in x.items()}
     hi = {t: v.hi if isinstance(v, TorusValue) else lo[t] for t, v in x.items()}
-    return {t: TorusValue.enclosure(M * lo[t] - hi[ta] - hi[tb],
-                                    M * hi[t] - lo[ta] - lo[tb])
+    return {t: TorusValue(M * lo[t] - hi[ta] - hi[tb],
+                          M * hi[t] - lo[ta] - lo[tb])
             for t, ta, tb in _interior(x)[1]}
 
 

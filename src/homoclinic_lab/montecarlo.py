@@ -82,12 +82,25 @@ _CACHE_LEVELS = 20
 # ids at level 23, plus its 32 MB parent while it is built)
 _MAX_F2_DEPTH = 24
 
+# uint64 ids the stored cones of one call may hold: 1 GiB per process (the
+# pinned haar document stores 17 cones of 2^21 - 1 ids)
+_MAX_STORED_IDS = 1 << 27
 
-def _check_fold_depth(group, depth):
+
+def _check_fold_depth(group, depth, sites=1):
+    """Refuse, before any draw, folds past _MAX_F2_DEPTH on f2 or cones of
+    that many sites storing more than _MAX_STORED_IDS ids at their deepest
+    reachable stored level."""
     if group == F2 and depth > _MAX_F2_DEPTH:
         raise groups.WindowTooLarge(
             "a cone fold to depth %d draws 2^%d ids at its deepest level "
             "(limit: depth %d)" % (depth, depth, _MAX_F2_DEPTH))
+    level = min(depth, _CACHE_LEVELS) if group == F2 else depth
+    stored = sites * groups.cone_size(group, level)
+    if stored > _MAX_STORED_IDS:
+        raise groups.WindowTooLarge(
+            "%d cones stored to level %d hold %d ids (limit %d)"
+            % (sites, level, stored, _MAX_STORED_IDS))
 
 
 class _Cone:
@@ -306,14 +319,14 @@ def haar_window_test(cfg, max_extra=12, jobs=1):
     bin implies a certified cell).  Fails if any p-value drops below
     _P_THRESHOLD or the ambiguity rate reaches _AMBIGUITY_THRESHOLD.
     """
-    _check_fold_depth(cfg.group, cfg.sample_radius + max_extra)
+    sites = groups.ball(cfg.group, cfg.eval_radius)
+    _check_fold_depth(cfg.group, cfg.sample_radius + max_extra, len(sites))
     f = PolyF.standard(cfg.M, cfg.group)
     width = (cfg.M - 1) * f.tail_l1_beyond(cfg.sample_radius)
     if width >= Fraction(1, cfg.bins):
         raise EnclosureTooWide(
             "enclosure width %s at depth %d is not below bin width 1/%d"
             % (width, cfg.sample_radius, cfg.bins))
-    sites = groups.ball(cfg.group, cfg.eval_radius)
     bins = cfg.bins
 
     parts = _map_samples(_haar_chunk, cfg, jobs, max_extra)
@@ -517,7 +530,7 @@ def _tau_variant(cfg, root, index_lo, eval_sites):
         diff = {root: int(img[0]) - int(values[0]) - 1}
         for p in np.nonzero(img[1:] != values[1:])[0] + 1:
             word = bin(int(p) + 1)[3:].translate(_HEAP_WORD)
-            diff[groups.multiply(F2, root, word)] = int(img[p]) - int(values[p])
+            diff[groups.f2_multiply(root, word)] = int(img[p]) - int(values[p])
         nums, E = kernel_convolution(f, diff, eval_sites, star=True)
         if all(n % M ** (E + 1) == 0 for n in nums):
             exact_matches += 1
@@ -637,10 +650,10 @@ def collision_search(cfg, control=64, pair_depth=8, max_extra=6):
     """
     if cfg.M != 3:
         raise ValueError("the exact collision family needs M = 3")
-    _check_fold_depth(cfg.group, pair_depth + max_extra)
     group = cfg.group
     M = cfg.M
     eval_sites = groups.ball(group, cfg.eval_radius)
+    _check_fold_depth(group, pair_depth + max_extra, len(eval_sites))
 
     # (i) control family: e = d + 1 sitewise gives identical enclosures
     window = groups.ball(group, 4)
@@ -689,11 +702,10 @@ def collision_search(cfg, control=64, pair_depth=8, max_extra=6):
         f = PolyF.standard(M, group)
         cwin = groups.ball(F2, 3)
         ones = Configuration(F2, {s: 1 for s in cwin}, (-1, 1))
-        table = symbolic.allowed_patterns(M, M - 1)
-        interior = [s for s in cwin
-                    if all(groups.multiply(F2, s, g) in ones.values
-                           for g in groups.generators(F2))]
-        patt_ok = (1, 1, 1) in table.allowed and bool(interior)
+        forward = groups.steps(F2, "ab")
+        interior = [s for s in cwin if all(t in ones.values for t in forward(s))]
+        patt_ok = ((1, 1, 1) in symbolic.allowed_patterns(M, M - 1)
+                   and bool(interior))
         conv = ones.as_ring() * f.star_ring()
         conv_ok = all(conv.coefficient(s) == 1 for s in interior)
         perc = symbolic.percolation_path(ones, "", 2, M)

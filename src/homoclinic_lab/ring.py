@@ -228,9 +228,9 @@ def _pull(group, terms, star):
     for 1/f*, one level above u; A, B for 1/f, one level below); live(u) is
     False where x_u is known to vanish, off supp(g).{x^-1, y^-1}*.
     """
+    step = groups.steps(group, "ab" if star else "AB")
     if group == F2:
-        x, y = "ab" if star else "AB"
-        xi, yi = tail = "AB" if star else "ab"
+        tail = "AB" if star else "ab"
         # u = t.v for some v over the tail letters only if u.rstrip(tail)
         # is a prefix of t.rstrip(tail); a prefix already in heads brings
         # all of its own
@@ -243,11 +243,6 @@ def _pull(group, terms, star):
 
         def height(u):
             return len(u) - 2 * (u.count("A") + u.count("B"))
-
-        def step(u):
-            last = u[-1:]
-            return (u[:-1] if last == xi else u + x,
-                    u[:-1] if last == yi else u + y)
 
         def live(u):
             return u.rstrip(tail) in heads
@@ -262,9 +257,6 @@ def _pull(group, terms, star):
 
     def height(u):
         return u[0] + u[1]
-
-    def step(u):
-        return (u[0] + sign, u[1]), (u[0], u[1] + sign)
 
     def live(u):
         return sign * u[0] <= top_i and sign * u[1] <= top_j
@@ -359,7 +351,7 @@ def divide_by_f(g, f):
         return RingElement.zero(group)
 
     M = f.M
-    gens = groups.generators(group)
+    step = groups.steps(group, "ab")
     g_levels = {}
     for el, c in g.terms.items():
         g_levels.setdefault(groups.height(group, el), {})[el] = int(c)
@@ -374,8 +366,7 @@ def divide_by_f(g, f):
         # M x_s = g_s + x_{sA} + x_{sB}: push level k-1 along a and b
         totals = dict(g_levels.get(k, {}))
         for t, x in prev.items():
-            for u in gens:
-                s = groups.multiply(group, t, u)
+            for s in step(t):
                 totals[s] = totals.get(s, 0) + x
         bad = [s for s, total in totals.items() if total % M]
         if bad:
@@ -429,9 +420,6 @@ def _tokenize(text):
     return tokens
 
 
-_Z2_LETTER = {"a": (1, 0), "b": (0, 1), "A": (-1, 0), "B": (0, -1)}
-
-
 class _ExprParser:
     def __init__(self, tokens, group):
         self.tokens = tokens
@@ -475,7 +463,7 @@ class _ExprParser:
         if kind == "int":
             return RingElement.one(self.group) * value
         if kind == "letter":
-            el = value if self.group == F2 else _Z2_LETTER[value]
+            el = value if self.group == F2 else groups._Z2_STEP[value]
             return RingElement.delta(self.group, el)
         if kind == "(":
             inner = self.parse_expr()

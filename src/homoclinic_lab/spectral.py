@@ -4,7 +4,8 @@ X_f is a principal algebraic action, with dual group ZGamma/ZGamma*f
 (Schmidt, Dynamical Systems of Algebraic Origin, 1995), so the transform
 of Haar measure at an integral character g is exactly 1 when g lies in the
 ideal ZGamma*f and exactly 0 when it does not.  mu_hat decides which from
-the exact quotient coordinates g/f on a ball.
+the exact quotient coordinates g/f on a ball and returns the int 0 or 1;
+rational_witness returns a member's quotient or a non-member's witness.
 """
 
 from dataclasses import dataclass
@@ -18,25 +19,12 @@ class RadiusInsufficient(RuntimeError):
     """The window holds no k/M coordinate and no whole integral quotient."""
 
 
-@dataclass(frozen=True)
-class CharacterValue:
-    """Value of the transform at one character: exactly 0 or exactly 1."""
-
-    exact_zero: bool
-
-    @classmethod
-    def zero(cls):
-        return cls(True)
-
-    @classmethod
-    def one(cls):
-        return cls(False)
-
-    def to_json_dict(self):
-        if self.exact_zero:
-            return {"zero": True}
-        # 1 as the point rectangle [1, 1] x [0, 0] that pinned documents carry
-        return {"zero": False, "re": ["1", "1"], "im": ["0", "0"]}
+def value_json(value):
+    """The document form of a transform value, 0 or 1."""
+    if value == 0:
+        return {"zero": True}
+    # 1 as the point rectangle [1, 1] x [0, 0] that pinned documents carry
+    return {"zero": False, "re": ["1", "1"], "im": ["0", "0"]}
 
 
 def quotient_tail_l1(g, f, radius):
@@ -49,8 +37,9 @@ def quotient_tail_l1(g, f, radius):
 
 
 def mu_hat(g, f, radius):
-    """Exact transform value at the integral character g, decided from the
-    quotient coordinates of g/f on the ball of the given radius.
+    """Exact transform value at the integral character g, the int 0 or 1,
+    decided from the quotient coordinates of g/f on the ball of the given
+    radius.
 
     A coordinate that is k/M mod 1 (0 < k < M) gives exactly 0.  Integral
     coordinates whose product with f is g are all of g/f (every factor
@@ -66,10 +55,10 @@ def mu_hat(g, f, radius):
     coords = quotient_coordinates(g, f, groups.ball(g.group, radius))
     fractional = [xi for xi in coords.values() if xi.denominator != 1]
     if any((f.M * xi).denominator == 1 for xi in fractional):
-        return CharacterValue.zero()
+        return 0
     q = RingElement(g.group, {s: c for s, c in coords.items() if c})
     if not fractional and q * f.as_ring() == g:
-        return CharacterValue.one()
+        return 1
     raise RadiusInsufficient(
         "window radius %d cannot separate the transform from both 0 and 1"
         % radius)
@@ -90,23 +79,15 @@ class Witness:
                 "k": self.k, "M": self.M}
 
 
-@dataclass(frozen=True)
-class InIdeal:
-    """Certificate that g = q*f for the finitely supported quotient q."""
-
-    quotient: RingElement
-
-
 def rational_witness(g, f):
     """Decide membership of g in the ideal generated by f.
 
-    Returns InIdeal with the exact quotient, or a Witness carrying the first
-    (minimal site, in the ambient order) non-integral quotient coordinate,
-    whose fractional part is provably a multiple of 1/M.
+    Returns the exact quotient q, the RingElement with q*f = g, or a Witness
+    carrying the first (minimal site, in the ambient order) non-integral
+    quotient coordinate, whose fractional part is provably a multiple of 1/M.
     """
     try:
-        q = divide_by_f(g, f)
-        return InIdeal(q)
+        return divide_by_f(g, f)
     except NotDivisible as exc:
         frac = exc.value - (exc.value.numerator // exc.value.denominator)
         k = frac * f.M
@@ -115,14 +96,12 @@ def rational_witness(g, f):
         return Witness(exc.site, exc.value, int(k), f.M)
 
 
-def auto_radius(g, f, verdict):
+def auto_radius(g, verdict):
     """The smallest window radius (at least 1) holding the quotient of a
     member, or the witness site of a non-member."""
-    if isinstance(verdict, InIdeal):
-        r = verdict.quotient.max_word_length() or 0
-    else:
-        r = groups.word_length(g.group, verdict.site)
-    return max(1, r)
+    if isinstance(verdict, RingElement):
+        return max(1, verdict.max_word_length())
+    return max(1, groups.word_length(g.group, verdict.site))
 
 
 def haar_indicator_check(g_list, f):
@@ -135,18 +114,18 @@ def haar_indicator_check(g_list, f):
     all_ok = True
     for g in g_list:
         verdict = rational_witness(g, f)
-        member = isinstance(verdict, InIdeal)
-        value = mu_hat(g, f, auto_radius(g, f, verdict))
-        ok = value.exact_zero != member
+        member = isinstance(verdict, RingElement)
+        value = mu_hat(g, f, auto_radius(g, verdict))
+        ok = value == member
         all_ok = all_ok and ok
         entry = {
             "g": g.to_json_dict(),
             "member": member,
-            "mu_hat": value.to_json_dict(),
+            "mu_hat": value_json(value),
             "witness": None if member else verdict.to_json_dict(g.group),
             "pass": ok,
         }
         if member:
-            entry["quotient"] = verdict.quotient.to_json_dict()
+            entry["quotient"] = verdict.to_json_dict()
         entries.append(entry)
     return {"entries": entries, "passed": all_ok}

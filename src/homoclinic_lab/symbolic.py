@@ -1,7 +1,7 @@
 """Symbolic-dynamics machinery: one toppling loop behind the reduction
 process and the carry/addition machine, the tree and cylinder combinatorics
-of the carry cascades, SFT pattern tables, and the percolation analysis
-behind the injectivity bound.
+of the carry cascades, the allowed SFT patterns, and the percolation
+analysis behind the injectivity bound.
 
 Trees are finite sets of words over the inverse generators A, B closed under
 initial subwords; they index the carry cascades of the addition machine.
@@ -130,33 +130,24 @@ def partition_mass_limit(M=3):
     return Fraction(M - 1, M) * (1 - root) / (2 * x)
 
 
-@dataclass(frozen=True)
-class PatternTable:
-    """Allowed local SFT patterns (k, l, m) = (c_s, c_sa, c_sb) within a
-    symmetric symbol range, under |M k - l - m| <= M - 1."""
-
-    M: int
-    bound: int
-    allowed: frozenset
-
-
 def allowed_patterns(M, bound):
+    """The frozenset of local SFT patterns (k, l, m) = (c_s, c_sa, c_sb) in
+    [-bound, bound]^3 allowed by |M k - l - m| <= M - 1."""
     if M < 3:
         raise ValueError("M must be at least 3")
     rng = range(-bound, bound + 1)
-    allowed = frozenset(
+    return frozenset(
         (k, l, m)
         for k in rng
         for l in rng
         for m in rng
         if abs(M * k - l - m) <= M - 1
     )
-    return PatternTable(M=M, bound=bound, allowed=allowed)
 
 
-def pattern_completions(table, k):
+def pattern_completions(allowed, k):
     """All allowed triples with the given first entry, sorted."""
-    return sorted(triple for triple in table.allowed if triple[0] == k)
+    return sorted(triple for triple in allowed if triple[0] == k)
 
 
 @dataclass
@@ -193,8 +184,7 @@ def _topple(group, work, M, start):
     receives at most two carries, so from values of at most M every site
     fires at most once.  Updates work in place; returns (fired, spill).
     """
-    a, b = groups.generators(group)
-    children = (groups.inverse(group, a), groups.inverse(group, b))
+    children = groups.steps(group, "AB")
     heap = [(groups.sort_key(group, s), s) for s in start if work[s] >= M]
     heapq.heapify(heap)
     fired = {}
@@ -205,8 +195,7 @@ def _topple(group, work, M, start):
             continue
         work[s] -= M
         fired[s] = fired.get(s, 0) + 1
-        for c in children:
-            child = groups.multiply(group, s, c)
+        for child in children(s):
             if child not in work:
                 spill[child] = spill.get(child, 0) + 1
                 continue
@@ -270,7 +259,8 @@ def percolation_path(c, start, n, M=3):
     if c.group != F2:
         raise ValueError("percolation paths are built over words")
     _check_values(c, -1, 1)
-    table = allowed_patterns(M, 1)
+    allowed = allowed_patterns(M, 1)
+    forward = groups.steps(F2, "ab")
     values = c.values
     if start not in values:
         raise ConstraintViolated("start site is outside the window")
@@ -280,12 +270,11 @@ def percolation_path(c, start, n, M=3):
     path = []
     steps = []
     for _ in range(n):
-        sa = groups.multiply(F2, site, "a")
-        sb = groups.multiply(F2, site, "b")
+        sa, sb = forward(site)
         if sa not in values or sb not in values:
             raise ConstraintViolated("window does not contain the reachable sites")
         pattern = (values[site], values[sa], values[sb])
-        if pattern not in table.allowed:
+        if pattern not in allowed:
             raise ConstraintViolated(f"pattern {pattern} at {site!r} is not allowed")
         if pattern in _FORCED_ZERO_PATTERNS:
             forcing = "zero"

@@ -1,6 +1,3 @@
-import os
-import sys
-
 import pytest
 from hypothesis import settings
 
@@ -10,12 +7,6 @@ from hypothesis import settings
 settings.register_profile(
     "homoclinic-lab", deadline=None, derandomize=True, database=None)
 settings.load_profile("homoclinic-lab")
-
-try:
-    import homoclinic_lab  # noqa: F401
-except ImportError:
-    sys.path.insert(
-        0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 
 @pytest.fixture

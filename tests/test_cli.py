@@ -257,6 +257,22 @@ def test_haar_test_too_deep_exits_one():
     assert "error:" in err and "depth 25" in err
 
 
+@pytest.mark.parametrize("text", [
+    "{}",
+    "[1, 2]",
+    '{"group": "f2", "alphabet": [0, 3], "values": [{"w": ""}]}',
+    None,  # no such file
+], ids=["empty", "list", "entry-without-v", "missing-file"])
+def test_malformed_config_exits_one(tmp_path, text):
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run_cli("cover", "--config", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_parse_error_exits_one():
     code, _, err = run_cli("fourier", "--g", "a +")
     assert code == 1

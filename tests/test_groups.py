@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from homoclinic_lab import groups
 from homoclinic_lab.groups import F2, Z2
@@ -133,3 +135,20 @@ def test_cone_guard_counts_before_it_walks(monkeypatch, group, depth, size):
         with pytest.raises(groups.WindowTooLarge,
                            match=f"cone of depth {depth + 1} in {group}"):
             walk()
+
+
+_REDUCED = st.text("abAB", max_size=8).map(groups.reduce_word)
+# reduced words, and reduced words ending in a chosen letter, so that each
+# step letter meets words that end in its inverse
+_F2_WORDS = st.one_of(_REDUCED, st.builds(
+    lambda w, c: w.rstrip(c.swapcase()) + c, _REDUCED, st.sampled_from("abAB")))
+_Z2_SITES = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+
+
+@given(st.sampled_from([F2, Z2]), st.sampled_from(["ab", "AB"]), st.data())
+def test_steps_is_multiply_by_each_letter(group, letters, data):
+    u = data.draw(_F2_WORDS if group == F2 else _Z2_SITES)
+    x, y = (letters if group == F2
+            else (groups._Z2_STEP[letters[0]], groups._Z2_STEP[letters[1]]))
+    assert groups.steps(group, letters)(u) == (
+        groups.multiply(group, u, x), groups.multiply(group, u, y))

@@ -160,12 +160,12 @@ def test_pairing_identity():
 def test_torus_value_normalization_and_containment():
     v = TorusValue.exact(Fraction(7, 3))
     assert v.value == Fraction(1, 3)
-    w = TorusValue.enclosure(Fraction(9, 10), Fraction(11, 10))
+    w = TorusValue(Fraction(9, 10), Fraction(11, 10))
     assert w.contains(Fraction(19, 20))
     assert w.contains(Fraction(1, 20))  # wraps past the integer
     assert not w.contains(Fraction(1, 2))
     with pytest.raises(ValueError):
-        TorusValue.enclosure(0, 1)
+        TorusValue(0, 1)
 
 
 RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=60)
@@ -182,9 +182,9 @@ def test_torus_value_properties(a, b):
     lo, hi = min(a, b), max(a, b)
     if hi - lo >= 1:
         with pytest.raises(WidthExceedsOne):
-            TorusValue.enclosure(lo, hi)
+            TorusValue(lo, hi)
         return
-    w = TorusValue.enclosure(lo, hi)
+    w = TorusValue(lo, hi)
     assert 0 <= w.lo < 1 and w.hi - w.lo == hi - lo
     assert (lo - w.lo).denominator == 1
     # contains wraps: the interval's points shifted by any integer lie in it

@@ -237,6 +237,38 @@ def test_fold_depth_guard_fails_before_any_draw(monkeypatch):
     montecarlo._check_fold_depth(Z2, 40)
 
 
+def test_stored_cone_guard_fails_before_any_cone_grows(monkeypatch):
+    def no_grow(*args):
+        raise AssertionError("grew a cone before the memory check")
+
+    monkeypatch.setattr(montecarlo._Cone, "grow", no_grow)
+    # eval radius 1 has 5 sites; at depth 20 each stores 2^21 - 1 ids
+    monkeypatch.setattr(montecarlo, "_MAX_STORED_IDS", 5 * (2 ** 21 - 1) - 1)
+    with pytest.raises(WindowTooLarge, match="5 cones stored to level 20"):
+        haar_window_test(cfg_with(sample_radius=8))  # 8 + 12 = 20
+    monkeypatch.setattr(montecarlo, "_MAX_STORED_IDS", 1000)
+    with pytest.raises(WindowTooLarge):
+        collision_search(cfg_with(), control=2)  # 5 cones of 2^15 - 1 ids
+    with pytest.raises(WindowTooLarge):
+        haar_window_test(cfg_with(group=Z2, sample_radius=30, eval_radius=3))
+
+
+def test_stored_cone_guard_bounds():
+    # counted at the deepest stored level: 20 on f2 however deep the fold
+    check = montecarlo._check_fold_depth
+    check(F2, 24, 17)  # the pinned haar document, about 35.7M ids
+    check(F2, 24, 64)
+    with pytest.raises(WindowTooLarge):
+        check(F2, 21, 65)  # haar-test --eval-radius 4 needs 161 sites
+    check(F2, 14, 1457)  # collisions --eval-radius 6
+    with pytest.raises(WindowTooLarge):
+        check(F2, 14, 4373)  # collisions --eval-radius 7
+    # z2 cones store (l + 1)(l + 2) / 2 ids to level l
+    check(Z2, 40, montecarlo._MAX_STORED_IDS // 861)
+    with pytest.raises(WindowTooLarge):
+        check(Z2, 40, montecarlo._MAX_STORED_IDS // 861 + 1)
+
+
 def test_collision_search_free_group():
     cfg = cfg_with(samples=40)
     rep = collision_search(cfg, control=16)

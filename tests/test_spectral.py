@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 
 from homoclinic_lab.groups import F2, Z2, GroupMismatch, ball
 from homoclinic_lab.ring import PolyF, RingElement, parse_ring_element
-from homoclinic_lab.spectral import (CharacterValue, InIdeal,
-                                     RadiusInsufficient, Witness,
+from homoclinic_lab.spectral import (RadiusInsufficient, Witness,
                                      auto_radius, haar_indicator_check,
-                                     mu_hat, rational_witness)
+                                     mu_hat, rational_witness, value_json)
 
 F3 = PolyF.standard(3, F2)
-ONE = CharacterValue.one()
+ONE = 1
 
 
 def test_mu_hat_members_are_exact_one():
@@ -25,11 +24,11 @@ def test_mu_hat_members_are_exact_one():
 
 
 def test_mu_hat_non_members_are_exact_zero():
-    assert mu_hat(parse_ring_element("1"), F3, 1).exact_zero
-    assert mu_hat(parse_ring_element("a"), F3, 2).exact_zero
-    assert mu_hat(parse_ring_element("3 + a"), F3, 2).exact_zero
+    assert mu_hat(parse_ring_element("1"), F3, 1) == 0
+    assert mu_hat(parse_ring_element("a"), F3, 2) == 0
+    assert mu_hat(parse_ring_element("3 + a"), F3, 2) == 0
     assert mu_hat(parse_ring_element("a*b - 1", Z2),
-                  PolyF.standard(3, Z2), 2).exact_zero
+                  PolyF.standard(3, Z2), 2) == 0
 
 
 def test_mu_hat_small_radius_raises():
@@ -80,9 +79,8 @@ def test_mu_hat_is_exact_or_raises_below_the_auto_radius(case):
     # implies, or the window decides neither; auto_radius always decides
     g, f = case
     verdict = rational_witness(g, f)
-    expected = (CharacterValue.one() if isinstance(verdict, InIdeal)
-                else CharacterValue.zero())
-    top = auto_radius(g, f, verdict)
+    expected = 1 if isinstance(verdict, RingElement) else 0
+    top = auto_radius(g, verdict)
     for radius in range(top + 1):
         try:
             assert mu_hat(g, f, radius) == expected
@@ -110,18 +108,14 @@ def test_rational_witness_non_members():
 def test_rational_witness_members():
     q = parse_ring_element("2 - b")
     verdict = rational_witness(q * F3.as_ring(), F3)
-    assert isinstance(verdict, InIdeal)
-    assert verdict.quotient == q
-    assert isinstance(rational_witness(RingElement(F2), F3), InIdeal)
+    assert isinstance(verdict, RingElement)
+    assert verdict == q
+    assert isinstance(rational_witness(RingElement(F2), F3), RingElement)
 
 
 def test_character_value_helpers():
-    z = CharacterValue.zero()
-    assert z.exact_zero and z != ONE
-    o = CharacterValue.one()
-    assert not o.exact_zero and o == ONE
-    assert z.to_json_dict() == {"zero": True}
-    d = o.to_json_dict()
+    assert value_json(0) == {"zero": True}
+    d = value_json(ONE)
     assert d == {"zero": False, "re": ["1", "1"], "im": ["0", "0"]}
 
 

@@ -89,10 +89,10 @@ def test_cylinder_measure_and_partition_mass():
 
 
 def test_pattern_table_counts():
-    assert len(allowed_patterns(3, 2).allowed) == 41
+    assert len(allowed_patterns(3, 2)) == 41
     for M in (3, 4, 5, 6, 7):
-        assert len(allowed_patterns(M, 1).allowed) == 15
-    assert allowed_patterns(4, 1).allowed == allowed_patterns(7, 1).allowed
+        assert len(allowed_patterns(M, 1)) == 15
+    assert allowed_patterns(4, 1) == allowed_patterns(7, 1)
 
 
 def test_pattern_completions():
@@ -103,7 +103,7 @@ def test_pattern_completions():
     assert pattern_completions(narrow, -1) == [(-1, -1, -1), (-1, -1, 0),
                                                (-1, 0, -1)]
     # sign symmetry of the table
-    assert {(-k, -l, -m) for k, l, m in narrow.allowed} == narrow.allowed
+    assert {(-k, -l, -m) for k, l, m in narrow} == narrow
 
 
 def test_reduce_cover_single_fire():
