@@ -22,7 +22,6 @@ from .homoclinic import (
     phi_windowed,
     xf_residual,
 )
-from .intervals import RationalInterval, cos_sin_2pi
 from .montecarlo import (
     EnclosureTooWide,
     ExperimentConfig,
@@ -67,7 +66,6 @@ __all__ = [
     "F2", "Z2", "GroupMismatch", "WindowTooLarge", "ball", "sphere",
     "Configuration", "TorusValue", "four_cover_lift", "homoclinic_point",
     "phi_exact", "phi_windowed", "xf_residual",
-    "RationalInterval", "cos_sin_2pi",
     "EnclosureTooWide", "ExperimentConfig", "collision_search",
     "empirical_fourier", "haar_window_test", "sample_config",
     "tau_invariance_test",

@@ -63,15 +63,20 @@ def _doc(command, config, **payload):
 
 
 def _load_config_arg(args, group, default_window, default_alphabet):
-    """Input configuration: --config FILE (JSON; '-' for stdin) or a seeded
-    random fill of the default window."""
+    """Input configuration: --config FILE (JSON; '-' for stdin) holding a
+    configuration of the given group, or a seeded random fill of the default
+    window."""
     if args.config:
         if args.config == "-":
             raw = json.load(sys.stdin)
         else:
             with open(args.config) as fh:
                 raw = json.load(fh)
-        return Configuration.from_json_dict(raw)
+        config = Configuration.from_json_dict(raw)
+        if config.group != group:
+            raise ValueError(f"--config holds a {config.group} configuration, "
+                             f"this command reads {group}")
+        return config
     lo, hi = default_alphabet
     ids = rng.element_ids(group, default_window)
     vals = rng.symbols(args.seed, 0, ids, hi - lo + 1)
@@ -88,14 +93,14 @@ def _cmd_patterns(args):
 
 
 def _cmd_trees(args):
-    count = len(symbolic.enumerate_trees(args.size))
+    trees = symbolic.enumerate_trees(args.size)
+    count = len(trees)
     config = {"size": args.size, "count_only": bool(args.count_only)}
     if args.count_only:
         _emit(_doc("trees", config, count=count), args,
               csv_rows=[("size", "count"), (args.size, count)])
         return 0
-    trees = [t.sorted_words() for t in symbolic.enumerate_trees(args.size)]
-    trees.sort()
+    trees = sorted(t.sorted_words() for t in trees)
     doc = _doc("trees", config, count=count, trees=trees)
     _emit(doc, args, csv_rows=[("words",)] + [(" ".join(t),) for t in trees])
     return 0
@@ -242,9 +247,12 @@ _FLAGS = {
     "seed": lambda p: p.add_argument(
         "--seed", type=int, default=acceptance.DEFAULT_SEED),
     "samples": lambda p: p.add_argument("--samples", type=int, default=10_000),
+    # absent, these take ExperimentConfig's defaults
     "eval-radius": lambda p: p.add_argument(
-        "--eval-radius", dest="eval_radius", type=int, default=1),
-    "bins": lambda p: p.add_argument("--bins", type=int, default=30),
+        "--eval-radius", dest="eval_radius", type=int,
+        default=argparse.SUPPRESS),
+    "bins": lambda p: p.add_argument("--bins", type=int,
+                                     default=argparse.SUPPRESS),
     # a string default goes through _jobs too, when the flag is not given
     "jobs": lambda p: p.add_argument(
         "--jobs", type=_jobs,
@@ -252,15 +260,20 @@ _FLAGS = {
 }
 
 
-def _add_flags(p, *names, radius=None):
-    """--format, --out and the named flags: each subcommand gets only the
-    flags it reads, so a flag it would ignore is a usage error."""
+def _command(sub, name, help, fn, *flags, radius=None):
+    """The subcommand name running fn, with --format, --out, the named
+    flags and --radius when a default is given: each subcommand gets only
+    the flags it reads, so a flag it would ignore is a usage error.
+    Returns the parser, for the subcommand's own arguments."""
+    p = sub.add_parser(name, help=help)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out")
-    for name in names:
-        _FLAGS[name](p)
+    for flag in flags:
+        _FLAGS[flag](p)
     if radius is not None:
         p.add_argument("--radius", type=int, default=radius)
+    p.set_defaults(fn=fn)
+    return p
 
 
 def build_parser():
@@ -270,72 +283,55 @@ def build_parser():
                     "algebraic action of f = M - a - b")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("patterns", help="allowed local SFT patterns")
-    _add_flags(p, "M")
+    p = _command(sub, "patterns", "allowed local SFT patterns", _cmd_patterns,
+                 "M")
     p.add_argument("--range", type=int, default=2)
-    p.set_defaults(fn=_cmd_patterns)
 
-    p = sub.add_parser("trees", help="enumerate carry trees")
-    _add_flags(p)
+    p = _command(sub, "trees", "enumerate carry trees", _cmd_trees)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--count-only", action="store_true", dest="count_only")
-    p.set_defaults(fn=_cmd_trees)
 
-    p = sub.add_parser("kernel", help="truncated kernel coefficients")
-    _add_flags(p, "M", "group", radius=4)
-    p.set_defaults(fn=_cmd_kernel)
+    _command(sub, "kernel", "truncated kernel coefficients", _cmd_kernel,
+             "M", "group", radius=4)
+    _command(sub, "cover", "reduce a window to the M-letter alphabet",
+             _cmd_cover, "M", "group", "config", "seed", radius=3)
 
-    p = sub.add_parser("cover", help="reduce a window to the M-letter alphabet")
-    _add_flags(p, "M", "group", "config", "seed", radius=3)
-    p.set_defaults(fn=_cmd_cover)
-
-    p = sub.add_parser("tau", help="add one at a site and carry")
-    _add_flags(p, "M", "config", "seed", radius=6)
+    p = _command(sub, "tau", "add one at a site and carry", _cmd_tau,
+                 "M", "config", "seed", radius=6)
     p.add_argument("--site", default="")
-    p.set_defaults(fn=_cmd_tau)
 
-    p = sub.add_parser("percolation", help="forced path in a difference "
-                                           "configuration")
-    _add_flags(p, "M", "config", radius=4)
+    p = _command(sub, "percolation", "forced path in a difference "
+                 "configuration", _cmd_percolation, "M", "config", radius=4)
     p.add_argument("--ones", action="store_true",
                    help="use the all-ones configuration")
     p.add_argument("--start", default="")
     p.add_argument("--n", type=int, default=2)
-    p.set_defaults(fn=_cmd_percolation)
 
-    p = sub.add_parser("fourier", help="certified transform value at a "
-                                       "character")
-    _add_flags(p, "M", "group")
+    p = _command(sub, "fourier", "certified transform value at a character",
+                 _cmd_fourier, "M", "group")
     p.add_argument("--g", required=True, help="ring element, e.g. '1 + a'")
     p.add_argument("--radius", type=int, default=None)
-    p.set_defaults(fn=_cmd_fourier)
 
-    p = sub.add_parser("divide", help="exact division by f with witness")
-    _add_flags(p, "M", "group")
+    p = _command(sub, "divide", "exact division by f with witness",
+                 _cmd_divide, "M", "group")
     p.add_argument("--g", required=True)
-    p.set_defaults(fn=_cmd_divide)
 
-    p = sub.add_parser("haar-test", help="coordinate uniformity experiment")
-    _add_flags(p, "M", "group", "seed", "samples", "eval-radius", "bins",
-               "jobs", radius=12)
-    p.set_defaults(fn=_experiment_command(
-        lambda cfg, args: montecarlo.haar_window_test(cfg, jobs=args.jobs),
-        _haar_rows))
-
-    p = sub.add_parser("tau-test", help="carry invariance experiment")
-    _add_flags(p, "M", "seed", "samples", "eval-radius", radius=14)
-    p.set_defaults(fn=_experiment_command(
-        lambda cfg, args: montecarlo.tau_invariance_test(cfg)))
-
-    p = sub.add_parser("collisions", help="parametrization collision search")
-    _add_flags(p, "M", "group", "seed", "samples", "eval-radius", radius=12)
-    p.set_defaults(fn=_experiment_command(
-        lambda cfg, args: montecarlo.collision_search(cfg)))
-
-    p = sub.add_parser("report", help="run the full acceptance suite")
-    _add_flags(p, "seed", "jobs")
-    p.set_defaults(fn=_cmd_report)
-
+    _command(sub, "haar-test", "coordinate uniformity experiment",
+             _experiment_command(
+                 lambda cfg, args: montecarlo.haar_window_test(
+                     cfg, jobs=args.jobs), _haar_rows),
+             "M", "group", "seed", "samples", "eval-radius", "bins", "jobs",
+             radius=12)
+    _command(sub, "tau-test", "carry invariance experiment",
+             _experiment_command(
+                 lambda cfg, args: montecarlo.tau_invariance_test(cfg)),
+             "M", "seed", "samples", "eval-radius", radius=14)
+    _command(sub, "collisions", "parametrization collision search",
+             _experiment_command(
+                 lambda cfg, args: montecarlo.collision_search(cfg)),
+             "M", "group", "seed", "samples", "eval-radius", radius=12)
+    _command(sub, "report", "run the full acceptance suite", _cmd_report,
+             "seed", "jobs")
     return top
 
 

@@ -190,7 +190,7 @@ def steps(group, letters):
     return lambda u: ((u[0] + sign, u[1]), (u[0], u[1] + sign))
 
 
-def cone_levels(group, root, letters=None):
+def cone_levels(group, root, letters="ab"):
     """Lazy walk of the monoid cone root*{x, y}*, one level per step.
 
     letters is the generator pair "ab" (the default, the forward cone
@@ -202,7 +202,7 @@ def cone_levels(group, root, letters=None):
     sites counted binomial(l, k), each kept at its first position.
     """
     check_element(group, root)
-    step = steps(group, letters or "ab")
+    step = steps(group, letters)
     level = {root: 1}
     while True:
         yield level
@@ -220,7 +220,10 @@ def cone_size(group, depth):
     return (depth + 1) * (depth + 2) // 2
 
 
-def _cone_sites(group, root, depth, letters=None):
+def cone_sites(group, root, depth, letters="ab"):
+    """Sites of the monoid cone root*{x, y}* up to the given depth,
+    deduplicated, in cone_levels order (level by level, x before y); an
+    oversized cone is refused before it is walked."""
     _check_size(f"cone of depth {depth} in {group}", cone_size(group, depth))
     levels = islice(cone_levels(group, root, letters), max(depth + 1, 0))
     return [s for level in levels for s in level]
@@ -232,14 +235,8 @@ def negative_monoid(group, radius):
     For f2 these are the words over A and B; for z2 the pairs with both
     coordinates <= 0.  Sorted by sort_key.
     """
-    sites = _cone_sites(group, identity(group), radius, "AB")
+    sites = cone_sites(group, identity(group), radius, "AB")
     return sorted(sites, key=lambda el: sort_key(group, el))
-
-
-def positive_cone_sites(group, t, depth):
-    """Sites t*p for positive monoid words p up to the given length,
-    deduplicated, in discovery order (level by level, a before b)."""
-    return _cone_sites(group, t, depth)
 
 
 def format_element(group, g):

@@ -102,11 +102,6 @@ class TorusValue:
         object.__setattr__(self, "hi", hi - shift)
 
     @classmethod
-    def exact(cls, value):
-        value = Fraction(value)
-        return cls(value, value)
-
-    @classmethod
     def from_numerator(cls, n, den):
         """The exact value n/den mod 1 (den > 0), as one reduced Fraction
         without the renormalization round of __post_init__."""

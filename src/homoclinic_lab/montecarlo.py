@@ -19,7 +19,7 @@ import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -59,9 +59,7 @@ class ExperimentConfig:
             raise ValueError("need at least two bins")
 
     def to_json_dict(self):
-        return {"seed": self.seed, "samples": self.samples, "M": self.M,
-                "group": self.group, "sample_radius": self.sample_radius,
-                "eval_radius": self.eval_radius, "bins": self.bins}
+        return asdict(self)
 
 
 def sample_config(cfg, index, window=None):
@@ -396,7 +394,7 @@ def _fourier_plan(g, f, radius):
         cap = radius - groups.word_length(group, t)
         if cap < 0:
             raise ValueError("sample radius smaller than the support of g")
-        site_set.update(dict.fromkeys(groups.positive_cone_sites(group, t, cap)))
+        site_set.update(dict.fromkeys(groups.cone_sites(group, t, cap)))
     sites = list(site_set)
     nums, E = kernel_convolution(f, {t: int(c) for t, c in g.terms.items()}, sites)
     # coordinates are nums / M^(E+1); dividing out the common factor gives
@@ -504,8 +502,8 @@ def _tau_variant(cfg, root, index_lo, eval_sites):
     nums, E = kernel_convolution(f, {root: 1}, eval_sites, star=True)
     rhs = {s: Fraction(n, M ** (E + 1)) for s, n in zip(eval_sites, nums)}
 
-    # levels 0..min(2, R) are the first 2^(min(2, R) + 1) - 1 positions
-    shallow = (2 << min(2, R)) - 1
+    # levels 0..min(2, R) are the first positions of the stored cone
+    shallow = groups.cone_size(F2, min(2, R))
     freq = np.zeros((shallow, M), dtype=np.int64)
 
     discarded = 0
@@ -632,11 +630,6 @@ def tau_invariance_test(cfg):
     }
 
 
-def _interval_overlap(n1, n2, t_units, den):
-    d = (n2 - n1) % den
-    return d <= t_units or (den - d) <= t_units
-
-
 def collision_search(cfg, control=64, pair_depth=8, max_extra=6):
     """Search for distinct samples with equal parametrized coordinates.
 
@@ -672,28 +665,21 @@ def collision_search(cfg, control=64, pair_depth=8, max_extra=6):
     n_pairs = cfg.samples
     cones = [_Cone(group, s) for s in eval_sites]
     folds_ok = 0
-    unresolved = 0
     deepened = 0
     base_offset = 1 << 20
     for i in range(n_pairs):
         fa = [_ConeFold(c, cfg.seed, base_offset + i, M) for c in cones]
         fb = [_ConeFold(c, cfg.seed, base_offset + n_pairs + i, M)
               for c in cones]
-        for f_ in fa + fb:
-            f_.to_depth(pair_depth)
-        depth = pair_depth
-        separated = _pair_separated(fa, fb, M, depth)
-        if not separated:
-            deepened += 1
-            while not separated and depth < pair_depth + max_extra:
-                depth += 1
-                for f_ in fa + fb:
-                    f_.to_depth(depth)
-                separated = _pair_separated(fa, fb, M, depth)
-        if separated:
-            folds_ok += 1
-        else:
-            unresolved += 1
+        for depth in range(pair_depth, pair_depth + max_extra + 1):
+            for fold in fa + fb:
+                fold.to_depth(depth)
+            separated = _pair_separated(fa, fb, M, depth)
+            if separated:
+                break
+            deepened += depth == pair_depth
+        folds_ok += separated
+    unresolved = n_pairs - folds_ok
     pairs_ok = unresolved == 0
 
     # (iii) symbolic reconstruction of the family from the all-ones pattern
@@ -736,9 +722,9 @@ def collision_search(cfg, control=64, pair_depth=8, max_extra=6):
 
 
 def _pair_separated(fa, fb, M, depth):
+    """Whether the two samples' enclosures at depth are disjoint mod 1 at
+    some site: each is [num, num + t] / den, so they are when the distance
+    of the numerators mod den exceeds t both ways round."""
     t = _tail_units(M, depth)
     den = M ** (depth + 1)
-    for a, b in zip(fa, fb):
-        if not _interval_overlap(a.num % den, b.num % den, t, den):
-            return True
-    return False
+    return any(t < (b.num - a.num) % den < den - t for a, b in zip(fa, fb))

@@ -53,16 +53,8 @@ class RingElement:
         self.terms = clean
 
     @classmethod
-    def zero(cls, group):
-        return cls(group)
-
-    @classmethod
     def one(cls, group):
         return cls(group, {groups.identity(group): 1})
-
-    @classmethod
-    def delta(cls, group, el):
-        return cls(group, {el: 1})
 
     def coefficient(self, el):
         return self.terms.get(el, Fraction(0))
@@ -348,7 +340,7 @@ def divide_by_f(g, f):
         raise ValueError("dividend must have integer coefficients")
     group = g.group
     if g.is_zero():
-        return RingElement.zero(group)
+        return RingElement(group)
 
     M = f.M
     step = groups.steps(group, "ab")
@@ -464,7 +456,7 @@ class _ExprParser:
             return RingElement.one(self.group) * value
         if kind == "letter":
             el = value if self.group == F2 else groups._Z2_STEP[value]
-            return RingElement.delta(self.group, el)
+            return RingElement(self.group, {el: 1})
         if kind == "(":
             inner = self.parse_expr()
             if self.peek() != ")":

@@ -1,5 +1,7 @@
+import argparse
 import contextlib
 from fractions import Fraction
+import hashlib
 import io
 import json
 import os
@@ -7,9 +9,10 @@ import re
 
 import pytest
 
-from homoclinic_lab import acceptance, groups
-from homoclinic_lab.cli import main
-from homoclinic_lab.groups import F2
+from homoclinic_lab import acceptance, groups, montecarlo
+from homoclinic_lab.cli import build_parser, main
+from homoclinic_lab.groups import F2, Z2
+from homoclinic_lab.montecarlo import ExperimentConfig
 
 
 def run_cli(*argv):
@@ -329,3 +332,59 @@ def test_report_times_each_criterion_on_stderr(monkeypatch):
     assert len(lines) == 2
     for n, line in zip((1, 2), lines):
         assert re.fullmatch(rf"criterion {n}: \d+\.\d\d s", line)
+
+
+def test_cli_surface_is_pinned():
+    # every subcommand's options in order: strings, dest, required and
+    # choices (defaults are left out, so an absent flag may defer to the
+    # library's own default)
+    [sub] = [a for a in build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    surface = [[name, [[a.option_strings, a.dest, a.required, a.choices]
+                       for a in p._actions]]
+               for name, p in sub.choices.items()]
+    assert hashlib.sha256(json.dumps(surface).encode()).hexdigest() == \
+        "4002d3372d9354ee6ce4a051a772d6799623a0f17d2ad7c2c4b8199a4bcec897"
+
+
+@pytest.mark.parametrize("command, run, radius", [
+    ("haar-test", "haar_window_test", 12),
+    ("tau-test", "tau_invariance_test", 14),
+    ("collisions", "collision_search", 12),
+])
+def test_experiment_defaults_are_the_config_defaults(command, run, radius,
+                                                     monkeypatch):
+    captured = []
+
+    def fake(cfg, **kw):
+        captured.append(cfg)
+        return {"passed": True, "coordinates": []}
+
+    monkeypatch.setattr(montecarlo, run, fake)
+    assert run_cli(command)[0] == 0
+    assert captured == [ExperimentConfig(seed=acceptance.DEFAULT_SEED,
+                                         samples=10_000, sample_radius=radius)]
+
+
+@pytest.fixture
+def z2_config(tmp_path):
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps({
+        "group": "z2", "alphabet": [0, 3],
+        "values": [{"w": groups.format_element(Z2, s), "v": 1}
+                   for s in groups.ball(Z2, 1)]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["tau", "cover", "percolation"])
+def test_config_of_another_group_exits_one(command, z2_config):
+    code, out, err = run_cli(command, "--config", z2_config)
+    assert code == 1
+    assert out == ""
+    assert err == "error: --config holds a z2 configuration, " \
+                  "this command reads f2\n"
+
+
+def test_config_of_the_command_group_runs(z2_config):
+    doc = run_json("cover", "--group", "z2", "--config", z2_config)
+    assert doc["config"]["group"] == doc["output"]["group"] == "z2"

@@ -111,7 +111,7 @@ def reference_residual(x, M):
     """M x_t - x_{ta} - x_{tb} on TorusValue intervals at interior sites."""
     group = F2 if isinstance(next(iter(x)), str) else Z2
     a, b = groups.generators(group)
-    v = {t: c if isinstance(c, TorusValue) else TorusValue.exact(c)
+    v = {t: c if isinstance(c, TorusValue) else TorusValue(c, c)
          for t, c in x.items()}
     out = {}
     for t in x:
@@ -144,7 +144,7 @@ def windows(group):
 FAR = {F2: ["aaaa", "abab", "bAAA", "BBBa"], Z2: [(4, 0), (2, 2), (0, 4)]}
 # words over A, B (the star's cone) and over a, b, up to length 2
 MONOIDS = {group: {True: groups.negative_monoid(group, 2),
-                   False: groups.positive_cone_sites(
+                   False: groups.cone_sites(
                        group, groups.identity(group), 2)}
            for group in (F2, Z2)}
 
@@ -238,7 +238,7 @@ def test_phi_recurrence_matches_kernel_convolution(case):
     d = Configuration(group, terms, (-3, 3))
     got = phi_exact(d, window, M)
     assert list(got) == list(dict.fromkeys(window))
-    assert all(got[s] == TorusValue.exact(want[s]) for s in window)
+    assert all(got[s] == TorusValue(want[s], want[s]) for s in window)
 
 
 @pytest.mark.parametrize("group", [F2, Z2])
@@ -308,7 +308,7 @@ def residual_windows(draw):
     rational = st.fractions(-3, 3, max_denominator=40)
     width = st.fractions(0, Fraction(1, 8), max_denominator=40)
     value = st.one_of(
-        rational, st.builds(TorusValue.exact, rational),
+        rational, st.builds(lambda v: TorusValue(v, v), rational),
         st.builds(lambda lo, w: TorusValue(lo, lo + w), rational, width))
     return {s: draw(value) for s in window}, draw(st.integers(3, 5))
 
@@ -321,7 +321,8 @@ def test_xf_residual_matches_the_torus_loop(case):
 
 
 def test_lift_residual_message_and_exactness_check():
-    x = {"": TorusValue.exact(Fraction(1, 2)), "a": Fraction(5, 3), "b": 0}
+    half = Fraction(1, 2)
+    x = {"": TorusValue(half, half), "a": Fraction(5, 3), "b": 0}
     with pytest.raises(ResidualNonzero, match=r"^residual 5/6 at 1$"):
         four_cover_lift(x, 3)
     x = {(0, 0): 0, (1, 0): Fraction(1, 3), (0, 1): Fraction(-2, 7)}
@@ -414,7 +415,7 @@ def test_fourier_plan_denominator_is_the_lcm(group, text):
     cones = []
     for t in g.terms:
         cap = radius - groups.word_length(group, t)
-        cones += groups.positive_cone_sites(group, t, cap)
+        cones += groups.cone_sites(group, t, cap)
     coords = quotient_coordinates(g, f, cones)
     assert den == math.lcm(*(v.denominator for v in coords.values()))
     assert ({s: Fraction(n, den) for s, n in zip(sites, nums)}
@@ -467,7 +468,7 @@ def test_rational_witness_is_a_quotient_or_a_k_over_M_coordinate(case):
     top = groups.height(group, site)
     below = set()
     for t in g.terms:
-        below.update(groups.positive_cone_sites(
+        below.update(groups.cone_sites(
             group, t, top - groups.height(group, t)))
     key = groups.sort_key(group, site)
     below = [s for s in below if groups.height(group, s) < top
@@ -485,4 +486,4 @@ def test_positive_cone_sites_match_the_word_walk(group):
             frontier = [groups.multiply(group, s, c) for s in frontier
                         for c in groups.generators(group)]
             out.update(dict.fromkeys(frontier))
-            assert groups.positive_cone_sites(group, t, depth) == list(out)
+            assert groups.cone_sites(group, t, depth) == list(out)

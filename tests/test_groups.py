@@ -61,7 +61,7 @@ def test_monoid_windows():
     neg = groups.negative_monoid(F2, 2)
     assert len(neg) == 7
     assert all(all(c in "AB" for c in w) for w in neg)
-    pos = groups.positive_cone_sites(F2, "", 3)
+    pos = groups.cone_sites(F2, "", 3)
     assert len(pos) == 15 and all(all(c in "ab" for c in w) for w in pos)
     assert len(groups.negative_monoid(Z2, 3)) == 10
     assert all(i <= 0 and j <= 0 for i, j in groups.negative_monoid(Z2, 3))
@@ -122,7 +122,7 @@ def test_cone_guard_counts_before_it_walks(monkeypatch, group, depth, size):
     # refused from its size alone, without advancing the walk
     monkeypatch.setattr(groups, "MAX_ELEMENTS", size)
     root = groups.identity(group)
-    assert len(groups.positive_cone_sites(group, root, depth)) == size
+    assert len(groups.cone_sites(group, root, depth)) == size
     assert len(groups.negative_monoid(group, depth)) == size
 
     def refuse(*args):
@@ -130,7 +130,7 @@ def test_cone_guard_counts_before_it_walks(monkeypatch, group, depth, size):
         yield
 
     monkeypatch.setattr(groups, "cone_levels", refuse)
-    for walk in (lambda: groups.positive_cone_sites(group, root, depth + 1),
+    for walk in (lambda: groups.cone_sites(group, root, depth + 1),
                  lambda: groups.negative_monoid(group, depth + 1)):
         with pytest.raises(groups.WindowTooLarge,
                            match=f"cone of depth {depth + 1} in {group}"):

@@ -158,7 +158,7 @@ def test_pairing_identity():
 
 
 def test_torus_value_normalization_and_containment():
-    v = TorusValue.exact(Fraction(7, 3))
+    v = TorusValue(Fraction(7, 3), Fraction(7, 3))
     assert v.value == Fraction(1, 3)
     w = TorusValue(Fraction(9, 10), Fraction(11, 10))
     assert w.contains(Fraction(19, 20))
@@ -173,7 +173,7 @@ RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=60)
 
 @given(RATIONALS, RATIONALS)
 def test_torus_value_properties(a, b):
-    v = TorusValue.exact(a)
+    v = TorusValue(a, a)
     assert 0 <= v.lo < 1 and v.hi == v.lo and (a - v.lo).denominator == 1
     fast = TorusValue.from_numerator(a.numerator, a.denominator)
     assert vars(fast) == vars(v)
@@ -196,7 +196,7 @@ def test_torus_value_properties(a, b):
 
 def test_lift_requires_exact_consistency():
     from homoclinic_lab.homoclinic import ResidualNonzero
-    x = {"": TorusValue.exact(Fraction(1, 2)),
-         "a": TorusValue.exact(0), "b": TorusValue.exact(0)}
+    x = {"": TorusValue(Fraction(1, 2), Fraction(1, 2)),
+         "a": TorusValue(0, 0), "b": TorusValue(0, 0)}
     with pytest.raises(ResidualNonzero):
         four_cover_lift(x, 3)

@@ -334,3 +334,21 @@ def test_empirical_fourier_guards():
     with pytest.raises(ValueError):
         empirical_fourier(cfg_with(samples=5, sample_radius=1),
                           parse_ring_element("a*b*a"))
+
+
+def test_fourier_chunk_python_int_branch_matches_int64():
+    # a real plan scaled by 2^40 puts the dot product's bound past 2^62, so
+    # the chunk takes its Python-int branch; the residues scale with it
+    cfg = cfg_with(sample_radius=8)
+    g = parse_ring_element("1 + a - 2*B")
+    sites, nums, den, _ = montecarlo._fourier_plan(
+        g, PolyF(cfg.M, cfg.group), cfg.sample_radius)
+    assert (len(sites), den) == (639, 3 ** 10)
+    ids = [rng.element_id(cfg.group, s) for s in sites]
+    scale = 1 << 40
+    assert max(map(abs, nums)) * scale * (cfg.M - 1) * len(nums) >= 1 << 62
+    fast = montecarlo._fourier_chunk(cfg, 0, cfg.samples, ids, nums, den)
+    wide = montecarlo._fourier_chunk(cfg, 0, cfg.samples, ids,
+                                     [n * scale for n in nums], den * scale)
+    assert wide == [r * scale for r in fast]
+    assert any(fast)

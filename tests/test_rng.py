@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homoclinic_lab import montecarlo, rng
-from homoclinic_lab.groups import F2
+from homoclinic_lab import groups, montecarlo, rng
+from homoclinic_lab.groups import F2, Z2
+from homoclinic_lab.homoclinic import Configuration, TorusValue, phi_exact
 
 # the rest of the settings come from the profile in conftest.py
 PROPERTY = settings(max_examples=40)
@@ -200,3 +201,22 @@ def test_cone_fold_matches_the_reference_levels(root, cache, monkeypatch):
         ids = np.array([rng.word_id(w) for w in words], dtype=np.uint64)
         num = num * M + int(ref_symbols(seed, index, ids, M).sum())
     assert (fold.depth, fold.num) == (depth, num)
+
+
+@pytest.mark.parametrize("cache", [3, 20])
+@pytest.mark.parametrize("group, root", [
+    (F2, ""), (F2, "A"), (F2, "aB"), (F2, "BA"), (Z2, (0, 0)), (Z2, (2, -1))])
+def test_cone_fold_is_the_exact_coordinate_at_its_root(group, root, cache,
+                                                       monkeypatch):
+    # the fold's value over M^(depth+1) is phi of its own stream, cut to the
+    # cone, at the root; roots "A" and "BA" cancel on their first steps
+    monkeypatch.setattr(montecarlo, "_CACHE_LEVELS", cache)
+    depth, M, seed, index = 7, 3, 23, 4
+    fold = montecarlo._ConeFold(montecarlo._Cone(group, root), seed, index, M)
+    fold.to_depth(depth)
+    sites = groups.cone_sites(group, root, depth)
+    vals = rng.symbols(seed, index, rng.element_ids(group, sites), M)
+    d = Configuration(group, {s: int(v) for s, v in zip(sites, vals)},
+                      (0, M - 1))
+    assert TorusValue.from_numerator(fold.num, M ** (depth + 1)) == \
+        phi_exact(d, [root], M)[root]
