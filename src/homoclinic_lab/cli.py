@@ -36,6 +36,8 @@ def _jobs(text):
 
 
 def _emit(doc, args, csv_rows=None):
+    """Write doc as JSON, or for --format csv the rows that csv_rows(), a
+    callable, returns; the rows are built only for CSV."""
     fmt = getattr(args, "format", "json")
     if fmt == "csv":
         if csv_rows is None:
@@ -43,7 +45,7 @@ def _emit(doc, args, csv_rows=None):
             raise SystemExit(2)
         buf = io.StringIO()
         writer = csv.writer(buf)
-        for row in csv_rows:
+        for row in csv_rows():
             writer.writerow(row)
         text = buf.getvalue()
     else:
@@ -88,7 +90,7 @@ def _cmd_patterns(args):
     rows = sorted(symbolic.allowed_patterns(args.M, args.range))
     doc = _doc("patterns", {"M": args.M, "range": args.range},
                count=len(rows), patterns=[list(r) for r in rows])
-    _emit(doc, args, csv_rows=[("k", "l", "m")] + rows)
+    _emit(doc, args, csv_rows=lambda: [("k", "l", "m")] + rows)
     return 0
 
 
@@ -98,11 +100,12 @@ def _cmd_trees(args):
     config = {"size": args.size, "count_only": bool(args.count_only)}
     if args.count_only:
         _emit(_doc("trees", config, count=count), args,
-              csv_rows=[("size", "count"), (args.size, count)])
+              csv_rows=lambda: [("size", "count"), (args.size, count)])
         return 0
     trees = sorted(t.sorted_words() for t in trees)
     doc = _doc("trees", config, count=count, trees=trees)
-    _emit(doc, args, csv_rows=[("words",)] + [(" ".join(t),) for t in trees])
+    _emit(doc, args,
+          csv_rows=lambda: [("words",)] + [(" ".join(t),) for t in trees])
     return 0
 
 
@@ -121,9 +124,8 @@ def _cmd_kernel(args):
                partial_l1=str(full - f.tail_l1_beyond(args.radius)),
                full_l1=str(full),
                element=ring.to_json_dict())
-    rows = [("w", "num", "den")] + [
-        (t["w"], t["num"], t["den"]) for t in ring.to_json_dict()["terms"]]
-    _emit(doc, args, csv_rows=rows)
+    _emit(doc, args, csv_rows=lambda: [("w", "num", "den")] + [
+        (t["w"], t["num"], t["den"]) for t in doc["element"]["terms"]])
     return 0
 
 
@@ -219,7 +221,8 @@ def _experiment_command(run, csv_rows=None):
             name: value for name, value in vars(args).items() if name in flags})
         rep = run(cfg, args)
         rep["schema"] = acceptance.SCHEMA
-        _emit(rep, args, csv_rows=csv_rows(rep) if csv_rows else None)
+        _emit(rep, args,
+              csv_rows=(lambda: csv_rows(rep)) if csv_rows else None)
         return 0 if rep["passed"] else 1
     return command
 
@@ -232,9 +235,8 @@ def _haar_rows(rep):
 
 def _cmd_report(args):
     rep = acceptance.run_all(seed=args.seed, jobs=args.jobs)
-    rows = [("number", "name", "passed")] + [
-        (c["number"], c["name"], c["passed"]) for c in rep["criteria"]]
-    _emit(rep, args, csv_rows=rows)
+    _emit(rep, args, csv_rows=lambda: [("number", "name", "passed")] + [
+        (c["number"], c["name"], c["passed"]) for c in rep["criteria"]])
     return 0 if rep["passed"] else 1
 
 

@@ -15,7 +15,7 @@ import math
 
 from . import groups
 from .groups import F2, Z2, check_group
-from .ring import PolyF, RingElement, kernel_convolution
+from .ring import PolyF, RingElement, kernel_convolution, kernel_convolutions
 
 
 class ResidualNonzero(ValueError):
@@ -166,16 +166,15 @@ def phi_windowed(d, eval_window, M):
     """
     eval_window = list(eval_window)
     f = PolyF.standard(M, d.group)
-    nums, E = kernel_convolution(f, d.values, eval_window, star=True)
-    inside, E_in = kernel_convolution(f, dict.fromkeys(d.values, 1),
-                                      eval_window, star=True)
-    den, den_in = M ** (E + 1), M ** (E_in + 1)
+    (nums, inside), E = kernel_convolutions(
+        f, [d.values, dict.fromkeys(d.values, 1)], eval_window, star=True)
+    den = M ** (E + 1)
     full = f.full_inverse_l1
     alo, ahi = d.alphabet
     out = {}
     for s, n, m in zip(eval_window, nums, inside):
         exact = Fraction(n, den)
-        tail = full - Fraction(m, den_in)
+        tail = full - Fraction(m, den)
         out[s] = TorusValue(exact + alo * tail, exact + ahi * tail)
     return out
 

@@ -75,6 +75,18 @@ def sample_config(cfg, index, window=None):
 
 _CACHE_LEVELS = 20
 
+# symbols per block of sample rows: the carry cascade, the Fourier residues
+# and the collision base folds draw and process this many at a time (8
+# samples of the depth-14 backward cone)
+_ROW_BLOCK = 4 * rng._BLOCK
+
+
+def _row_blocks(lo, hi, width):
+    """[a, b) ranges of at most _ROW_BLOCK // width sample indices (at least
+    one) that cover [lo, hi) in order."""
+    per = max(1, _ROW_BLOCK // max(width, 1))
+    return [(a, min(a + per, hi)) for a in range(lo, hi, per)]
+
 # a free-group fold at depth d draws 2^d ids at its deepest level from the
 # 2^(d-1) ids it builds above it; criterion 9 goes as deep as 24 (64 MB of
 # ids at level 23, plus its 32 MB parent while it is built)
@@ -188,15 +200,16 @@ def _assign_bin(num, depth, M, bins):
 
 class _ConeFold:
     """Running partial numerator of one coordinate of one sample: value
-    sum over levels 0..depth in base M, deepened on demand."""
+    sum over levels 0..depth in base M, deepened on demand; it starts empty,
+    or from a numerator already folded to a depth."""
 
-    def __init__(self, cone, seed, index, M):
+    def __init__(self, cone, seed, index, M, num=0, depth=-1):
         self.cone = cone
         self.seed = seed
         self.index = index
         self.M = M
-        self.num = 0
-        self.depth = -1
+        self.num = num
+        self.depth = depth
         self._top = None
 
     def to_depth(self, depth):
@@ -229,6 +242,28 @@ class _ConeFold:
             self.num = self.num * self.M + total - prev
             prev = total
         self.depth = depth
+
+
+def _base_folds(cone, seed, indices, M, depth):
+    """The numerators of _ConeFold(cone, seed, i, M).to_depth(depth) for
+    every sample index i of the range, at a depth the cone stores (at most
+    _CACHE_LEVELS): the levels are drawn for blocks of samples at once and
+    summed per level, z2 sites weighted by their word counts."""
+    cone.grow(depth)
+    ids = cone.ids[:cone.offsets[depth + 1]]
+    starts = cone.offsets[:depth + 1]
+    nums = []
+    for lo, hi in _row_blocks(indices.start, indices.stop, len(ids)):
+        vals = rng.symbol_rows(seed, range(lo, hi), ids, M, np.int8)
+        if cone.group == Z2:
+            vals = vals * np.array(cone.weights[:len(ids)])
+        sums = np.add.reduceat(vals, starts, axis=1, dtype=np.int64)
+        for row in sums.tolist():
+            num = 0
+            for total in row:
+                num = num * M + total
+            nums.append(num)
+    return nums
 
 
 def _pair_cell(b, bins, cells):
@@ -385,17 +420,21 @@ def haar_window_test(cfg, max_extra=12, jobs=1):
 
 
 def _fourier_plan(g, f, radius):
-    """Included sites (union of capped forward cones from supp g), their
-    exact quotient coordinates as integers over a common denominator, and
-    the l1 tail bound for everything left out."""
+    """Included sites (union of capped forward cones from supp g) mapped to
+    their canonical ids, their exact quotient coordinates as integers over
+    a common denominator, and the l1 tail bound for everything left out."""
     group = g.group
-    site_set = {}
+    site_ids = {}
     for t in g.support():
         cap = radius - groups.word_length(group, t)
         if cap < 0:
             raise ValueError("sample radius smaller than the support of g")
-        site_set.update(dict.fromkeys(groups.cone_sites(group, t, cap)))
-    sites = list(site_set)
+        cone_sites = groups.cone_sites(group, t, cap)
+        cone = _Cone(group, t)
+        cone.grow(cap)
+        # a site already in an earlier cone keeps its place (same id)
+        site_ids.update(zip(cone_sites, cone.ids.tolist()))
+    sites = list(site_ids)
     nums, E = kernel_convolution(f, {t: int(c) for t, c in g.terms.items()}, sites)
     # coordinates are nums / M^(E+1); dividing out the common factor gives
     # the lcm of their reduced denominators
@@ -409,26 +448,31 @@ def _fourier_plan(g, f, radius):
         tail = Fraction(0)
     else:
         tail = quotient_tail_l1(g, f, radius)
-    return list(kept), list(kept.values()), den, tail
+    return {s: site_ids[s] for s in kept}, list(kept.values()), den, tail
 
 
 def _fourier_chunk(cfg, lo, hi, ids_list, nums_list, den):
     """Exact residues (mod den) of the pairing exponent for each sample in
-    [lo, hi).  int64 fast path when the dot product provably fits."""
+    [lo, hi), one block of samples at a time: one int64 matrix-vector
+    product per block when the dot products provably fit, Python ints row
+    by row otherwise."""
     ids = np.array(ids_list, dtype=np.uint64)
     nums = [int(n) for n in nums_list]
     bound = max((abs(n) for n in nums), default=0) * (cfg.M - 1) * max(len(nums), 1)
     use_i64 = bound < (1 << 62)
     nvec = np.array(nums, dtype=np.int64) if use_i64 else nums
-    out = []
-    for index in range(lo, hi):
-        vals = rng.symbols(cfg.seed, index, ids, cfg.M)
+    exps = np.zeros(hi - lo, dtype=np.int64) if use_i64 else [0] * (hi - lo)
+    # the draw's own blocks: whole rows, or part of one row from column c
+    for start, vals in rng.draw(cfg.seed, range(lo, hi), ids, cfg.M):
+        r, c = divmod(start, len(ids))
+        rows = vals.view(np.int64).reshape(-1, min(len(ids), len(vals)))
+        part = nvec[c:c + rows.shape[1]]
         if use_i64:
-            e = int(vals @ nvec)
+            exps[r:r + len(rows)] += rows @ part
         else:
-            e = sum(n * int(v) for n, v in zip(nvec, vals))
-        out.append(e % den)
-    return out
+            for j, row in enumerate(rows, r):
+                exps[j] += sum(n * int(v) for n, v in zip(part, row))
+    return [int(e) % den for e in exps]
 
 
 def empirical_fourier(cfg, g, jobs=1):
@@ -447,10 +491,9 @@ def empirical_fourier(cfg, g, jobs=1):
         raise ValueError("empirical_fourier needs an integral character")
     f = PolyF.standard(cfg.M, cfg.group)
     sites, nums, den, tail = _fourier_plan(g, f, cfg.sample_radius)
-    ids_list = [rng.element_id(cfg.group, s) for s in sites]
 
     parts = _map_samples(_fourier_chunk, cfg, jobs if sites else 1,
-                         ids_list, nums, den)
+                         list(sites.values()), nums, den)
     residues = [r for part in parts for r in part]
 
     acc = 0j
@@ -513,31 +556,33 @@ def _tau_variant(cfg, root, index_lo, eval_sites):
     collisions = 0
     recheck = []
 
-    for i in range(N):
-        index = index_lo + i
-        values, img = _tau_cascade(cfg, index, cone)
-        if img is None:
-            discarded += 1
-            continue
-        retained += 1
+    for lo, hi in _row_blocks(index_lo, index_lo + N, len(cone.ids)):
+        block_values, block_img, kept = _tau_block(cfg, lo, hi, cone)
+        for index, values, img, ok in zip(range(lo, hi), block_values,
+                                          block_img, kept):
+            if not ok:
+                discarded += 1
+                continue
+            retained += 1
 
-        freq[np.arange(shallow), img[:shallow]] += 1
+            freq[np.arange(shallow), img[:shallow]] += 1
 
-        # the exact identity: the change of symbols convolved with 1/f*,
-        # minus the translated kernel (the -1 at root), is 0 mod 1
-        diff = {root: int(img[0]) - int(values[0]) - 1}
-        for p in np.nonzero(img[1:] != values[1:])[0] + 1:
-            word = bin(int(p) + 1)[3:].translate(_HEAP_WORD)
-            diff[groups.f2_multiply(root, word)] = int(img[p]) - int(values[p])
-        nums, E = kernel_convolution(f, diff, eval_sites, star=True)
-        if all(n % M ** (E + 1) == 0 for n in nums):
-            exact_matches += 1
+            # the exact identity: the change of symbols convolved with 1/f*,
+            # minus the translated kernel (the -1 at root), is 0 mod 1
+            diff = {root: int(img[0]) - int(values[0]) - 1}
+            for p in np.nonzero(img[1:] != values[1:])[0] + 1:
+                word = bin(int(p) + 1)[3:].translate(_HEAP_WORD)
+                diff[groups.f2_multiply(root, word)] = \
+                    int(img[p]) - int(values[p])
+            nums, E = kernel_convolution(f, diff, eval_sites, star=True)
+            if all(n % M ** (E + 1) == 0 for n in nums):
+                exact_matches += 1
 
-        dg = hashlib.sha256(img.astype(np.uint8).tobytes()).digest()
-        if dg in digests:
-            recheck.append((digests[dg], index))
-        else:
-            digests[dg] = index
+            dg = hashlib.sha256(img.view(np.uint8).tobytes()).digest()
+            if dg in digests:
+                recheck.append((digests[dg], index))
+            else:
+                digests[dg] = index
 
     # a digest collision is only a real collision if the raw image windows
     # agree; regenerate both deterministically and compare
@@ -576,30 +621,46 @@ def _tau_variant(cfg, root, index_lo, eval_sites):
     }
 
 
-def _tau_cascade(cfg, index, cone):
-    """Add 1 at the root of the stored backward cone and carry.
+_BOTH = np.uint16(0x0101)
 
-    One draw covers all stored levels.  In that layout the children of
-    position p sit at 2p+1 and 2p+2, and the word from the root to p is
-    the binary expansion of p+1 after its leading 1 (0 = A, 1 = B).
-    Returns (values, img): the sampled symbols and the image window, or
-    img None when the cascade reaches the last level (a discard).
+
+def _tau_block(cfg, lo, hi, cone):
+    """Add 1 at the root of the stored backward cone and carry, for the
+    samples [lo, hi) at once.
+
+    One draw covers all stored levels of every sample, one row per sample.
+    In that layout the children of position p sit at 2p+1 and 2p+2, and the
+    word from the root to p is the binary expansion of p+1 after its
+    leading 1 (0 = A, 1 = B).  Returns (values, img, kept): int8 matrices
+    of the sampled symbols and the image windows, and per row whether the
+    cascade stayed above the last level (False is a discard, whose img row
+    is not an image).
     """
     M = cfg.M
     off = cone.offsets
-    values = rng.symbols(cfg.seed, index, cone.ids, M)
-    full = values == M - 1
-    fired = np.zeros_like(full)
-    fired[0] = full[0]
-    for lo, mid, hi in zip(off, off[1:], off[2:]):
-        fired[mid:hi] = full[mid:hi] & np.repeat(fired[lo:mid], 2)
-    if fired[off[-2]:].any():
-        return values, None
-    # a fired site gives M away and one to each child; the root gets 1
-    img = values - M * fired
-    img[0] += 1
-    img[1:] += np.repeat(fired[:off[-2]], 2)
-    return values, img
+    values = rng.symbol_rows(cfg.seed, range(lo, hi), cone.ids, M, np.int8)
+    # a full site fires when its parent does, the root when it is full.  A
+    # level's sites pair up under the level above: as uint16 each pair is
+    # one element, and a parent's 0/1 byte times _BOTH covers both bytes
+    fired = values == M - 1
+    for a, b, c in zip(off, off[1:], off[2:]):
+        kids = fired[:, b:c].view(np.uint16)
+        kids &= fired[:, a:b].view(np.uint8) * _BOTH
+    kept = ~fired[:, off[-2]:].any(axis=1)
+    # a fired site gives M away and one to each child; the root gets 1.
+    # The gifts come first, so no byte passes M and no pair carries
+    img = values.copy()
+    img[:, 0] += 1
+    kids = img[:, 1:].view(np.uint16)
+    kids += fired[:, :off[-2]].view(np.uint8) * _BOTH
+    img -= M * fired.view(np.int8)
+    return values, img, kept
+
+
+def _tau_cascade(cfg, index, cone):
+    """_tau_block for one sample: (values, img), img None on a discard."""
+    values, img, kept = _tau_block(cfg, index, index + 1, cone)
+    return values[0], img[0] if kept[0] else None
 
 
 def tau_invariance_test(cfg):
@@ -661,16 +722,25 @@ def collision_search(cfg, control=64, pair_depth=8, max_extra=6):
         control_matches += all(enc_d[s] == enc_e[s] for s in eval_sites)
     control_ok = control_matches == control
 
-    # (ii) independent pairs
+    # (ii) independent pairs, samples base + i and base + n + i: the folds
+    # of all of them start from stored levels drawn at once, and only the
+    # close pairs go deeper
     n_pairs = cfg.samples
     cones = [_Cone(group, s) for s in eval_sites]
+    base_offset = 1 << 20
+    stored = min(pair_depth, _CACHE_LEVELS)
+    base = [_base_folds(c, cfg.seed,
+                        range(base_offset, base_offset + 2 * n_pairs), M,
+                        stored) for c in cones]
+
+    def folds(j):
+        return [_ConeFold(c, cfg.seed, base_offset + j, M, nums[j], stored)
+                for c, nums in zip(cones, base)]
+
     folds_ok = 0
     deepened = 0
-    base_offset = 1 << 20
     for i in range(n_pairs):
-        fa = [_ConeFold(c, cfg.seed, base_offset + i, M) for c in cones]
-        fb = [_ConeFold(c, cfg.seed, base_offset + n_pairs + i, M)
-              for c in cones]
+        fa, fb = folds(i), folds(n_pairs + i)
         for depth in range(pair_depth, pair_depth + max_extra + 1):
             for fold in fa + fb:
                 fold.to_depth(depth)

@@ -271,21 +271,38 @@ def kernel_convolution(f, terms, window, star=False):
     in window order, E).  Window elements and terms are validated once
     here; the recurrence runs unchecked.
     """
+    [nums], E = kernel_convolutions(f, [terms], window, star)
+    return nums, E
+
+
+def kernel_convolutions(f, term_maps, window, star=False):
+    """kernel_convolution for several term maps over one window: one
+    validation and one walk of the sites reached from the union of their
+    supports, then the recurrence once per map.  Returns (one numerator
+    list per map, E), all over the one power M^(E+1), E taken over the
+    union of the supports."""
     group = f.group
     window = list(window)
     if len(window) > groups.MAX_ELEMENTS:
         raise WindowTooLarge(f"window of {len(window)} elements exceeds the guard")
     for s in window:
         groups.check_element(group, s)
-    items = {}
-    for t, c in terms.items():
-        groups.check_element(group, t)
-        if not isinstance(c, int):
-            raise TypeError(f"convolution coefficients must be ints, got {c!r}")
-        if c:
-            items[t] = c
-    length, height, step, live = _pull(group, items, star)
-    E = max(map(length, items), default=0) + max(map(length, window), default=0)
+    checked = set()
+    item_maps = []
+    for terms in term_maps:
+        items = {}
+        for t, c in terms.items():
+            if t not in checked:
+                groups.check_element(group, t)
+                checked.add(t)
+            if not isinstance(c, int):
+                raise TypeError(f"convolution coefficients must be ints, got {c!r}")
+            if c:
+                items[t] = c
+        item_maps.append(items)
+    support = {t: None for items in item_maps for t in items}
+    length, height, step, live = _pull(group, support, star)
+    E = max(map(length, support), default=0) + max(map(length, window), default=0)
     M, scale = f.M, f.M ** (E + 1)
     successors = {}
     todo = list(window)
@@ -294,12 +311,16 @@ def kernel_convolution(f, terms, window, star=False):
         if u not in successors and live(u):
             successors[u] = step(u)
             todo.extend(successors[u])
-    nums = {}
-    for u in sorted(successors, key=height, reverse=star):
-        ux, uy = successors[u]
-        nums[u] = (items.get(u, 0) * scale + nums.get(ux, 0)
-                   + nums.get(uy, 0)) // M
-    return [nums.get(s, 0) for s in window], E
+    order = sorted(successors, key=height, reverse=star)
+    out = []
+    for items in item_maps:
+        nums = {}
+        for u in order:
+            ux, uy = successors[u]
+            nums[u] = (items.get(u, 0) * scale + nums.get(ux, 0)
+                       + nums.get(uy, 0)) // M
+        out.append([nums.get(s, 0) for s in window])
+    return out, E
 
 
 def quotient_coordinates(g, f, window):

@@ -4,8 +4,9 @@ Every sampled symbol is a pure function of (seed, stream index, site), with
 the site keyed by a canonical 64-bit id: free-group ids chain one finalizer
 round per letter from a fixed root, so the id of a word is independent of
 which window or cone enumerated it.  Every symbol is drawn by one blocked,
-in-place kernel (draw), whether the caller keeps the symbols or only their
-sums.  No global state anywhere.
+in-place kernel (draw), for one stream or a range of streams at once,
+whether the caller keeps the symbols or only their sums.  No global state
+anywhere.
 """
 
 import bisect
@@ -92,50 +93,76 @@ def child_ids(ids, letter):
 
 
 def draw(seed, index, ids, M, letter=None):
-    """The draw kernel: uniform symbols in {0,...,M-1} for the given stream,
-    one per id (per child id w*letter when a letter is given, as
-    child_ids would make them), yielded as (start, block) for consecutive
-    blocks of ids.  Each block is a uint64 view of a buffer that the next
+    """The draw kernel: uniform symbols in {0,...,M-1}, one per id (per
+    child id w*letter when a letter is given, as child_ids would make
+    them), for the stream index or for each stream of a range of indices.
+
+    The symbols form a matrix, one row per stream, yielded as (start,
+    block) for consecutive flat blocks in row order: start is the position
+    of the block's first symbol in the flattened matrix.  Rows shorter
+    than _BLOCK are drawn _BLOCK // len(ids) whole rows to a block, each
+    row xored with its own stream key; longer rows are drawn block by block
+    within the row.  Each block is a uint64 view of a buffer that the next
     block overwrites.
 
     Unbiased via rejection: draws landing in the final partial block of the
     64-bit range are re-finalized until they fall below it.
     """
-    key = np.uint64(mix64_int(mix64_int(seed) ^ mix64_int((index + 1) * GOLD)))
+    rows = index if isinstance(index, range) else range(index, index + 1)
+    n = len(ids)
+    if not n or not rows:
+        return
+    base = mix64_int(seed)
+    keys = np.array([mix64_int(base ^ mix64_int((i + 1) * GOLD))
+                     for i in rows], dtype=np.uint64)
+    # a block is per rows of width ids: whole rows, or part of one row
+    per, width = (_BLOCK // n, n) if n < _BLOCK else (1, _BLOCK)
     m = np.uint64(M)
     rem = (1 << 64) % M
     limit = np.uint64(-rem & MASK)
-    buf = np.empty(min(len(ids), _BLOCK), dtype=np.uint64)
+    buf = np.empty(min(len(rows), per) * width, dtype=np.uint64)
     tmp = np.empty_like(buf)
-    for lo in range(0, len(ids), _BLOCK):
-        v = buf[:len(ids) - lo]
-        t = tmp[:len(v)]
-        if letter is None:
-            np.bitwise_xor(ids[lo:lo + _BLOCK], key, out=v)
-        else:
-            np.bitwise_xor(ids[lo:lo + _BLOCK], np.uint64(LETTER[letter]), out=v)
+    for r0 in range(0, len(rows), per):
+        r1 = min(r0 + per, len(rows))
+        for c0 in range(0, n, width):
+            c1 = min(c0 + width, n)
+            v = buf[:(r1 - r0) * (c1 - c0)]
+            t = tmp[:len(v)]
+            grid = v.reshape(r1 - r0, c1 - c0)
+            if letter is None:
+                np.bitwise_xor(ids[c0:c1], keys[r0:r1, None], out=grid)
+            else:
+                np.bitwise_xor(ids[c0:c1], np.uint64(LETTER[letter]), out=grid)
+                _mix(v, t)
+                grid ^= keys[r0:r1, None]
             _mix(v, t)
-            v ^= key
-        _mix(v, t)
-        if rem and v.max() >= limit:
-            mask = v >= limit
-            while mask.any():
-                v[mask] = mix64(v[mask])
+            if rem and v.max() >= limit:
                 mask = v >= limit
-        # v % M as v - (v // M) * M: numpy divides by a scalar without a
-        # hardware division per element
-        np.floor_divide(v, m, out=t)
-        t *= m
-        np.subtract(v, t, out=t)
-        yield lo, t
+                while mask.any():
+                    v[mask] = mix64(v[mask])
+                    mask = v >= limit
+            # v % M as v - (v // M) * M: numpy divides by a scalar without
+            # a hardware division per element
+            np.floor_divide(v, m, out=t)
+            t *= m
+            np.subtract(v, t, out=t)
+            yield r0 * n + c0, t
+
+
+def symbol_rows(seed, indices, ids, M, dtype=np.int64):
+    """The symbols of draw() for a range of stream indices, as a matrix of
+    the given dtype with one row per index."""
+    out = np.empty((len(indices), len(ids)), dtype=dtype)
+    flat = out.reshape(-1)
+    for lo, vals in draw(seed, indices, ids, M):
+        flat[lo:lo + len(vals)] = vals
+    return out
 
 
 def symbols(seed, index, ids, M):
-    """The symbols of draw() for every id, as one int64 array."""
-    out = np.empty(len(ids), dtype=np.int64)
-    for lo, vals in draw(seed, index, ids, M):
-        out[lo:lo + len(vals)] = vals
-    return out
+    """The symbols of draw() for every id of one stream, as one int64
+    array."""
+    return symbol_rows(seed, range(index, index + 1), ids, M)[0]
 
 
 def symbol_sums(seed, index, ids, M, cuts, letter=None):

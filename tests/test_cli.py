@@ -366,6 +366,17 @@ def test_experiment_defaults_are_the_config_defaults(command, run, radius,
                                          samples=10_000, sample_radius=radius)]
 
 
+def test_json_haar_test_builds_no_csv_rows(monkeypatch):
+    # the CSV rows read the coordinates; a JSON run never builds them
+    monkeypatch.setattr(montecarlo, "haar_window_test",
+                        lambda cfg, **kw: {"passed": True})
+    code, out, _ = run_cli("haar-test")
+    assert code == 0
+    assert json.loads(out) == {"passed": True, "schema": "1"}
+    with pytest.raises(KeyError):
+        run_cli("haar-test", "--format", "csv")
+
+
 @pytest.fixture
 def z2_config(tmp_path):
     path = tmp_path / "z2.json"

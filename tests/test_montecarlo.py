@@ -208,17 +208,87 @@ def test_tau_cascade_matches_carry_add(root):
 
 
 def test_tau_cascade_draws_once_per_sample(monkeypatch):
-    calls = []
+    # blocks of samples share a draw; every sample index of both variants
+    # is still drawn exactly once, over the whole stored cone
+    drawn = []
     draw = rng.draw
 
-    def counted(*args):
-        calls.append(len(args[2]))
-        return draw(*args)
+    def counted(seed, index, ids, *args):
+        assert len(ids) == 2 ** 7 - 1
+        drawn.extend(index if isinstance(index, range) else [index])
+        return draw(seed, index, ids, *args)
 
     monkeypatch.setattr(rng, "draw", counted)
     cfg = cfg_with(samples=20, sample_radius=6)
     tau_invariance_test(cfg)
-    assert calls == [2 ** 7 - 1] * (2 * cfg.samples)
+    assert sorted(drawn) == list(range(2 * cfg.samples))
+
+
+@pytest.mark.parametrize("R", [8, 14])
+def test_tau_blocks_match_the_one_row_cascade(R):
+    # one sample, a block short of one and a block and one more, in the
+    # blocks the variant uses: every row is the one-sample cascade
+    cfg = cfg_with(sample_radius=R)
+    cone = montecarlo._Cone(F2, "a", "AB")
+    cone.grow(R)
+    per = montecarlo._ROW_BLOCK // len(cone.ids)
+    discards = 0
+    for n in (1, per - 1, per + 1):
+        for lo, hi in montecarlo._row_blocks(5, 5 + n, len(cone.ids)):
+            values, img, kept = montecarlo._tau_block(cfg, lo, hi, cone)
+            for index, v, i, ok in zip(range(lo, hi), values, img, kept):
+                one_v, one_i = montecarlo._tau_cascade(cfg, index, cone)
+                assert np.array_equal(v, one_v)
+                assert ok == (one_i is not None)
+                if ok:
+                    assert np.array_equal(i, one_i)
+                discards += not ok
+    # some of the 1,027 cascades at R = 8 reach the last level
+    assert (discards > 0) == (R == 8)
+
+
+def test_digest_matches_are_rechecked_on_the_images(monkeypatch):
+    # with every digest equal, each retained sample after the first is
+    # rechecked against the first by regenerating both images
+    class Same:
+        def __init__(self, data):
+            pass
+
+        def digest(self):
+            return b"same"
+
+    cfg = cfg_with(samples=30, sample_radius=6)
+    honest = tau_invariance_test(cfg)
+    cascades = []
+    cascade = montecarlo._tau_cascade
+
+    def counted(cfg, index, cone):
+        cascades.append(index)
+        return cascade(cfg, index, cone)
+
+    monkeypatch.setattr(montecarlo.hashlib, "sha256", Same)
+    monkeypatch.setattr(montecarlo, "_tau_cascade", counted)
+    rep = tau_invariance_test(cfg)
+    rechecks = 0
+    for v, h in zip(rep["variants"], honest["variants"]):
+        assert v["distinct_images"] == 1
+        assert v["image_collisions"] == 0
+        assert {k: x for k, x in v.items() if k != "distinct_images"} == \
+            {k: x for k, x in h.items() if k != "distinct_images"}
+        rechecks += v["retained"] - 1
+    assert len(cascades) == 2 * rechecks
+
+
+@pytest.mark.parametrize("group", [F2, Z2])
+def test_base_folds_match_cone_folds(group):
+    # 70 samples: not a multiple of any block's row count
+    seed, M = 31, 3
+    for root in groups.ball(group, 1):
+        cone = montecarlo._Cone(group, root)
+        for depth in range(2, 9):
+            nums = montecarlo._base_folds(cone, seed, range(40, 110), M, depth)
+            assert nums == [montecarlo._ConeFold(cone, seed, i, M)
+                            .to_depth(depth) for i in range(40, 110)]
 
 
 def test_fold_depth_guard_fails_before_any_draw(monkeypatch):
@@ -352,3 +422,19 @@ def test_fourier_chunk_python_int_branch_matches_int64():
                                      [n * scale for n in nums], den * scale)
     assert wide == [r * scale for r in fast]
     assert any(fast)
+
+
+@pytest.mark.parametrize("n", [0, 3, 70_000])
+@pytest.mark.parametrize("scale", [1, 1 << 50])
+def test_fourier_chunk_is_the_one_stream_pairing(n, scale):
+    # short rows many to a draw block, and rows past rng._BLOCK in parts;
+    # at 70,000 sites scale 2^50 takes the Python-int branch
+    cfg = cfg_with(samples=20)
+    gen = np.random.default_rng(n)
+    ids = gen.integers(0, 1 << 64, n, dtype=np.uint64, endpoint=False)
+    nums = [int(x) * scale for x in gen.integers(-50, 50, n)]
+    den = 3 ** 7 * scale
+    got = montecarlo._fourier_chunk(cfg, 4, 17, ids.tolist(), nums, den)
+    assert got == [sum(a * int(v) for a, v in
+                       zip(nums, rng.symbols(cfg.seed, i, ids, cfg.M))) % den
+                   for i in range(4, 17)]

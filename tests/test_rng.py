@@ -1,10 +1,11 @@
 """Differential tests of the blocked draw kernel (rng.draw and its readers
-symbols, symbol_sums and child_ids).
+symbols, symbol_rows, symbol_sums and child_ids).
 
 The reference written here is the whole-array formula the kernel must
-reproduce bit for bit: xor the stream key into the ids, run the splitmix64
-finalizer over the whole array, re-finalize draws in the final partial
-block of the 64-bit range until they fall below it, and reduce mod M.
+reproduce bit for bit: xor the stream key into the ids (one key per row
+for a range of streams), run the splitmix64 finalizer over the whole
+array, re-finalize draws in the final partial block of the 64-bit range
+until they fall below it, and reduce mod M.
 Rejecting ids are built on purpose with the inverse finalizer, since a
 random id reaches that branch with probability about M / 2^64.
 """
@@ -53,7 +54,15 @@ def ref_limit(M):
 
 
 def ref_symbols(seed, index, ids, M):
-    v = ref_mix64(ids ^ np.uint64(stream_key(seed, index)))
+    return ref_reduce(ref_mix64(ids ^ np.uint64(stream_key(seed, index))), M)
+
+
+def ref_rows(seed, rows, ids, M):
+    keys = np.array([stream_key(seed, i) for i in rows], dtype=np.uint64)
+    return ref_reduce(ref_mix64(ids[None, :] ^ keys[:, None]), M)
+
+
+def ref_reduce(v, M):
     rem = (1 << 64) % M
     if rem:
         limit = np.uint64((1 << 64) - rem)
@@ -148,28 +157,73 @@ def test_child_letter_sums_match_child_ids_then_symbols(M, n, letter,
     assert rng.symbol_sums(seed, index, ids, M, [n], letter) == [expect]
 
 
-@pytest.mark.parametrize("M", [3, 5, 6, 7])
+def drawn_matrix(seed, rows, ids, M, letter=None):
+    """rng.draw of a range of streams, its flat blocks put back together as
+    one row per stream."""
+    flat = np.full(len(rows) * len(ids), -1, dtype=np.int64)
+    for lo, vals in rng.draw(seed, rows, ids, M, letter):
+        flat[lo:lo + len(vals)] = vals
+    return flat.reshape(len(rows), len(ids))
+
+
+@pytest.mark.parametrize("M, rows", [
+    pytest.param(M, rows, id=f"{M}" if rows is None else f"{M}-rows{rows}")
+    for rows in (None, 3, 7) for M in (3, 5, 6, 7)])
 @pytest.mark.parametrize("letter", [None, "a"])
-def test_rejection_branch(M, letter):
+def test_rejection_branch(M, letter, rows):
+    # rows None draws the one stream; 3 rows of 3 blocks each, or 7 short
+    # rows three to a block, put the rejecting stream among its neighbours
     seed, index = 11, 4
     bad = rejecting_ids(seed, index, M, letter)
     assert len(bad) == (1 << 64) % M
     # the rejecting ids sit inside the first block, across the first block
-    # edge and inside the second block of a three-block draw
-    ids = random_ids(3 * B, M)
-    for pos in (7, B - 1, B + 9):
+    # edge and inside the second block of a three-block draw; in short rows
+    # near both ends of the row
+    if rows == 7:
+        ids = random_ids(B // 3, M)
+        spots = (7, B // 3 - len(bad) - 1)
+    else:
+        ids = random_ids(3 * B, M)
+        spots = (7, B - 1, B + 9)
+    for pos in spots:
         ids[pos:pos + len(bad)] = bad
     kids = ids if letter is None else ref_child_ids(ids, letter)
     first = ref_mix64(kids ^ np.uint64(stream_key(seed, index)))
-    assert int((first >= np.uint64(ref_limit(M))).sum()) == 3 * len(bad)
+    assert int((first >= np.uint64(ref_limit(M))).sum()) == \
+        len(spots) * len(bad)
 
     expect = ref_symbols(seed, index, kids, M)
+    if rows is not None:
+        streams = range(index - rows // 2, index + rows // 2 + 1)
+        assert np.array_equal(
+            drawn_matrix(seed, streams, ids, M, letter),
+            [ref_symbols(seed, i, kids, M) for i in streams])
+        return
     if letter is None:
         assert np.array_equal(rng.symbols(seed, index, ids, M), expect)
     cuts = [B - 1, B, 2 * B + 3]
     run = np.concatenate([[0], np.cumsum(expect)])
     assert rng.symbol_sums(seed, index, ids, M, cuts + [len(ids)], letter) \
         == [int(run[c]) for c in cuts + [len(ids)]]
+
+
+@pytest.mark.parametrize("n, rows", [(1, B + 3), (511, 300), (32767, 5),
+                                     (B + 1, 3), (0, 4)])
+def test_block_rows_are_the_one_stream_draws(n, rows):
+    # whole rows to a block (B // n of them, a count the rows do not
+    # divide), or rows past B drawn block by block within the row
+    ids = random_ids(n, n + 1)
+    streams = range(9, 9 + rows)
+    got = rng.symbol_rows(21, streams, ids, 5)
+    assert got.shape == (rows, n)
+    assert np.array_equal(got, ref_rows(21, streams, ids, 5))
+    per = max(1, B // max(n, 1))
+    edges = {0, rows - 1} | {r - d for r in range(per, rows, per)
+                             for d in (0, 1)}
+    for r in sorted(edges):
+        assert np.array_equal(got[r], rng.symbols(21, streams[r], ids, 5))
+    small = rng.symbol_rows(21, streams, ids, 5, np.int8)
+    assert small.dtype == np.int8 and np.array_equal(small, got)
 
 
 def test_draw_yields_consecutive_blocks():
