@@ -14,7 +14,6 @@ ambiguous if they still straddle at the maximum depth.
 """
 
 import cmath
-import hashlib
 import itertools
 import math
 import os
@@ -520,8 +519,19 @@ def empirical_fourier(cfg, g, jobs=1):
 
 
 # the word from the root of a backward cone to a position of its stored
-# levels, read off the binary expansion of the position (see _tau_cascade)
+# levels, read off the binary expansion of the position (see _tau_block)
 _HEAP_WORD = str.maketrans("01", "AB")
+
+# Levels of the backward cone every sample draws.  The root fires with
+# probability 1/3 and a fired site's two children fire with probability
+# 1/3 each, a branching process of mean offspring 2/3: level l holds
+# (1/3)(2/3)^l fired sites on average, which bounds the chance that a
+# cascade reaches it.  Only those samples, and ties of prefix images, are
+# drawn again over the whole window, so a sample costs about
+# 2^(k+1) + (2^(R+1)/3)(2/3)^k symbols; at R = 14 that is least at k = 7
+# (255 + 639, against 32,767 for the whole window).  At least 2: the
+# frequency tally reads levels 0..2 of the image.
+_TAU_PREFIX = 7
 
 
 def _tau_variant(cfg, root, index_lo, eval_sites):
@@ -530,14 +540,23 @@ def _tau_variant(cfg, root, index_lo, eval_sites):
     Samples the window root*N to the configured depth, adds 1 at root,
     runs the carry cascade, and checks per retained sample that the exact
     difference of parametrized coordinates equals the corresponding
-    homoclinic coordinate mod 1.  Injectivity is monitored by hashing the
-    full image window.
+    homoclinic coordinate mod 1.
+
+    Each sample is drawn to level k = min(_TAU_PREFIX, R) only; a cascade
+    that reaches level k < R is run again over the whole window.  Otherwise
+    the cascade touches no site below level k, so the image equals the
+    input there and every field but the image counts reads the prefix.
+    Injectivity: images of different prefixes differ, so retained samples
+    are bucketed by prefix image and only a bucket of two or more is drawn
+    over the whole window, where a collision is two distinct inputs with
+    one image.
     """
     M = cfg.M
     R = cfg.sample_radius
     N = cfg.samples
     cone = _Cone(F2, root, "AB")
     cone.grow(R)
+    k = min(_TAU_PREFIX, R)
 
     # the homoclinic coordinate at the carry site: the kernel of phi,
     # 1/f*, translated to root, as integers over M^(E+1)
@@ -552,14 +571,16 @@ def _tau_variant(cfg, root, index_lo, eval_sites):
     discarded = 0
     retained = 0
     exact_matches = 0
-    digests = {}
-    collisions = 0
-    recheck = []
+    buckets = {}
 
-    for lo, hi in _row_blocks(index_lo, index_lo + N, len(cone.ids)):
-        block_values, block_img, kept = _tau_block(cfg, lo, hi, cone)
+    prefix = cone.offsets[k + 1]
+    for lo, hi in _row_blocks(index_lo, index_lo + N, prefix):
+        block_values, block_img, kept = _tau_block(cfg, lo, hi, cone, k)
         for index, values, img, ok in zip(range(lo, hi), block_values,
                                           block_img, kept):
+            if not ok and k < R:
+                values, img = _tau_cascade(cfg, index, cone)
+                ok = img is not None
             if not ok:
                 discarded += 1
                 continue
@@ -578,20 +599,19 @@ def _tau_variant(cfg, root, index_lo, eval_sites):
             if all(n % M ** (E + 1) == 0 for n in nums):
                 exact_matches += 1
 
-            dg = hashlib.sha256(img.view(np.uint8).tobytes()).digest()
-            if dg in digests:
-                recheck.append((digests[dg], index))
-            else:
-                digests[dg] = index
+            buckets.setdefault(img[:prefix].tobytes(), []).append(index)
 
-    # a digest collision is only a real collision if the raw image windows
-    # agree; regenerate both deterministically and compare
-    for idx_a, idx_b in recheck:
-        img_a = _tau_cascade(cfg, idx_a, cone)[1]
-        img_b = _tau_cascade(cfg, idx_b, cone)[1]
-        if img_a is not None and img_b is not None and \
-                np.array_equal(img_a, img_b):
-            collisions += 1
+    # a tie of prefix images is settled on the whole windows: since the
+    # carry map is a function, equal inputs give equal images, so the
+    # inputs beyond the distinct images are collisions
+    distinct = len(buckets)
+    collisions = 0
+    for tied in buckets.values():
+        if len(tied) > 1:
+            windows = [_tau_cascade(cfg, index, cone) for index in tied]
+            images = len({img.tobytes() for _, img in windows})
+            distinct += images - 1
+            collisions += len({v.tobytes() for v, _ in windows}) - images
 
     n_eval = retained if retained else 1
     sigma = math.sqrt((1.0 / M) * (1 - 1.0 / M) / n_eval)
@@ -614,7 +634,7 @@ def _tau_variant(cfg, root, index_lo, eval_sites):
         "exact_coordinate_matches": exact_matches,
         "frequency_max_deviation": max_dev,
         "frequency_tolerance": 4 * sigma,
-        "distinct_images": len(digests),
+        "distinct_images": distinct,
         "image_collisions": collisions,
         "rhs": {groups.format_element(F2, s): str(v) for s, v in rhs.items()},
         "passed": bool(passed),
@@ -624,21 +644,23 @@ def _tau_variant(cfg, root, index_lo, eval_sites):
 _BOTH = np.uint16(0x0101)
 
 
-def _tau_block(cfg, lo, hi, cone):
-    """Add 1 at the root of the stored backward cone and carry, for the
-    samples [lo, hi) at once.
+def _tau_block(cfg, lo, hi, cone, depth=None):
+    """Add 1 at the root of the stored backward cone, cut at level depth
+    (default: its last stored level), and carry, for the samples [lo, hi)
+    at once.
 
-    One draw covers all stored levels of every sample, one row per sample.
+    One draw covers levels 0..depth of every sample, one row per sample.
     In that layout the children of position p sit at 2p+1 and 2p+2, and the
     word from the root to p is the binary expansion of p+1 after its
     leading 1 (0 = A, 1 = B).  Returns (values, img, kept): int8 matrices
     of the sampled symbols and the image windows, and per row whether the
-    cascade stayed above the last level (False is a discard, whose img row
+    cascade stayed above level depth (False is a discard, whose img row
     is not an image).
     """
     M = cfg.M
-    off = cone.offsets
-    values = rng.symbol_rows(cfg.seed, range(lo, hi), cone.ids, M, np.int8)
+    off = cone.offsets if depth is None else cone.offsets[:depth + 2]
+    values = rng.symbol_rows(cfg.seed, range(lo, hi), cone.ids[:off[-1]], M,
+                             np.int8)
     # a full site fires when its parent does, the root when it is full.  A
     # level's sites pair up under the level above: as uint16 each pair is
     # one element, and a parent's 0/1 byte times _BOTH covers both bytes

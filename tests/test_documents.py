@@ -229,6 +229,12 @@ def test_criterion_10_details_are_pinned(monkeypatch):
         "115e192d2aa733560cfe2da5cf6fbce31695e412c14d2a987846bad97e64c3c4"
 
 
+# criterion 10 as it runs in report: 10,000 samples per variant
+def test_criterion_10_full_details_are_pinned():
+    assert digest(acceptance.criterion_10().details) == \
+        "ae55aaf1cfb1eaffaaa63140ef4d0db9c32b9d45fa4bcd9e42c0ee397cda15d6"
+
+
 # criterion 6's first 20 round trips per group (same seed, sample indices,
 # support and windows): phi on ball(5), its lift, the exact coordinates on
 # ball(1) and the enclosures of the lift there

@@ -11,7 +11,7 @@ from homoclinic_lab.montecarlo import (EnclosureTooWide, ExperimentConfig,
                                        _assign_bin, collision_search,
                                        empirical_fourier, haar_window_test,
                                        sample_config, tau_invariance_test)
-from homoclinic_lab.ring import parse_ring_element, PolyF
+from homoclinic_lab.ring import kernel_convolution, parse_ring_element, PolyF
 
 
 def cfg_with(**kw):
@@ -207,21 +207,36 @@ def test_tau_cascade_matches_carry_add(root):
     assert 0 < discards < 300
 
 
+def _reaches(cfg, index, cone, level):
+    """Whether the sample's cascade fires a site of the given level."""
+    return not montecarlo._tau_block(cfg, index, index + 1, cone, level)[2][0]
+
+
 def test_tau_cascade_draws_once_per_sample(monkeypatch):
-    # blocks of samples share a draw; every sample index of both variants
-    # is still drawn exactly once, over the whole stored cone
-    drawn = []
+    # every sample index of both variants is drawn once over the prefix
+    # levels; only the cascades that reach the prefix's last level are
+    # drawn again, once, over the whole stored cone (no prefixes tie at R =
+    # 10)
+    k = montecarlo._TAU_PREFIX
+    prefix, whole = [], []
     draw = rng.draw
 
     def counted(seed, index, ids, *args):
-        assert len(ids) == 2 ** 7 - 1
-        drawn.extend(index if isinstance(index, range) else [index])
+        assert len(ids) in (2 ** (k + 1) - 1, 2 ** 11 - 1)
+        rows = index if isinstance(index, range) else [index]
+        (prefix if len(ids) < 2 ** 11 - 1 else whole).extend(rows)
         return draw(seed, index, ids, *args)
 
+    cfg = cfg_with(samples=100, sample_radius=10)
+    cones = {root: montecarlo._Cone(F2, root, "AB") for root in ("", "a")}
+    for cone in cones.values():
+        cone.grow(cfg.sample_radius)
+    reach = [i for i in range(2 * cfg.samples)
+             if _reaches(cfg, i, cones["a" if i >= cfg.samples else ""], k)]
     monkeypatch.setattr(rng, "draw", counted)
-    cfg = cfg_with(samples=20, sample_radius=6)
     tau_invariance_test(cfg)
-    assert sorted(drawn) == list(range(2 * cfg.samples))
+    assert sorted(prefix) == list(range(2 * cfg.samples))
+    assert reach and whole == reach
 
 
 @pytest.mark.parametrize("R", [8, 14])
@@ -247,17 +262,13 @@ def test_tau_blocks_match_the_one_row_cascade(R):
     assert (discards > 0) == (R == 8)
 
 
-def test_digest_matches_are_rechecked_on_the_images(monkeypatch):
-    # with every digest equal, each retained sample after the first is
-    # rechecked against the first by regenerating both images
-    class Same:
-        def __init__(self, data):
-            pass
-
-        def digest(self):
-            return b"same"
-
-    cfg = cfg_with(samples=30, sample_radius=6)
+def test_tied_prefixes_are_settled_on_the_whole_window(monkeypatch):
+    # with levels 0..2 as the prefix (the least the frequency tally reads),
+    # 1,000 samples of a depth-6 window fall into at most 3^7 prefix
+    # images: every sample of a tied prefix is drawn again over the whole
+    # window, next to the cascades that reach level 2, some tied prefixes
+    # hold different images, and the document is the whole-window one
+    cfg = cfg_with(samples=1000, sample_radius=6)
     honest = tau_invariance_test(cfg)
     cascades = []
     cascade = montecarlo._tau_cascade
@@ -266,17 +277,92 @@ def test_digest_matches_are_rechecked_on_the_images(monkeypatch):
         cascades.append(index)
         return cascade(cfg, index, cone)
 
-    monkeypatch.setattr(montecarlo.hashlib, "sha256", Same)
+    monkeypatch.setattr(montecarlo, "_TAU_PREFIX", 2)
     monkeypatch.setattr(montecarlo, "_tau_cascade", counted)
-    rep = tau_invariance_test(cfg)
-    rechecks = 0
-    for v, h in zip(rep["variants"], honest["variants"]):
-        assert v["distinct_images"] == 1
+    assert tau_invariance_test(cfg) == honest
+    expected = []
+    split = 0
+    for v, lo in zip(honest["variants"], (0, cfg.samples)):
+        cone = montecarlo._Cone(F2, v["root"], "AB")
+        cone.grow(cfg.sample_radius)
+        prefixes = {}
+        for index in range(lo, lo + cfg.samples):
+            img = cascade(cfg, index, cone)[1]
+            if _reaches(cfg, index, cone, 2):
+                expected.append(index)
+            if img is not None:
+                prefixes.setdefault(img[:7].tobytes(), []).append(
+                    (index, img.tobytes()))
+        for tied in prefixes.values():
+            if len(tied) > 1:
+                expected += [index for index, _ in tied]
+                split += len({img for _, img in tied}) > 1
+    assert sorted(cascades) == sorted(expected)
+    assert split > 0
+
+
+@pytest.mark.parametrize("R", [1, 2])
+def test_equal_inputs_are_not_collisions(R):
+    # a window of 3 or 7 sites repeats inputs among 200 samples: their
+    # images repeat too, and the carry map stays injective
+    rep = tau_invariance_test(cfg_with(seed=3, samples=200, sample_radius=R,
+                                       eval_radius=0))
+    for v in rep["variants"]:
         assert v["image_collisions"] == 0
-        assert {k: x for k, x in v.items() if k != "distinct_images"} == \
-            {k: x for k, x in h.items() if k != "distinct_images"}
-        rechecks += v["retained"] - 1
-    assert len(cascades) == 2 * rechecks
+        assert v["distinct_images"] < v["retained"]
+
+
+def _whole_window_variant(cfg, root, index_lo, eval_sites):
+    """The counts of _tau_variant from whole-window cascades of every
+    sample: retained, discarded, exact matches, the largest deviation of
+    the level 0..2 frequency table, distinct images and collisions
+    (distinct inputs beyond the distinct images)."""
+    M, R = cfg.M, cfg.sample_radius
+    cone = montecarlo._Cone(F2, root, "AB")
+    cone.grow(R)
+    sites = [s for level in islice(groups.cone_levels(F2, root, "AB"), R + 1)
+             for s in level]
+    f = PolyF(M, F2)
+    shallow = groups.cone_size(F2, min(2, R))
+    freq = np.zeros((shallow, M), dtype=np.int64)
+    discarded = matches = 0
+    images, inputs = set(), set()
+    values, img, kept = montecarlo._tau_block(
+        cfg, index_lo, index_lo + cfg.samples, cone)
+    for v, i, ok in zip(values, img, kept):
+        if not ok:
+            discarded += 1
+            continue
+        freq[np.arange(shallow), i[:shallow]] += 1
+        diff = {sites[p]: int(i[p]) - int(v[p]) for p in np.nonzero(i != v)[0]}
+        diff[root] = diff.get(root, 0) - 1
+        nums, E = kernel_convolution(f, diff, eval_sites, star=True)
+        matches += all(n % M ** (E + 1) == 0 for n in nums)
+        images.add(i.tobytes())
+        inputs.add(v.tobytes())
+    retained = cfg.samples - discarded
+    return {"retained": retained, "discarded": discarded,
+            "exact_coordinate_matches": matches,
+            "frequency_max_deviation": float(
+                np.abs(freq / max(retained, 1) - 1.0 / M).max()),
+            "distinct_images": len(images),
+            "image_collisions": len(inputs) - len(images)}
+
+
+@pytest.mark.parametrize("R", sorted({2, montecarlo._TAU_PREFIX,
+                                      montecarlo._TAU_PREFIX + 1, 8, 14}))
+@pytest.mark.parametrize("root", ["", "a"])
+def test_prefix_cascade_matches_the_whole_window(root, R):
+    eval_sites = groups.ball(F2, 1)
+    discards = 0
+    for seed in (5, 77, 2024):
+        cfg = cfg_with(seed=seed, samples=150, sample_radius=R)
+        v = montecarlo._tau_variant(cfg, root, 40, eval_sites)
+        ref = _whole_window_variant(cfg, root, 40, eval_sites)
+        assert {k: v[k] for k in ref} == ref
+        discards += ref["discarded"]
+    # up to R = 8 a few cascades reach the last level and are discarded
+    assert (discards > 0) == (R <= 8)
 
 
 @pytest.mark.parametrize("group", [F2, Z2])
