@@ -418,48 +418,113 @@ def haar_window_test(cfg, max_extra=12, jobs=1):
     }
 
 
+_HEAP_LETTERS = {pair: str.maketrans("01", pair) for pair in ("ab", "AB")}
+_BITS = str.maketrans("ab", "01")
+
+
+def _heap_word(p, letters):
+    """The word from the root of a stored free-group cone to position p of
+    its levels, over the letter pair: the binary expansion of p+1 after its
+    leading 1, 0 for the first letter (see _tau_block)."""
+    return bin(p + 1)[3:].translate(_HEAP_LETTERS[letters])
+
+
 def _fourier_plan(g, f, radius):
-    """Included sites (union of capped forward cones from supp g) mapped to
-    their canonical ids, their exact quotient coordinates as integers over
-    a common denominator, and the l1 tail bound for everything left out."""
-    group = g.group
-    site_ids = {}
-    for t in g.support():
-        cap = radius - groups.word_length(group, t)
-        if cap < 0:
-            raise ValueError("sample radius smaller than the support of g")
-        cone_sites = groups.cone_sites(group, t, cap)
-        cone = _Cone(group, t)
-        cone.grow(cap)
-        # a site already in an earlier cone keeps its place (same id)
-        site_ids.update(zip(cone_sites, cone.ids.tolist()))
-    sites = list(site_ids)
-    nums, E = kernel_convolution(f, {t: int(c) for t, c in g.terms.items()}, sites)
+    """The pairing of a sample with g/f on the union of the forward cones
+    t*{a, b}* of the terms of g, capped at word length radius: the ids of
+    the sites with a nonzero coordinate, those coordinates as integers over
+    their lcm den (int64 when that surely fits), den, and the l1 tail bound
+    of the rest.
+
+    On f2, 1/f puts M^-(|v|+1) on each positive word v and 0 elsewhere, so
+    over M^(E+1), E = max |t| + radius, N_s = sum_t' g_t' M^(E - |t'^-1 s|)
+    [t'^-1 s positive].  The site t v sits at position bits(v) of level |v|
+    of the cone at t (a = 0, b = 1).  A pair of terms with t'^-1 t = x y^-1
+    (x, y positive; no other form reaches the cone at t) makes t'^-1 t v =
+    x v' positive exactly when v = y v': it adds g_t' M^(E - |x| - l + |y|)
+    to the slice bits(y) << (l - |y|), 2^(l - |y|) long, of each level l.
+    When t' comes first and |x| + l - |y| <= radius - |t'|, that slice is
+    in the cone at t' already and is dropped.  z2 cones hold (R+1)(R+2)/2
+    sites and are solved by kernel_convolution.
+    """
+    group, M = g.group, f.M
+    support = g.support()
+    caps = [radius - groups.word_length(group, t) for t in support]
+    if min(caps, default=0) < 0:
+        raise ValueError("sample radius smaller than the support of g")
+    terms = {t: int(c) for t, c in g.terms.items()}
+    if group == Z2 or not support:
+        site_ids = {}
+        for t, cap in zip(support, caps):
+            cone = _Cone(group, t)
+            cone.grow(cap)
+            # a site already in an earlier cone keeps its place (same id)
+            site_ids.update(zip(groups.cone_sites(group, t, cap),
+                                cone.ids.tolist()))
+        nums, E = kernel_convolution(f, terms, list(site_ids))
+        sites = [s for s, n in zip(site_ids, nums) if n]
+        ids = np.array([site_ids[s] for s in sites], dtype=np.uint64)
+        nums = np.array([n for n in nums if n], dtype=object)
+    else:
+        E = max(map(len, support)) + radius
+        wide = sum(map(abs, terms.values())) * M ** (E + 1) >= 1 << 62
+        ids, nums, kept, union = [], [], [], 0
+        for i, (t, cap) in enumerate(zip(support, caps)):
+            size = groups.cone_size(F2, cap)
+            groups._check_size("cone of depth %d in f2" % cap, size)
+            num = np.zeros(size, dtype=object if wide else np.int64)
+            keep = np.ones(size, dtype=bool)
+            for j, u in enumerate(support):
+                c = groups.f2_multiply(groups.inverse(F2, u), t)
+                x = c.rstrip("AB")
+                if "A" in x or "B" in x:
+                    continue
+                y = groups.inverse(F2, c[len(x):])
+                bits = int("0" + y.translate(_BITS), 2)
+                for l in range(len(y), cap + 1):
+                    h = len(x) + l - len(y)
+                    lo = (1 << l) - 1 + (bits << (l - len(y)))
+                    part = slice(lo, lo + (1 << (l - len(y))))
+                    num[part] += terms[u] * M ** (E - h)
+                    if j < i and h <= caps[j]:
+                        keep[part] = False
+            union += int(keep.sum())
+            kept.append(np.flatnonzero(keep & (num != 0)))
+            nums.append(num[kept[-1]])
+        groups._check_size("union of the cones", union)
+        for t, cap, pos in zip(support, caps, kept):
+            cone = _Cone(F2, t)
+            cone.grow(cap)
+            ids.append(cone.ids[pos])
+        ids, nums = np.concatenate(ids), np.concatenate(nums)
+        sites = (groups.f2_multiply(t, _heap_word(int(p), "ab"))
+                 for t, pos in zip(support, kept) for p in pos)
     # coordinates are nums / M^(E+1); dividing out the common factor gives
     # the lcm of their reduced denominators
-    power = f.M ** (E + 1)
-    common = math.gcd(power, *nums)
-    kept = {s: n // common for s, n in zip(sites, nums) if n}
+    power = M ** (E + 1)
+    common = math.gcd(power, *nums.tolist())
+    nums //= common
     den = power // common
-    if den == 1 and RingElement(group, kept) * f.as_ring() == g:
+    if den == 1 and RingElement(group, dict(zip(sites, nums.tolist()))) \
+            * f.as_ring() == g:
         # an integral quotient inside the sites that reproduces g is all of
         # g/f: nothing is truncated, the window pairing is exact
         tail = Fraction(0)
     else:
         tail = quotient_tail_l1(g, f, radius)
-    return {s: site_ids[s] for s in kept}, list(kept.values()), den, tail
+    return ids, nums, den, tail
 
 
-def _fourier_chunk(cfg, lo, hi, ids_list, nums_list, den):
+def _fourier_chunk(cfg, lo, hi, ids, nums, den):
     """Exact residues (mod den) of the pairing exponent for each sample in
     [lo, hi), one block of samples at a time: one int64 matrix-vector
     product per block when the dot products provably fit, Python ints row
     by row otherwise."""
-    ids = np.array(ids_list, dtype=np.uint64)
-    nums = [int(n) for n in nums_list]
-    bound = max((abs(n) for n in nums), default=0) * (cfg.M - 1) * max(len(nums), 1)
-    use_i64 = bound < (1 << 62)
-    nvec = np.array(nums, dtype=np.int64) if use_i64 else nums
+    ids = np.asarray(ids, dtype=np.uint64)
+    nums = np.asarray(nums)
+    top = max(int(nums.max(initial=0)), -int(nums.min(initial=0)))
+    use_i64 = top * (cfg.M - 1) * max(len(nums), 1) < (1 << 62)
+    nvec = nums.astype(np.int64 if use_i64 else object)
     exps = np.zeros(hi - lo, dtype=np.int64) if use_i64 else [0] * (hi - lo)
     # the draw's own blocks: whole rows, or part of one row from column c
     for start, vals in rng.draw(cfg.seed, range(lo, hi), ids, cfg.M):
@@ -489,10 +554,10 @@ def empirical_fourier(cfg, g, jobs=1):
     if not g.is_integral():
         raise ValueError("empirical_fourier needs an integral character")
     f = PolyF.standard(cfg.M, cfg.group)
-    sites, nums, den, tail = _fourier_plan(g, f, cfg.sample_radius)
+    ids, nums, den, tail = _fourier_plan(g, f, cfg.sample_radius)
 
-    parts = _map_samples(_fourier_chunk, cfg, jobs if sites else 1,
-                         list(sites.values()), nums, den)
+    parts = _map_samples(_fourier_chunk, cfg, jobs if len(ids) else 1,
+                         ids, nums, den)
     residues = [r for part in parts for r in part]
 
     acc = 0j
@@ -510,17 +575,13 @@ def empirical_fourier(cfg, g, jobs=1):
         "experiment": "empirical_fourier",
         "config": cfg.to_json_dict(),
         "g": g.to_json_dict(),
-        "sites": len(sites),
+        "sites": len(ids),
         "estimate": [est.real, est.imag],
         "band": band,
         "bias_bound": float(bias),
         "zero_phase_samples": exact_ones,
     }
 
-
-# the word from the root of a backward cone to a position of its stored
-# levels, read off the binary expansion of the position (see _tau_block)
-_HEAP_WORD = str.maketrans("01", "AB")
 
 # Levels of the backward cone every sample draws.  The root fires with
 # probability 1/3 and a fired site's two children fire with probability
@@ -589,15 +650,18 @@ def _tau_variant(cfg, root, index_lo, eval_sites):
             freq[np.arange(shallow), img[:shallow]] += 1
 
             # the exact identity: the change of symbols convolved with 1/f*,
-            # minus the translated kernel (the -1 at root), is 0 mod 1
+            # minus the translated kernel (the -1 at root), is 0 mod 1.  A
+            # root that did not fire changes nothing, and 0 convolves to 0
             diff = {root: int(img[0]) - int(values[0]) - 1}
-            for p in np.nonzero(img[1:] != values[1:])[0] + 1:
-                word = bin(int(p) + 1)[3:].translate(_HEAP_WORD)
-                diff[groups.f2_multiply(root, word)] = \
-                    int(img[p]) - int(values[p])
-            nums, E = kernel_convolution(f, diff, eval_sites, star=True)
-            if all(n % M ** (E + 1) == 0 for n in nums):
+            if diff[root] == 0:
                 exact_matches += 1
+            else:
+                for p in np.nonzero(img[1:] != values[1:])[0] + 1:
+                    word = _heap_word(int(p), "AB")
+                    diff[groups.f2_multiply(root, word)] = \
+                        int(img[p]) - int(values[p])
+                nums, E = kernel_convolution(f, diff, eval_sites, star=True)
+                exact_matches += all(n % M ** (E + 1) == 0 for n in nums)
 
             buckets.setdefault(img[:prefix].tobytes(), []).append(index)
 

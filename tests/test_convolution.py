@@ -12,11 +12,12 @@ the tail, a Fraction lift, and ring products for division.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homoclinic_lab import groups
+from homoclinic_lab import groups, rng
 from homoclinic_lab.groups import F2, Z2, GroupMismatch, WindowTooLarge
 from homoclinic_lab.homoclinic import (Configuration, ResidualNonzero,
                                        TorusValue, WidthExceedsOne,
@@ -411,15 +412,15 @@ def test_fourier_plan_denominator_is_the_lcm(group, text):
     f = PolyF.standard(3, group)
     g = parse_ring_element(text, group)
     radius = 3 if text == LEAVES_THE_SITES else 5
-    sites, nums, den, tail = _fourier_plan(g, f, radius)
+    ids, nums, den, tail = _fourier_plan(g, f, radius)
     cones = []
     for t in g.terms:
         cap = radius - groups.word_length(group, t)
         cones += groups.cone_sites(group, t, cap)
     coords = quotient_coordinates(g, f, cones)
     assert den == math.lcm(*(v.denominator for v in coords.values()))
-    assert ({s: Fraction(n, den) for s, n in zip(sites, nums)}
-            == {s: v for s, v in coords.items() if v})
+    assert ({int(i): Fraction(int(n), den) for i, n in zip(ids, nums)}
+            == {rng.element_id(group, s): v for s, v in coords.items() if v})
     # nothing is truncated exactly when g/f is a quotient inside the sites
     try:
         inside = set(divide_by_f(g, f).support()) <= set(cones)
@@ -427,6 +428,77 @@ def test_fourier_plan_denominator_is_the_lcm(group, text):
         inside = False
     assert inside == (text not in ("1", "2a - b + 1", "a", LEAVES_THE_SITES))
     assert tail == (0 if inside else quotient_tail_l1(g, f, radius))
+
+
+def reference_fourier_plan(g, f, radius):
+    """The f2 plan by the kernel walk: kernel_convolution over the union of
+    the capped cones, as {canonical id: numerator}, den and tail."""
+    sites = {}
+    for t in g.support():
+        sites.update(dict.fromkeys(groups.cone_sites(F2, t, radius - len(t))))
+    sites = list(sites)
+    nums, E = kernel_convolution(
+        f, {t: int(c) for t, c in g.terms.items()}, sites)
+    power = f.M ** (E + 1)
+    common = math.gcd(power, *nums)
+    kept = {s: n // common for s, n in zip(sites, nums) if n}
+    den = power // common
+    exact = den == 1 and RingElement(F2, kept) * f.as_ring() == g
+    tail = 0 if exact else quotient_tail_l1(g, f, radius)
+    return {rng.element_id(F2, s): n for s, n in kept.items()}, den, tail
+
+
+# words of one sign, half the terms of the plan cases: the cone at a
+# positive t lies in the cone at 1, and a negative t' of the greatest length
+# puts the longest quotient, |t'^-1 s| = E, on the cones at positive words
+SIGNED = groups.cone_sites(F2, "", 3) + groups.negative_monoid(F2, 3)
+
+
+@st.composite
+def f2_plan_cases(draw):
+    """f, g over ball(3) with inverse letters, or a member h . f, and a
+    radius that holds the support."""
+    f = draw(st.sampled_from(polys(F2)))
+    g = RingElement(F2, draw(st.dictionaries(
+        st.one_of(elements(F2), st.sampled_from(SIGNED)), st.integers(-3, 3),
+        max_size=5)))
+    if draw(st.booleans()):
+        g = g * f.as_ring()
+    radius = draw(st.integers(max(3, g.max_word_length()), 8))
+    return g, f, radius
+
+
+def assert_plan_matches_the_walk(g, f, radius):
+    ids, nums, den, tail = _fourier_plan(g, f, radius)
+    got = {int(i): int(n) for i, n in zip(ids, nums)}
+    assert len(got) == len(ids)
+    assert (got, den, tail) == reference_fourier_plan(g, f, radius)
+    return nums
+
+
+@PROPERTY
+@given(f2_plan_cases())
+def test_f2_fourier_plan_matches_the_kernel_walk(case):
+    assert_plan_matches_the_walk(*case)
+
+
+@pytest.mark.parametrize("M", [3, 4, 5])
+@pytest.mark.parametrize("radius", [3, 5, 8])
+@pytest.mark.parametrize("text", [LEAVES_THE_SITES, "A + 1", "AB - ba + 3Ab",
+                                  "1 - a", "2B*a - a*B + 1"])
+def test_f2_fourier_plan_matches_on_overlapping_cones(text, radius, M):
+    assert_plan_matches_the_walk(parse_ring_element(text), PolyF(M, F2),
+                                 radius)
+
+
+def test_f2_fourier_plan_takes_python_ints_past_int64():
+    # 2^40 M^(E+1) at M = 5, E = 1 + 8 passes 2^62
+    g = RingElement(F2, {"a": 1 << 40, "B": 3, "": -1})
+    nums = assert_plan_matches_the_walk(g, PolyF(5, F2), 8)
+    assert nums.dtype == object
+    assert assert_plan_matches_the_walk(
+        RingElement(F2, {"a": 1, "B": 3, "": -1}), PolyF(5, F2), 8
+    ).dtype == np.int64
 
 
 # -- division over the whole support ------------------------------------------

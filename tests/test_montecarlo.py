@@ -239,6 +239,32 @@ def test_tau_cascade_draws_once_per_sample(monkeypatch):
     assert reach and whole == reach
 
 
+def test_tau_identity_walks_only_nonzero_diffs(monkeypatch):
+    # a sample whose root did not fire is never discarded and changes
+    # nothing, so its diff is {root: 0}; every other retained sample runs
+    # the identity once.  Each variant also convolves its rhs, {root: 1}
+    cfg = cfg_with(samples=200, sample_radius=10)
+    plain = tau_invariance_test(cfg)
+    calls = []
+
+    def counted(f, terms, window, star=False):
+        assert any(terms.values())
+        calls.append(terms)
+        return kernel_convolution(f, terms, window, star)
+
+    monkeypatch.setattr(montecarlo, "kernel_convolution", counted)
+    assert tau_invariance_test(cfg) == plain
+    quiet = 0
+    for v, lo in zip(plain["variants"], (0, cfg.samples)):
+        root = rng.element_ids(F2, [v["root"]])
+        rows = rng.symbol_rows(cfg.seed, range(lo, lo + cfg.samples), root,
+                               cfg.M)
+        quiet += int((rows[:, 0] != cfg.M - 1).sum())
+    retained = sum(v["retained"] for v in plain["variants"])
+    assert 0 < retained - quiet
+    assert len(calls) == 2 + retained - quiet
+
+
 @pytest.mark.parametrize("R", [8, 14])
 def test_tau_blocks_match_the_one_row_cascade(R):
     # one sample, a block short of one and a block and one more, in the
@@ -492,15 +518,45 @@ def test_empirical_fourier_guards():
                           parse_ring_element("a*b*a"))
 
 
+@pytest.fixture
+def no_growth(monkeypatch):
+    """Make any cone growth or symbol draw fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("grew a cone or drew before the size check")
+
+    monkeypatch.setattr(montecarlo._Cone, "grow", refuse)
+    monkeypatch.setattr(rng, "draw", refuse)
+
+
+def test_fourier_plan_guard_fails_before_any_cone_grows(no_growth):
+    # one cone to level 20 holds 2^21 - 1 sites, past groups.MAX_ELEMENTS
+    with pytest.raises(WindowTooLarge):
+        empirical_fourier(cfg_with(samples=5, sample_radius=20),
+                          parse_ring_element("1"))
+
+
+def test_fourier_plan_refuses_a_union_past_the_guard(no_growth):
+    # two disjoint cones of 2^20 - 1 sites each: each fits, the union does
+    # not, as kernel_convolutions refuses a window of that many sites
+    with pytest.raises(WindowTooLarge, match="2097150"):
+        empirical_fourier(cfg_with(samples=5, sample_radius=20),
+                          parse_ring_element("a + b"))
+    # a cone inside another adds no sites: 1 + a at radius 19 is the one
+    # cone of 2^20 - 1 sites, which passes the guard and goes on to grow
+    with pytest.raises(AssertionError, match="grew a cone"):
+        empirical_fourier(cfg_with(samples=5, sample_radius=19),
+                          parse_ring_element("1 + a"))
+
+
 def test_fourier_chunk_python_int_branch_matches_int64():
     # a real plan scaled by 2^40 puts the dot product's bound past 2^62, so
     # the chunk takes its Python-int branch; the residues scale with it
     cfg = cfg_with(sample_radius=8)
     g = parse_ring_element("1 + a - 2*B")
-    sites, nums, den, _ = montecarlo._fourier_plan(
+    ids, nums, den, _ = montecarlo._fourier_plan(
         g, PolyF(cfg.M, cfg.group), cfg.sample_radius)
-    assert (len(sites), den) == (639, 3 ** 10)
-    ids = [rng.element_id(cfg.group, s) for s in sites]
+    assert (len(ids), den) == (639, 3 ** 10)
+    nums = [int(n) for n in nums]
     scale = 1 << 40
     assert max(map(abs, nums)) * scale * (cfg.M - 1) * len(nums) >= 1 << 62
     fast = montecarlo._fourier_chunk(cfg, 0, cfg.samples, ids, nums, den)
@@ -511,10 +567,11 @@ def test_fourier_chunk_python_int_branch_matches_int64():
 
 
 @pytest.mark.parametrize("n", [0, 3, 70_000])
-@pytest.mark.parametrize("scale", [1, 1 << 50])
+@pytest.mark.parametrize("scale", [1, 1 << 50, 1 << 70])
 def test_fourier_chunk_is_the_one_stream_pairing(n, scale):
     # short rows many to a draw block, and rows past rng._BLOCK in parts;
-    # at 70,000 sites scale 2^50 takes the Python-int branch
+    # at 70,000 sites scale 2^50 takes the Python-int branch, and 2^70
+    # numerators do not fit in int64 at all
     cfg = cfg_with(samples=20)
     gen = np.random.default_rng(n)
     ids = gen.integers(0, 1 << 64, n, dtype=np.uint64, endpoint=False)
