@@ -28,7 +28,6 @@ from .montecarlo import (
     collision_search,
     empirical_fourier,
     haar_window_test,
-    sample_config,
     tau_invariance_test,
 )
 from .ring import (
@@ -67,8 +66,7 @@ __all__ = [
     "Configuration", "TorusValue", "four_cover_lift", "homoclinic_point",
     "phi_exact", "phi_windowed", "xf_residual",
     "EnclosureTooWide", "ExperimentConfig", "collision_search",
-    "empirical_fourier", "haar_window_test", "sample_config",
-    "tau_invariance_test",
+    "empirical_fourier", "haar_window_test", "tau_invariance_test",
     "NotDivisible", "PolyF", "RingElement", "divide_by_f",
     "parse_ring_element", "quotient_coordinates",
     "RadiusInsufficient", "Witness",

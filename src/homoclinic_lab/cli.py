@@ -130,6 +130,8 @@ def _cmd_kernel(args):
 
 
 def _cmd_cover(args):
+    if args.radius < 0:
+        raise ValueError("radius must be nonnegative")
     window = groups.ball(args.group, args.radius)
     d = _load_config_arg(args, args.group, window, (0, args.M))
     res = symbolic.reduce_cover(d, args.M)

@@ -14,7 +14,6 @@ ambiguous if they still straddle at the maximum depth.
 """
 
 import cmath
-import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -61,22 +60,11 @@ class ExperimentConfig:
         return asdict(self)
 
 
-def sample_config(cfg, index, window=None):
-    """The index-th sampled configuration, materialized on a window
-    (default: the ball of the sampling radius)."""
-    if window is None:
-        window = groups.ball(cfg.group, cfg.sample_radius)
-    ids = rng.element_ids(cfg.group, window)
-    vals = rng.symbols(cfg.seed, index, ids, cfg.M)
-    values = {el: int(v) for el, v in zip(window, vals)}
-    return Configuration(cfg.group, values, (0, cfg.M - 1))
-
-
 _CACHE_LEVELS = 20
 
 # symbols per block of sample rows: the carry cascade, the Fourier residues
-# and the collision base folds draw and process this many at a time (8
-# samples of the depth-14 backward cone)
+# and the base folds draw and process this many at a time (8 samples of the
+# depth-14 backward cone)
 _ROW_BLOCK = 4 * rng._BLOCK
 
 
@@ -96,6 +84,12 @@ _MAX_F2_DEPTH = 24
 _MAX_STORED_IDS = 1 << 27
 
 
+def _stored_level(group, depth):
+    """The deepest level a cone stores on the way to depth: depth itself on
+    z2, whose level l holds l+1 sites, and at most _CACHE_LEVELS on f2."""
+    return min(depth, _CACHE_LEVELS) if group == F2 else depth
+
+
 def _check_fold_depth(group, depth, sites=1):
     """Refuse, before any draw, folds past _MAX_F2_DEPTH on f2 or cones of
     that many sites storing more than _MAX_STORED_IDS ids at their deepest
@@ -104,7 +98,7 @@ def _check_fold_depth(group, depth, sites=1):
         raise groups.WindowTooLarge(
             "a cone fold to depth %d draws 2^%d ids at its deepest level "
             "(limit: depth %d)" % (depth, depth, _MAX_F2_DEPTH))
-    level = min(depth, _CACHE_LEVELS) if group == F2 else depth
+    level = _stored_level(group, depth)
     stored = sites * groups.cone_size(group, level)
     if stored > _MAX_STORED_IDS:
         raise groups.WindowTooLarge(
@@ -162,19 +156,6 @@ class _Cone:
         nxt[1::2] = rng.child_ids(ids, self.letters[1])
         return nxt
 
-    def prefix_sums(self, seed, index, M, lo, hi):
-        """Weighted symbol totals of the stored levels lo..hi, each summed
-        from the start of level lo to the end of that level."""
-        base = self.offsets[lo]
-        ids = self.ids[base:self.offsets[hi + 1]]
-        ends = [o - base for o in self.offsets[lo + 1:hi + 2]]
-        if self.group == F2:
-            return rng.symbol_sums(seed, index, ids, M, ends)
-        vals = rng.symbols(seed, index, ids, M).tolist()
-        run = list(itertools.accumulate(
-            w * v for w, v in zip(self.weights[base:], vals)))
-        return [run[e - 1] for e in ends]
-
 
 def _tail_units(M, depth):
     """ceil of the kernel l1 tail beyond the given cone depth, in units of
@@ -199,8 +180,8 @@ def _assign_bin(num, depth, M, bins):
 
 class _ConeFold:
     """Running partial numerator of one coordinate of one sample: value
-    sum over levels 0..depth in base M, deepened on demand; it starts empty,
-    or from a numerator already folded to a depth."""
+    sum over levels 0..depth in base M, deepened one level at a time; it
+    starts empty, or from a numerator already folded to a depth."""
 
     def __init__(self, cone, seed, index, M, num=0, depth=-1):
         self.cone = cone
@@ -212,57 +193,71 @@ class _ConeFold:
         self._top = None
 
     def to_depth(self, depth):
-        """One draw over the stored levels still missing, then one
-        transient level per step past the cache cap, summed from its
-        parent's ids one child letter at a time; a transient level is
-        built only when the fold goes below it.  z2 levels hold l+1 ids,
-        so they are all stored."""
-        stored = depth if self.cone.group == Z2 else min(depth, _CACHE_LEVELS)
-        if self.depth < stored:
-            self._fold_stored(stored)
+        """Add the levels down to depth, one per step.  A stored level is
+        one run total, its z2 sites weighted by their word counts in Python
+        ints.  A free-group level past the cache cap is built only when the
+        fold goes below it, and summed from its parent's ids one child
+        letter at a time."""
+        cone = self.cone
+        off = cone.offsets
         while self.depth < depth:
-            if self._top is None:
-                off = self.cone.offsets
-                self._top = self.cone.ids[off[self.depth]:off[self.depth + 1]]
+            level = self.depth + 1
+            if _stored_level(cone.group, level) == level:
+                cone.grow(level)
+                ids, letters = cone.ids[off[level]:off[level + 1]], [None]
             else:
-                self._top = self.cone.children(self._top)
-            total = sum(rng.symbol_sums(self.seed, self.index, self._top,
-                                        self.M, [len(self._top)], letter)[0]
-                        for letter in self.cone.letters)
+                self._top = (cone.ids[off[level - 1]:off[level]]
+                             if self._top is None else cone.children(self._top))
+                ids, letters = self._top, cone.letters
+            if cone.group == Z2:
+                vals = rng.symbols(self.seed, self.index, ids, self.M).tolist()
+                total = sum(w * v for w, v in
+                            zip(cone.weights[off[level]:off[level + 1]], vals))
+            else:
+                total = sum(int(rng.symbol_sums(self.seed, self.index, ids,
+                                                self.M, [len(ids)],
+                                                letter)[0, 0])
+                            for letter in letters)
             self.num = self.num * self.M + total
-            self.depth += 1
+            self.depth = level
         return self.num
-
-    def _fold_stored(self, depth):
-        self.cone.grow(depth)
-        prev = 0
-        for total in self.cone.prefix_sums(self.seed, self.index, self.M,
-                                           self.depth + 1, depth):
-            self.num = self.num * self.M + total - prev
-            prev = total
-        self.depth = depth
 
 
 def _base_folds(cone, seed, indices, M, depth):
     """The numerators of _ConeFold(cone, seed, i, M).to_depth(depth) for
-    every sample index i of the range, at a depth the cone stores (at most
-    _CACHE_LEVELS): the levels are drawn for blocks of samples at once and
-    summed per level, z2 sites weighted by their word counts."""
+    every sample index i of the range, at a depth the cone stores: the
+    levels are drawn for blocks of samples at once and summed per level, z2
+    sites weighted by their word counts (as Python ints once a level's
+    total can pass int64)."""
     cone.grow(depth)
-    ids = cone.ids[:cone.offsets[depth + 1]]
-    starts = cone.offsets[:depth + 1]
+    ends = cone.offsets[1:depth + 2]
+    ids = cone.ids[:ends[-1]]
+    # the word counts of z2 level l sum to 2^l
+    wide = cone.group == Z2 and (M - 1) << depth >= 1 << 63
+    weights = np.array(cone.weights[:len(ids)],
+                       dtype=object if wide else np.int64)
     nums = []
     for lo, hi in _row_blocks(indices.start, indices.stop, len(ids)):
-        vals = rng.symbol_rows(seed, range(lo, hi), ids, M, np.int8)
         if cone.group == Z2:
-            vals = vals * np.array(cone.weights[:len(ids)])
-        sums = np.add.reduceat(vals, starts, axis=1, dtype=np.int64)
-        for row in sums.tolist():
-            num = 0
-            for total in row:
-                num = num * M + total
-            nums.append(num)
+            vals = rng.symbol_rows(seed, range(lo, hi), ids, M) * weights
+            sums = np.add.reduceat(vals, cone.offsets[:depth + 1], axis=1)
+        else:
+            sums = rng.symbol_sums(seed, range(lo, hi), ids, M, ends)
+        num = np.zeros(len(sums), dtype=object)
+        for total in sums.T:
+            num = num * M + total
+        nums.extend(num.tolist())
     return nums
+
+
+def _sample_folds(cfg, sites, indices, depth):
+    """Each sample's folds on the forward cones at the sites, by position in
+    the range, started at the deepest level the cones store toward depth."""
+    cones = [_Cone(cfg.group, s) for s in sites]
+    stored = _stored_level(cfg.group, depth)
+    base = [_base_folds(c, cfg.seed, indices, cfg.M, stored) for c in cones]
+    return lambda k: [_ConeFold(c, cfg.seed, indices[k], cfg.M, nums[k], stored)
+                      for c, nums in zip(cones, base)]
 
 
 def _pair_cell(b, bins, cells):
@@ -304,7 +299,6 @@ def _haar_chunk(cfg, lo, hi, max_extra):
     counts and the pair grid.  Pure integer output, so chunk merges are
     exact and order independent."""
     sites = groups.ball(cfg.group, cfg.eval_radius)
-    cones = [_Cone(cfg.group, s) for s in sites]
     bins = cfg.bins
     cells = min(_PAIR_CELLS, bins)
     hist = np.zeros((len(sites), bins), dtype=np.int64)
@@ -313,10 +307,10 @@ def _haar_chunk(cfg, lo, hi, max_extra):
     pair_total = 0
     pair_sites = (0, 1) if len(sites) > 1 else (0, 0)
     base = cfg.sample_radius
-    for index in range(lo, hi):
+    folds = _sample_folds(cfg, sites, range(lo, hi), base)
+    for k in range(hi - lo):
         sample_bins = []
-        for ci, cone in enumerate(cones):
-            fold = _ConeFold(cone, cfg.seed, index, cfg.M)
+        for ci, fold in enumerate(folds(k)):
             fold.to_depth(base)
             b = _assign_bin(fold.num, fold.depth, cfg.M, bins)
             while b is None and fold.depth < base + max_extra:
@@ -812,17 +806,9 @@ def collision_search(cfg, control=64, pair_depth=8, max_extra=6):
     # of all of them start from stored levels drawn at once, and only the
     # close pairs go deeper
     n_pairs = cfg.samples
-    cones = [_Cone(group, s) for s in eval_sites]
     base_offset = 1 << 20
-    stored = min(pair_depth, _CACHE_LEVELS)
-    base = [_base_folds(c, cfg.seed,
-                        range(base_offset, base_offset + 2 * n_pairs), M,
-                        stored) for c in cones]
-
-    def folds(j):
-        return [_ConeFold(c, cfg.seed, base_offset + j, M, nums[j], stored)
-                for c, nums in zip(cones, base)]
-
+    folds = _sample_folds(cfg, eval_sites,
+                          range(base_offset, base_offset + 2 * n_pairs), pair_depth)
     folds_ok = 0
     deepened = 0
     for i in range(n_pairs):

@@ -4,12 +4,10 @@ Every sampled symbol is a pure function of (seed, stream index, site), with
 the site keyed by a canonical 64-bit id: free-group ids chain one finalizer
 round per letter from a fixed root, so the id of a word is independent of
 which window or cone enumerated it.  Every symbol is drawn by one blocked,
-in-place kernel (draw), for one stream or a range of streams at once,
-whether the caller keeps the symbols or only their sums.  No global state
-anywhere.
+in-place kernel (draw), for one stream or a range of streams at once, and
+read as rows of symbols (symbol_rows, symbols) or as totals per stream over
+runs of the ids (symbol_sums).  No global state anywhere.
 """
-
-import bisect
 
 import numpy as np
 
@@ -120,8 +118,9 @@ def draw(seed, index, ids, M, letter=None):
     m = np.uint64(M)
     rem = (1 << 64) % M
     limit = np.uint64(-rem & MASK)
-    buf = np.empty(min(len(rows), per) * width, dtype=np.uint64)
-    tmp = np.empty_like(buf)
+    # both buffers in one allocation: freed, it lifts the allocator's trim
+    # threshold above its size, so the next draw reuses its pages
+    buf, tmp = np.empty((2, min(len(rows), per) * width), dtype=np.uint64)
     for r0 in range(0, len(rows), per):
         r1 = min(r0 + per, len(rows))
         for c0 in range(0, n, width):
@@ -165,17 +164,27 @@ def symbols(seed, index, ids, M):
     return symbol_rows(seed, range(index, index + 1), ids, M)[0]
 
 
-def symbol_sums(seed, index, ids, M, cuts, letter=None):
-    """Totals of the symbols of draw() over ids[:c] for each c in the
-    ascending cuts, without keeping the symbols."""
-    totals = []
-    total = k = 0
-    for lo, vals in draw(seed, index, ids, M, letter):
-        j = bisect.bisect_left(cuts, lo + len(vals), k)
-        if j > k:
-            run = np.cumsum(vals)
-            totals.extend(total + int(run[c - lo - 1]) if c > lo else total
-                          for c in cuts[k:j])
-            k = j
-        total += int(vals.sum())
-    return totals + [total] * (len(cuts) - k)
+def symbol_sums(seed, index, ids, M, ends, letter=None):
+    """Totals of the symbols of draw() over the consecutive runs
+    ids[:ends[0]], ids[ends[0]:ends[1]], ... (ascending ends), as an int64
+    matrix with one row per stream of index, one int or a range.  The runs
+    are summed inside the draw's own blocks, so no symbol row is kept."""
+    rows = index if isinstance(index, range) else range(index, index + 1)
+    n = len(ids)
+    edges = np.minimum(np.array([0, *ends], dtype=np.intp), n)
+    # run edges and block starts (one block per row when n < _BLOCK) cut
+    # each row into pieces; its k-th block holds pieces span[k]:span[k + 1]
+    cols = np.arange(0, n, _BLOCK)
+    points = np.union1d(edges[edges < n], cols)
+    span = np.searchsorted(points, cols).tolist() + [len(points)]
+    pieces = np.empty((len(rows), len(points)), dtype=np.int64)
+    for start, vals in draw(seed, index, ids, M, letter):
+        r, c = divmod(start, n)
+        part = slice(span[c // _BLOCK], span[c // _BLOCK + 1])
+        block = vals.view(np.int64).reshape(-1, min(n, len(vals)))
+        np.add.reduceat(block, points[part] - c, axis=1,
+                        out=pieces[r:r + len(block), part])
+    # the total before an edge is the running sum of the pieces before it
+    before = np.zeros((len(rows), len(points) + 1), dtype=np.int64)
+    np.cumsum(pieces, axis=1, out=before[:, 1:])
+    return np.diff(before[:, np.searchsorted(points, edges)], axis=1)

@@ -135,6 +135,8 @@ def allowed_patterns(M, bound):
     [-bound, bound]^3 allowed by |M k - l - m| <= M - 1."""
     if M < 3:
         raise ValueError("M must be at least 3")
+    if bound < 0:
+        raise ValueError("pattern range must be nonnegative")
     rng = range(-bound, bound + 1)
     return frozenset(
         (k, l, m)
@@ -258,6 +260,8 @@ def percolation_path(c, start, n, M=3):
     """
     if c.group != F2:
         raise ValueError("percolation paths are built over words")
+    if n < 0:
+        raise ValueError("path length must be nonnegative")
     _check_values(c, -1, 1)
     allowed = allowed_patterns(M, 1)
     forward = groups.steps(F2, "ab")

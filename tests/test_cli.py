@@ -297,6 +297,18 @@ def test_kernel_rejects_a_negative_radius_and_small_m():
     assert "radius must be nonnegative" in run_cli("kernel", "--radius", "-1")[2]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("patterns", "--range", "-1"), "pattern range must be nonnegative"),
+    (("percolation", "--ones", "--n", "-1"), "path length must be nonnegative"),
+    (("cover", "--radius", "-1"), "radius must be nonnegative"),
+])
+def test_negative_counts_are_rejected(argv, message):
+    code, out, err = run_cli(*argv)
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and message in err
+
+
 def test_unknown_command_exits_two():
     with pytest.raises(SystemExit) as exc:
         run_cli("no-such-command")

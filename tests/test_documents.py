@@ -38,6 +38,9 @@ CASES = {
         _cfg(sample_radius=8, eval_radius=2, bins=6)),
     "haar_z2": lambda: haar_window_test(
         _cfg(group=Z2, sample_radius=9, bins=5), max_extra=16),
+    # z2 levels past 62, whose weighted totals pass int64
+    "haar_z2_deep": lambda: haar_window_test(
+        _cfg(group=Z2, sample_radius=70), max_extra=4),
     "collision_f2": lambda: collision_search(_cfg(samples=20), control=4),
     "collision_z2": lambda: collision_search(
         _cfg(samples=20, group=Z2), control=4),
@@ -53,6 +56,8 @@ DIGESTS = {
         "645c5cd68f082c6875bdee814049d4d4604750a07e863e8747fda0c843bd7f87",
     "haar_z2":
         "66abc31e6d10d7615fa91fa1b70ca1d6c71ebb38b9f9d9bebf855fe2d7f35bca",
+    "haar_z2_deep":
+        "8b4f16d4a1de73ee0550608c11ee068cd7bb230798553f07635863249971666a",
     "collision_f2":
         "da9e81c5b7bbf46bb3c36d0d60cc55b428dc13824b73cae007b9d539368f76ba",
     "collision_z2":
@@ -66,7 +71,8 @@ DIGESTS = {
 }
 
 # the cases whose cone folds go past a cache cap of 4 levels
-PAST_CACHE = ["haar_f2", "haar_z2", "collision_f2", "collision_z2"]
+PAST_CACHE = ["haar_f2", "haar_z2", "haar_z2_deep", "collision_f2",
+              "collision_z2"]
 
 
 def digest(doc):

@@ -1,5 +1,5 @@
 """Differential tests of the blocked draw kernel (rng.draw and its readers
-symbols, symbol_rows, symbol_sums and child_ids).
+symbols, symbol_rows and symbol_sums) and of child_ids.
 
 The reference written here is the whole-array formula the kernel must
 reproduce bit for bit: xor the stream key into the ids (one key per row
@@ -128,20 +128,34 @@ def test_symbols_match_the_whole_array_formula(n, M):
     assert np.array_equal(got, ref_symbols(5, 3, ids, M))
 
 
+def run_totals(matrix, ends):
+    starts = [0] + list(ends[:-1])
+    return [[int(row[a:b].sum()) for a, b in zip(starts, ends)]
+            for row in matrix]
+
+
 @given(st.integers(2, 7), st.sampled_from(LENGTHS),
+       st.sampled_from([None, "a", "B"]), st.sampled_from([None, 2, 7]),
        st.integers(0, 1 << 40), st.integers(0, 1 << 20), st.data())
 @PROPERTY
-def test_symbol_sums_are_prefix_totals(M, n, seed, index, data):
+def test_symbol_sums_are_run_totals(M, n, letter, rows, seed, index, data):
+    # one stream (an int index) or a range of them: rows shorter than a
+    # block are drawn several to a block, longer ones block by block
     ids = random_ids(n, seed)
-    # cuts anywhere, and on either side of every block edge
+    streams = range(index, index + (rows or 1))
+    # ends anywhere, and on either side of every block edge, so runs cross
+    # block edges; equal ends make empty runs, and ids past the last end
+    # belong to no run
     near_edges = [c for lo in range(0, n + 1, B)
                   for c in (lo - 1, lo, lo + 1) if 0 <= c <= n]
-    cuts = sorted(data.draw(st.lists(
+    ends = sorted(data.draw(st.lists(
         st.one_of(st.integers(0, n), st.sampled_from(near_edges)),
         max_size=8)))
-    run = np.concatenate([[0], np.cumsum(ref_symbols(seed, index, ids, M))])
-    assert rng.symbol_sums(seed, index, ids, M, cuts) == \
-        [int(run[c]) for c in cuts]
+    kids = ids if letter is None else ref_child_ids(ids, letter)
+    got = rng.symbol_sums(seed, index if rows is None else streams, ids, M,
+                          ends, letter)
+    assert got.dtype == np.int64 and got.shape == (len(streams), len(ends))
+    assert got.tolist() == run_totals(ref_rows(seed, streams, kids, M), ends)
 
 
 @given(st.integers(2, 7), st.sampled_from(LENGTHS), st.sampled_from("abAB"),
@@ -154,7 +168,8 @@ def test_child_letter_sums_match_child_ids_then_symbols(M, n, letter,
     assert np.array_equal(kids, ref_child_ids(ids, letter))
     expect = int(rng.symbols(seed, index, kids, M).sum())
     assert expect == int(ref_symbols(seed, index, kids, M).sum())
-    assert rng.symbol_sums(seed, index, ids, M, [n], letter) == [expect]
+    assert rng.symbol_sums(seed, index, ids, M, [n], letter).tolist() == \
+        [[expect]]
 
 
 def drawn_matrix(seed, rows, ids, M, letter=None):
@@ -193,18 +208,23 @@ def test_rejection_branch(M, letter, rows):
         len(spots) * len(bad)
 
     expect = ref_symbols(seed, index, kids, M)
+    # runs that end on either side of each run of rejecting ids, and of
+    # the first block edge when the row passes it
+    ends = sorted({e for pos in spots + (B,)
+                   for e in (pos, pos + len(bad)) if e < len(ids)}
+                  | {len(ids)})
     if rows is not None:
         streams = range(index - rows // 2, index + rows // 2 + 1)
+        ref = [ref_symbols(seed, i, kids, M) for i in streams]
         assert np.array_equal(
-            drawn_matrix(seed, streams, ids, M, letter),
-            [ref_symbols(seed, i, kids, M) for i in streams])
+            drawn_matrix(seed, streams, ids, M, letter), ref)
+        assert rng.symbol_sums(seed, streams, ids, M, ends, letter).tolist() \
+            == run_totals(ref, ends)
         return
     if letter is None:
         assert np.array_equal(rng.symbols(seed, index, ids, M), expect)
-    cuts = [B - 1, B, 2 * B + 3]
-    run = np.concatenate([[0], np.cumsum(expect)])
-    assert rng.symbol_sums(seed, index, ids, M, cuts + [len(ids)], letter) \
-        == [int(run[c]) for c in cuts + [len(ids)]]
+    assert rng.symbol_sums(seed, index, ids, M, ends, letter).tolist() == \
+        run_totals([expect], ends)
 
 
 @pytest.mark.parametrize("n, rows", [(1, B + 3), (511, 300), (32767, 5),
