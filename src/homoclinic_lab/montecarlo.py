@@ -14,6 +14,7 @@ ambiguous if they still straddle at the maximum depth.
 """
 
 import cmath
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -60,7 +61,10 @@ class ExperimentConfig:
         return asdict(self)
 
 
-_CACHE_LEVELS = 20
+# bytes of cone ids the process store may hold: cone "" of the free group
+# to level 24 (criterion 9's deepest fold), or 2^25 ids.  A fold past the
+# store builds its levels beside it, so its deepest level may take half
+_STORE_BYTES = 1 << 28
 
 # symbols per block of sample rows: the carry cascade, the Fourier residues
 # and the base folds draw and process this many at a time (8 samples of the
@@ -74,87 +78,201 @@ def _row_blocks(lo, hi, width):
     per = max(1, _ROW_BLOCK // max(width, 1))
     return [(a, min(a + per, hi)) for a in range(lo, hi, per)]
 
-# a free-group fold at depth d draws 2^d ids at its deepest level from the
-# 2^(d-1) ids it builds above it; criterion 9 goes as deep as 24 (64 MB of
-# ids at level 23, plus its 32 MB parent while it is built)
-_MAX_F2_DEPTH = 24
-
-# uint64 ids the stored cones of one call may hold: 1 GiB per process (the
-# pinned haar document stores 17 cones of 2^21 - 1 ids)
-_MAX_STORED_IDS = 1 << 27
-
-
-def _stored_level(group, depth):
-    """The deepest level a cone stores on the way to depth: depth itself on
-    z2, whose level l holds l+1 sites, and at most _CACHE_LEVELS on f2."""
-    return min(depth, _CACHE_LEVELS) if group == F2 else depth
-
 
 def _check_fold_depth(group, depth, sites=1):
-    """Refuse, before any draw, folds past _MAX_F2_DEPTH on f2 or cones of
-    that many sites storing more than _MAX_STORED_IDS ids at their deepest
-    reachable stored level."""
-    if group == F2 and depth > _MAX_F2_DEPTH:
+    """Refuse, before any draw, folds that cannot fit the store budget: on
+    f2 a fold whose deepest level, 2^depth ids, takes more than half of
+    _STORE_BYTES; on z2, whose cones are drawn whole, cones of that many
+    sites holding more than _STORE_BYTES of ids."""
+    if group == F2:
+        need, limit = 8 << depth, _STORE_BYTES // 2
+        what = "a cone fold to depth %d builds 2^%d ids" % (depth, depth)
+    else:
+        need, limit = 8 * sites * groups.cone_size(group, depth), _STORE_BYTES
+        what = "%d cones to depth %d hold %d ids" % (
+            sites, depth, need // 8)
+    if need > limit:
         raise groups.WindowTooLarge(
-            "a cone fold to depth %d draws 2^%d ids at its deepest level "
-            "(limit: depth %d)" % (depth, depth, _MAX_F2_DEPTH))
-    level = _stored_level(group, depth)
-    stored = sites * groups.cone_size(group, level)
-    if stored > _MAX_STORED_IDS:
-        raise groups.WindowTooLarge(
-            "%d cones stored to level %d hold %d ids (limit %d)"
-            % (sites, level, stored, _MAX_STORED_IDS))
+            "%s, %d bytes (limit %d: store budget %d bytes)"
+            % (what, need, limit, _STORE_BYTES))
+
+
+def _free(root, letters):
+    """Whether no word of the cone root*{x, y}* cancels into root: root is
+    the identity or ends in x or y."""
+    return not root or root[-1] in letters
+
+
+class _Store:
+    """Canonical site ids of cone levels, kept for the life of the process
+    under the byte budget _STORE_BYTES.
+
+    A stored cone is a z2 cone, or a free-group cone root*{x, y}* whose
+    root is free (_free), so that its words never cancel; _Cone makes
+    every other cone from those.  Level l of a stored cone is one uint64
+    array of its ids in bit order, written in place from level l-1 (one
+    finalizer round per id; z2 levels from groups.cone_levels, with the
+    number of words reaching each site) when a fold first reads it, and
+    kept when it fits the budget beside every level kept so far.  Ids
+    depend on the word alone, never on the seed or the call, so a level is
+    built once per process, and worker processes inherit the levels of
+    their parent.
+    """
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self._levels = {}
+        self.nbytes = 0
+
+    def grow(self, cone, depth):
+        """Store the levels of the cone (group, root, letters) up to depth
+        as far as the budget allows; returns whether level depth is
+        stored."""
+        levels = self._levels.setdefault(cone, [])
+        group, root, letters = cone
+        while len(levels) <= depth:
+            l = len(levels)
+            size = groups.cone_size(group, l) - groups.cone_size(group, l - 1)
+            # the cone at the identity serves every root of the unit ball
+            # (at a and b one level down), so it is kept a level ahead
+            if group == F2 and root and not self.grow((F2, "", letters), l + 1) \
+                    or self.nbytes + 8 * size > _STORE_BYTES:
+                return False
+            levels.append(self.build((cone, l, 0, size)))
+            self.nbytes += 8 * size
+        return True
+
+    def piece(self, piece):
+        """(ids, weights) of a piece (cone, level, lo, hi), weights None on
+        f2, if the store holds that level of the cone or can add it."""
+        cone, level, lo, hi = piece
+        if cone[0] == F2 and not _free(cone[1], cone[2]) \
+                or not self.grow(cone, level):
+            return None
+        ids, weights = self._levels[cone][level]
+        return ids[lo:hi], weights and weights[lo:hi]
+
+    def build(self, piece):
+        """(ids, weights) of a piece, built: on f2 from the piece's part of
+        the deepest stored level of its cone above it (or from the root's
+        own id), one level of children at a time; on z2 by a walk of the
+        cone."""
+        cone, level, lo, hi = piece
+        group, root, letters = cone
+        if group == Z2:
+            sites = next(itertools.islice(
+                groups.cone_levels(group, root, letters), level, None))
+            return (rng.element_ids(group, sites)[lo:hi],
+                    list(sites.values())[lo:hi])
+        top = min(len(self._levels.get(cone, ())) - 1, level)
+        ids = (self._levels[cone][top][0] if top >= 0
+               else rng.element_ids(group, [root]))
+        k = level - max(top, 0)
+        a = lo >> k
+        ids = ids[a:((hi - 1) >> k) + 1]
+        for _ in range(k):
+            ids = rng.child_ids(ids, letters)
+        return ids[lo - (a << k):hi - (a << k)], None
+
+
+_STORE = _Store()
+
+
+def _parent(piece):
+    """The piece of the level above whose children, in bit order, are the
+    piece; None on z2 and for a piece of a single site's id."""
+    cone, level, lo, hi = piece
+    if cone[0] == Z2 or not level or (lo | hi) & 1:
+        return None
+    return cone, level - 1, lo >> 1, hi >> 1
 
 
 class _Cone:
-    """Canonical site ids of the monoid cone root*{x, y}*, stored level after
-    level in one uint64 array with level offsets.
+    """The monoid cone root*{x, y}* of a fold, a carry window or a Fourier
+    plan term, read from the process store.
 
     A coordinate of the parametrized point at root is determined by the
     sampled symbols on the forward cone root*P (letters "ab"), each level l
     carrying weight M^-(l+1); the carry machine instead spreads over the
     backward cone root*N (letters "AB").
 
-    Levels follow groups.cone_levels in bit order.  Free group: past level
-    len(root) no word can cancel into root, so each level chains its ids
-    from the level before, one mix per letter, which vectorizes.  Z^2:
-    level l holds l+1 sites, and weights holds the number of words reaching
-    each one.
+    Level l is a list of pieces (stored cone, level, lo, hi): the ids lo..hi
+    of a level of a cone the store keeps, in groups.cone_levels bit order.
+    z2 cones are stored as they are.  A free-group root that ends in x or y
+    and has a free prefix reads the cone at that prefix one level down:
+    level l of the cone at "a" is the first half of level l+1 of the cone
+    at "", of "b" the second.  A root ending in X (the inverse of x) is its
+    own site at level 0 and, below it, the cone at root[:-1] one level up
+    followed by the cone at root y: level l of the cone at "A" is level l-1
+    of the cone at "" and then of the one at "Ab"; at "B" the cone at "Ba"
+    comes first.
     """
 
     def __init__(self, group, root, letters="ab"):
         self.group = group
+        self.root = root
         self.letters = letters
-        self._walk = groups.cone_levels(group, root, letters)
-        self._walk_depth = len(root) if group == F2 else math.inf
-        self.ids = np.empty(0, dtype=np.uint64)
-        self.offsets = [0]
-        self.weights = []
 
-    def grow(self, depth):
-        """Store the levels up to depth."""
-        stored = len(self.offsets) - 1
-        parts = []
-        for level in range(stored, depth + 1):
-            if level > self._walk_depth:
-                top = self.children(parts[-1] if parts else
-                                    self.ids[self.offsets[-2]:])
-            else:
-                sites = next(self._walk)
-                top = rng.element_ids(self.group, sites)
-                if self.group == Z2:
-                    self.weights.extend(sites.values())
-            parts.append(top)
-            self.offsets.append(self.offsets[-1] + len(top))
-        if parts:
-            self.ids = np.concatenate([self.ids] + parts)
+    def pieces(self, level, root=None):
+        root = self.root if root is None else root
+        cone = (self.group, root, self.letters)
+        if self.group == Z2:
+            return [(cone, level, 0, level + 1)]
+        x, y = self.letters
+        if not _free(root, self.letters):
+            if not level:
+                return [(cone, 0, 0, 1)]
+            halves = ((root[:-1], root + y) if root[-1] == x.swapcase()
+                      else (root + x, root[:-1]))
+            return [p for r in halves for p in self.pieces(level - 1, r)]
+        base = root
+        while base and _free(base[:-1], self.letters):
+            base = base[:-1]
+        tail = root[len(base):]
+        k = int("0" + tail.translate(str.maketrans(self.letters, "01")), 2)
+        return [((self.group, base, self.letters), level + len(tail),
+                 k << level, (k + 1) << level)]
 
-    def children(self, ids):
-        """Free-group ids of the level after ids, in bit order."""
-        nxt = np.empty(2 * len(ids), dtype=np.uint64)
-        nxt[0::2] = rng.child_ids(ids, self.letters[0])
-        nxt[1::2] = rng.child_ids(ids, self.letters[1])
-        return nxt
+    def walk(self, start=0):
+        """Each level of the cone from start on, as a list of (ids, weights,
+        letters): the level's symbols are those of ids (weights, on z2, the
+        number of words reaching each site) when letters is None, else of
+        the children of ids by each letter.  Pieces past the store are
+        drawn from their parents' ids, which are built from the level
+        above only when the walk goes further."""
+        held = {}
+        for level in itertools.count(start):
+            parts, below = [], {}
+            for piece in self.pieces(level):
+                stored = _STORE.piece(piece)
+                up = _parent(piece)
+                if stored is not None or up is None:
+                    ids, weights = stored or _STORE.build(piece)
+                    parts.append((ids, weights, None))
+                    below[piece] = ids, False
+                    continue
+                ids, kids = held.get(up) or (_STORE.build(up)[0], False)
+                if kids:
+                    ids = rng.child_ids(ids, self.letters)
+                parts.append((ids, None, self.letters))
+                below[piece] = ids, True
+            held = below
+            yield parts
+
+    def gather(self, depth):
+        """The ids of levels 0..depth in one array, level after level: on
+        f2 the ids of the word at heap position p (see _heap_word)."""
+        out = np.empty(groups.cone_size(self.group, depth), dtype=np.uint64)
+        pos = 0
+        for parts in itertools.islice(self.walk(), depth + 1):
+            for ids, _, letters in parts:
+                if letters:
+                    ids = rng.child_ids(ids, letters)
+                out[pos:pos + len(ids)] = ids
+                pos += len(ids)
+        return out
 
 
 def _tail_units(M, depth):
@@ -180,8 +298,8 @@ def _assign_bin(num, depth, M, bins):
 
 class _ConeFold:
     """Running partial numerator of one coordinate of one sample: value
-    sum over levels 0..depth in base M, deepened one level at a time; it
-    starts empty, or from a numerator already folded to a depth."""
+    sum over levels 0..depth in base M, deepened one or more levels at a
+    time; it starts empty, or from a numerator already folded to a depth."""
 
     def __init__(self, cone, seed, index, M, num=0, depth=-1):
         self.cone = cone
@@ -190,74 +308,88 @@ class _ConeFold:
         self.M = M
         self.num = num
         self.depth = depth
-        self._top = None
+        self._levels = None
 
     def to_depth(self, depth):
-        """Add the levels down to depth, one per step.  A stored level is
-        one run total, its z2 sites weighted by their word counts in Python
-        ints.  A free-group level past the cache cap is built only when the
-        fold goes below it, and summed from its parent's ids one child
-        letter at a time."""
-        cone = self.cone
-        off = cone.offsets
-        while self.depth < depth:
-            level = self.depth + 1
-            if _stored_level(cone.group, level) == level:
-                cone.grow(level)
-                ids, letters = cone.ids[off[level]:off[level + 1]], [None]
-            else:
-                self._top = (cone.ids[off[level - 1]:off[level]]
-                             if self._top is None else cone.children(self._top))
-                ids, letters = self._top, cone.letters
-            if cone.group == Z2:
-                vals = rng.symbols(self.seed, self.index, ids, self.M).tolist()
-                total = sum(w * v for w, v in
-                            zip(cone.weights[off[level]:off[level + 1]], vals))
-            else:
-                total = sum(int(rng.symbol_sums(self.seed, self.index, ids,
-                                                self.M, [len(ids)],
-                                                letter)[0, 0])
-                            for letter in letters)
-            self.num = self.num * self.M + total
-            self.depth = level
+        """Add the levels down to depth."""
+        if depth > self.depth:
+            if self._levels is None:
+                self._levels = self.cone.walk(self.depth + 1)
+            levels = [next(self._levels) for _ in range(depth - self.depth)]
+            self.num, = _fold(self.cone.group, self.seed,
+                              range(self.index, self.index + 1), self.M,
+                              levels, depth, [self.num])
+            self.depth = depth
         return self.num
 
 
 def _base_folds(cone, seed, indices, M, depth):
     """The numerators of _ConeFold(cone, seed, i, M).to_depth(depth) for
-    every sample index i of the range, at a depth the cone stores: the
-    levels are drawn for blocks of samples at once and summed per level, z2
-    sites weighted by their word counts (as Python ints once a level's
-    total can pass int64)."""
-    cone.grow(depth)
-    ends = cone.offsets[1:depth + 2]
-    ids = cone.ids[:ends[-1]]
+    every sample index i of the range."""
+    levels = list(itertools.islice(cone.walk(), depth + 1))
+    return _fold(cone.group, seed, indices, M, levels, depth,
+                 [0] * len(indices))
+
+
+def _fold(group, seed, indices, M, levels, depth, nums):
+    """The numerators nums of the samples of the index range, each times
+    M^len(levels) plus the base-M number of the symbol totals of the
+    levels (lists of _Cone.walk parts, the last one at depth).
+
+    The levels are drawn for blocks of samples at once and summed per
+    level, z2 sites weighted by their word counts (as Python ints once a
+    level's total can pass int64).  Parts shorter than a draw block are
+    copied into one run of ids per child letter (or none), drawn in one
+    pass; longer ones are drawn as they are."""
+    small, units = {}, []
+    for level, parts in enumerate(levels):
+        for ids, weights, letters in parts:
+            for letter in letters or [None]:
+                if len(ids) < rng._BLOCK:
+                    small.setdefault(letter, []).append((level, ids, weights))
+                else:
+                    units.append(([(level, ids, weights)], letter))
     # the word counts of z2 level l sum to 2^l
-    wide = cone.group == Z2 and (M - 1) << depth >= 1 << 63
-    weights = np.array(cone.weights[:len(ids)],
-                       dtype=object if wide else np.int64)
-    nums = []
-    for lo, hi in _row_blocks(indices.start, indices.stop, len(ids)):
-        if cone.group == Z2:
-            vals = rng.symbol_rows(seed, range(lo, hi), ids, M) * weights
-            sums = np.add.reduceat(vals, cone.offsets[:depth + 1], axis=1)
-        else:
-            sums = rng.symbol_sums(seed, range(lo, hi), ids, M, ends)
-        num = np.zeros(len(sums), dtype=object)
-        for total in sums.T:
+    wide = group == Z2 and (M - 1) << depth >= 1 << 63
+    draws = []
+    for runs, letter in [*((runs, c) for c, runs in small.items()), *units]:
+        ids = runs[0][1] if len(runs) == 1 else \
+            np.concatenate([ids for _, ids, _ in runs])
+        weights = None if group == F2 else np.array(
+            [w for _, _, ws in runs for w in ws],
+            dtype=object if wide else np.int64)
+        draws.append((ids, np.cumsum([len(ids) for _, ids, _ in runs]),
+                      weights, letter, [level for level, _, _ in runs]))
+    out = []
+    for lo, hi in _row_blocks(indices.start, indices.stop,
+                              sum(len(d[0]) for d in draws)):
+        rows = range(lo, hi)
+        totals = np.zeros((hi - lo, len(levels)),
+                          dtype=object if wide else np.int64)
+        for ids, ends, weights, letter, runs in draws:
+            if weights is None:
+                sums = rng.symbol_sums(seed, rows, ids, M, ends, letter)
+            else:
+                vals = rng.symbol_rows(seed, rows, ids, M) * weights
+                sums = np.add.reduceat(vals, np.r_[0, ends[:-1]], axis=1)
+            for j, level in enumerate(runs):
+                totals[:, level] += sums[:, j]
+        num = np.array(nums[lo - indices.start:hi - indices.start],
+                       dtype=object)
+        for total in totals.T:
             num = num * M + total
-        nums.extend(num.tolist())
-    return nums
+        out.extend(num.tolist())
+    return out
 
 
 def _sample_folds(cfg, sites, indices, depth):
     """Each sample's folds on the forward cones at the sites, by position in
-    the range, started at the deepest level the cones store toward depth."""
+    the range, started from their base folds to depth; a generator, so a
+    fold deepened past the store can be dropped before the next."""
     cones = [_Cone(cfg.group, s) for s in sites]
-    stored = _stored_level(cfg.group, depth)
-    base = [_base_folds(c, cfg.seed, indices, cfg.M, stored) for c in cones]
-    return lambda k: [_ConeFold(c, cfg.seed, indices[k], cfg.M, nums[k], stored)
-                      for c, nums in zip(cones, base)]
+    base = [_base_folds(c, cfg.seed, indices, cfg.M, depth) for c in cones]
+    return lambda k: (_ConeFold(c, cfg.seed, indices[k], cfg.M, nums[k], depth)
+                      for c, nums in zip(cones, base))
 
 
 def _pair_cell(b, bins, cells):
@@ -450,11 +582,9 @@ def _fourier_plan(g, f, radius):
     if group == Z2 or not support:
         site_ids = {}
         for t, cap in zip(support, caps):
-            cone = _Cone(group, t)
-            cone.grow(cap)
             # a site already in an earlier cone keeps its place (same id)
             site_ids.update(zip(groups.cone_sites(group, t, cap),
-                                cone.ids.tolist()))
+                                _Cone(group, t).gather(cap).tolist()))
         nums, E = kernel_convolution(f, terms, list(site_ids))
         sites = [s for s, n in zip(site_ids, nums) if n]
         ids = np.array([site_ids[s] for s in sites], dtype=np.uint64)
@@ -487,9 +617,7 @@ def _fourier_plan(g, f, radius):
             nums.append(num[kept[-1]])
         groups._check_size("union of the cones", union)
         for t, cap, pos in zip(support, caps, kept):
-            cone = _Cone(F2, t)
-            cone.grow(cap)
-            ids.append(cone.ids[pos])
+            ids.append(_Cone(F2, t).gather(cap)[pos])
         ids, nums = np.concatenate(ids), np.concatenate(nums)
         sites = (groups.f2_multiply(t, _heap_word(int(p), "ab"))
                  for t, pos in zip(support, kept) for p in pos)
@@ -609,8 +737,7 @@ def _tau_variant(cfg, root, index_lo, eval_sites):
     M = cfg.M
     R = cfg.sample_radius
     N = cfg.samples
-    cone = _Cone(F2, root, "AB")
-    cone.grow(R)
+    ids = _Cone(F2, root, "AB").gather(R)
     k = min(_TAU_PREFIX, R)
 
     # the homoclinic coordinate at the carry site: the kernel of phi,
@@ -619,7 +746,7 @@ def _tau_variant(cfg, root, index_lo, eval_sites):
     nums, E = kernel_convolution(f, {root: 1}, eval_sites, star=True)
     rhs = {s: Fraction(n, M ** (E + 1)) for s, n in zip(eval_sites, nums)}
 
-    # levels 0..min(2, R) are the first positions of the stored cone
+    # levels 0..min(2, R) are the first positions of the window
     shallow = groups.cone_size(F2, min(2, R))
     freq = np.zeros((shallow, M), dtype=np.int64)
 
@@ -628,13 +755,13 @@ def _tau_variant(cfg, root, index_lo, eval_sites):
     exact_matches = 0
     buckets = {}
 
-    prefix = cone.offsets[k + 1]
+    prefix = groups.cone_size(F2, k)
     for lo, hi in _row_blocks(index_lo, index_lo + N, prefix):
-        block_values, block_img, kept = _tau_block(cfg, lo, hi, cone, k)
+        block_values, block_img, kept = _tau_block(cfg, lo, hi, ids, k)
         for index, values, img, ok in zip(range(lo, hi), block_values,
                                           block_img, kept):
             if not ok and k < R:
-                values, img = _tau_cascade(cfg, index, cone)
+                values, img = _tau_cascade(cfg, index, ids)
                 ok = img is not None
             if not ok:
                 discarded += 1
@@ -666,7 +793,7 @@ def _tau_variant(cfg, root, index_lo, eval_sites):
     collisions = 0
     for tied in buckets.values():
         if len(tied) > 1:
-            windows = [_tau_cascade(cfg, index, cone) for index in tied]
+            windows = [_tau_cascade(cfg, index, ids) for index in tied]
             images = len({img.tobytes() for _, img in windows})
             distinct += images - 1
             collisions += len({v.tobytes() for v, _ in windows}) - images
@@ -702,10 +829,10 @@ def _tau_variant(cfg, root, index_lo, eval_sites):
 _BOTH = np.uint16(0x0101)
 
 
-def _tau_block(cfg, lo, hi, cone, depth=None):
-    """Add 1 at the root of the stored backward cone, cut at level depth
-    (default: its last stored level), and carry, for the samples [lo, hi)
-    at once.
+def _tau_block(cfg, lo, hi, ids, depth=None):
+    """Add 1 at the root of the backward cone whose levels ids holds (as
+    _Cone.gather gives them), cut at level depth (default: its last), and
+    carry, for the samples [lo, hi) at once.
 
     One draw covers levels 0..depth of every sample, one row per sample.
     In that layout the children of position p sit at 2p+1 and 2p+2, and the
@@ -716,8 +843,9 @@ def _tau_block(cfg, lo, hi, cone, depth=None):
     is not an image).
     """
     M = cfg.M
-    off = cone.offsets if depth is None else cone.offsets[:depth + 2]
-    values = rng.symbol_rows(cfg.seed, range(lo, hi), cone.ids[:off[-1]], M,
+    depth = len(ids).bit_length() - 1 if depth is None else depth
+    off = [(1 << level) - 1 for level in range(depth + 2)]
+    values = rng.symbol_rows(cfg.seed, range(lo, hi), ids[:off[-1]], M,
                              np.int8)
     # a full site fires when its parent does, the root when it is full.  A
     # level's sites pair up under the level above: as uint16 each pair is
@@ -737,9 +865,9 @@ def _tau_block(cfg, lo, hi, cone, depth=None):
     return values, img, kept
 
 
-def _tau_cascade(cfg, index, cone):
+def _tau_cascade(cfg, index, ids):
     """_tau_block for one sample: (values, img), img None on a discard."""
-    values, img, kept = _tau_block(cfg, index, index + 1, cone)
+    values, img, kept = _tau_block(cfg, index, index + 1, ids)
     return values[0], img[0] if kept[0] else None
 
 
@@ -758,8 +886,13 @@ def tau_invariance_test(cfg):
                          "free group window")
     if cfg.M != 3:
         raise ValueError("the exact cylinder accounting needs M = 3")
-    if cfg.sample_radius > _CACHE_LEVELS:
-        raise ValueError("sample_radius beyond the cone cache cap")
+    # each variant draws its whole window from one copy of its stored cone
+    window = 8 * groups.cone_size(F2, cfg.sample_radius)
+    if 2 * window > _STORE_BYTES:
+        raise groups.WindowTooLarge(
+            "a carry window of sample radius %d holds %d bytes of ids, "
+            "stored and copied (limit: store budget %d bytes)"
+            % (cfg.sample_radius, window, _STORE_BYTES))
     eval_sites = groups.ball(F2, cfg.eval_radius)
     v_e = _tau_variant(cfg, "", 0, eval_sites)
     v_a = _tau_variant(cfg, "a", cfg.samples, eval_sites)
@@ -812,7 +945,7 @@ def collision_search(cfg, control=64, pair_depth=8, max_extra=6):
     folds_ok = 0
     deepened = 0
     for i in range(n_pairs):
-        fa, fb = folds(i), folds(n_pairs + i)
+        fa, fb = list(folds(i)), list(folds(n_pairs + i))
         for depth in range(pair_depth, pair_depth + max_extra + 1):
             for fold in fa + fb:
                 fold.to_depth(depth)

@@ -9,6 +9,8 @@ read as rows of symbols (symbol_rows, symbols) or as totals per stream over
 runs of the ids (symbol_sums).  No global state anywhere.
 """
 
+import bisect
+
 import numpy as np
 
 MASK = (1 << 64) - 1
@@ -33,16 +35,24 @@ def mix64_int(x):
 _BLOCK = 1 << 16
 
 
+# the finalizer's shifts and multipliers as 0-d uint64 arrays, which numpy
+# broadcasts with less overhead per call than scalars
+_SHIFTS = [np.array(k, dtype=np.uint64) for k in (30, 27, 31)]
+_MULTS = [np.array(k, dtype=np.uint64) for k in (_MIX1, _MIX2)]
+
+
 def _mix(buf, tmp):
     """The finalizer in place on a uint64 array; tmp is scratch of the same
     length."""
-    np.right_shift(buf, np.uint64(30), out=tmp)
+    s30, s27, s31 = _SHIFTS
+    m1, m2 = _MULTS
+    np.right_shift(buf, s30, out=tmp)
     buf ^= tmp
-    buf *= np.uint64(_MIX1)
-    np.right_shift(buf, np.uint64(27), out=tmp)
+    buf *= m1
+    np.right_shift(buf, s27, out=tmp)
     buf ^= tmp
-    buf *= np.uint64(_MIX2)
-    np.right_shift(buf, np.uint64(31), out=tmp)
+    buf *= m2
+    np.right_shift(buf, s31, out=tmp)
     buf ^= tmp
 
 
@@ -84,10 +94,35 @@ def element_ids(group, elements):
     return np.array([element_id(group, el) for el in elements], dtype=np.uint64)
 
 
-def child_ids(ids, letter):
-    """Ids of w*letter for an array of word ids, valid when no cancellation
-    can occur (the words do not end in the letter's inverse)."""
-    return mix64(ids ^ np.uint64(LETTER[letter]))
+def child_ids(ids, letters):
+    """Ids of w*c for each word id w of ids and each letter c of letters,
+    valid when no cancellation can occur (no w ends in the inverse of c):
+    for a letter pair "xy" the next cone level in bit order, w*x before
+    w*y.  Written in place, block by block, into one new array."""
+    keys = np.array([LETTER[c] for c in letters], dtype=np.uint64)
+    out = np.empty(len(ids) * len(keys), dtype=np.uint64)
+    grid = out.reshape(len(ids), len(keys))
+    step = _BLOCK // len(keys)
+    tmp = np.empty(min(len(out), _BLOCK), dtype=np.uint64)
+    for lo in range(0, len(ids), step):
+        blk = grid[lo:lo + step]
+        for j, key in enumerate(keys):
+            np.bitwise_xor(ids[lo:lo + step], key, out=blk[:, j])
+        _mix(blk.reshape(-1), tmp[:blk.size])
+    return out
+
+
+def _stream_keys(seed, rows):
+    """The key of each stream of the range: the finalizer of the seed's
+    finalizer xor the finalizer of (index + 1) * GOLD (mod 2^64)."""
+    keys = np.arange(rows.start + 1, rows.stop + 1, rows.step,
+                     dtype=np.uint64)
+    keys *= np.uint64(GOLD)
+    tmp = np.empty_like(keys)
+    _mix(keys, tmp)
+    keys ^= np.uint64(mix64_int(seed))
+    _mix(keys, tmp)
+    return keys
 
 
 def draw(seed, index, ids, M, letter=None):
@@ -110,9 +145,7 @@ def draw(seed, index, ids, M, letter=None):
     n = len(ids)
     if not n or not rows:
         return
-    base = mix64_int(seed)
-    keys = np.array([mix64_int(base ^ mix64_int((i + 1) * GOLD))
-                     for i in rows], dtype=np.uint64)
+    keys = _stream_keys(seed, rows)
     # a block is per rows of width ids: whole rows, or part of one row
     per, width = (_BLOCK // n, n) if n < _BLOCK else (1, _BLOCK)
     m = np.uint64(M)
@@ -171,20 +204,26 @@ def symbol_sums(seed, index, ids, M, ends, letter=None):
     are summed inside the draw's own blocks, so no symbol row is kept."""
     rows = index if isinstance(index, range) else range(index, index + 1)
     n = len(ids)
-    edges = np.minimum(np.array([0, *ends], dtype=np.intp), n)
     # run edges and block starts (one block per row when n < _BLOCK) cut
-    # each row into pieces; its k-th block holds pieces span[k]:span[k + 1]
-    cols = np.arange(0, n, _BLOCK)
-    points = np.union1d(edges[edges < n], cols)
-    span = np.searchsorted(points, cols).tolist() + [len(points)]
-    pieces = np.empty((len(rows), len(points)), dtype=np.int64)
+    # each row into pieces; the piece at n is an empty, zero column
+    cuts = sorted({0, n, *(min(e, n) for e in ends), *range(0, n, _BLOCK)})
+    # the pieces of the block at column c, by their starts within it
+    spans = {}
+    for c in range(0, n, _BLOCK):
+        k0 = bisect.bisect_left(cuts, c)
+        k1 = bisect.bisect_left(cuts, min(c + _BLOCK, n))
+        spans[c] = (k0, k1, np.array(cuts[k0:k1], dtype=np.intp) - c)
+    pieces = np.zeros((len(rows), len(cuts)), dtype=np.int64)
     for start, vals in draw(seed, index, ids, M, letter):
         r, c = divmod(start, n)
-        part = slice(span[c // _BLOCK], span[c // _BLOCK + 1])
+        k0, k1, local = spans[c]
         block = vals.view(np.int64).reshape(-1, min(n, len(vals)))
-        np.add.reduceat(block, points[part] - c, axis=1,
-                        out=pieces[r:r + len(block), part])
-    # the total before an edge is the running sum of the pieces before it
-    before = np.zeros((len(rows), len(points) + 1), dtype=np.int64)
-    np.cumsum(pieces, axis=1, out=before[:, 1:])
-    return np.diff(before[:, np.searchsorted(points, edges)], axis=1)
+        np.add.reduceat(block, local, axis=1,
+                        out=pieces[r:r + len(block), k0:k1])
+    # a run is the pieces from its first cut to the next run's; an empty
+    # run (equal edges) would read its neighbour's piece
+    first = [bisect.bisect_left(cuts, min(e, n)) for e in (0, *ends)]
+    sums = np.add.reduceat(pieces, first, axis=1)[:, :-1]
+    empty = [j for j in range(len(ends)) if first[j] == first[j + 1]]
+    sums[:, empty] = 0
+    return sums

@@ -38,3 +38,15 @@ def inline_pool(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
     return asked
+
+
+@pytest.fixture
+def empty_store():
+    """Empty montecarlo's process-wide cone id store before the test and
+    again after it, so the test grows every level it reads and leaves no
+    levels kept under a patched budget; returns the store."""
+    from homoclinic_lab import montecarlo
+
+    montecarlo._STORE.clear()
+    yield montecarlo._STORE
+    montecarlo._STORE.clear()

@@ -137,6 +137,23 @@ def test_too_deep_cone_exits_one_before_walking(monkeypatch, command):
     assert "error: cone of depth 26 in f2 has 134217727 elements" in err
 
 
+@pytest.mark.parametrize("command", ["haar-test", "collisions", "tau-test"])
+def test_experiments_past_the_store_budget_exit_one(monkeypatch, command):
+    # at a 4 KB budget the default folds (to depth 24 and 14) and the
+    # default carry window (sample radius 14) are refused before any cone
+    # grows or any symbol is drawn
+    def refuse(*args):
+        raise AssertionError("grew a cone or drew past the budget")
+
+    monkeypatch.setattr(montecarlo, "_STORE_BYTES", 4096)
+    monkeypatch.setattr(montecarlo._Store, "grow", refuse)
+    monkeypatch.setattr(montecarlo.rng, "draw", refuse)
+    code, out, err = run_cli(command, "--samples", "10")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "store budget 4096 bytes" in err
+
+
 def test_divide():
     doc = run_json("divide", "--g", "(1 + a)*(3 - a - b)")
     assert doc["divisible"] is True

@@ -70,7 +70,7 @@ DIGESTS = {
         "2e658c7200408c0f0676408aa4e019f0c668dbfe16e5e34d6520ff267584e4d0",
 }
 
-# the cases whose cone folds go past a cache cap of 4 levels
+# the cases whose cone folds go past a store budget of 4 levels
 PAST_CACHE = ["haar_f2", "haar_z2", "haar_z2_deep", "collision_f2",
               "collision_z2"]
 
@@ -85,23 +85,36 @@ def test_document_digest_is_pinned(name):
     assert digest(CASES[name]()) == DIGESTS[name]
 
 
+def _low_budget(monkeypatch, store, levels):
+    """Leave the store room for one f2 cone to the given level only, as if
+    other cones held the rest of the budget: every level past that room is
+    built per call, or per fold, from its parents' ids.  (Lowering the
+    budget itself would refuse these folds, whose deepest levels need half
+    of it.)"""
+    monkeypatch.setattr(store, "nbytes", montecarlo._STORE_BYTES
+                        - 8 * groups.cone_size(F2, levels))
+
+
 @pytest.mark.parametrize("name", PAST_CACHE)
-def test_folds_past_the_id_cache_give_the_same_document(name, monkeypatch):
-    # with 4 cached levels every base fold and every deepening step past
-    # level 4 takes the transient path that otherwise only depth > 20 takes
-    monkeypatch.setattr(montecarlo, "_CACHE_LEVELS", 4)
+def test_folds_past_the_id_cache_give_the_same_document(name, monkeypatch,
+                                                        empty_store):
+    # with a budget of 4 levels every base fold and every deepening step
+    # past them takes the transient path that otherwise only levels past
+    # the default budget take
+    _low_budget(monkeypatch, empty_store, 4)
     assert digest(CASES[name]()) == DIGESTS[name]
 
 
 @pytest.mark.parametrize("group", [F2, Z2])
-def test_pair_deepening_past_the_id_cache(group, monkeypatch):
+def test_pair_deepening_past_the_id_cache(group, monkeypatch, empty_store):
     # at pair depth 3 most pairs overlap and deepen level by level
     def run():
         return collision_search(_cfg(samples=20, group=group), control=1,
                                 pair_depth=3)
     doc = run()
     assert doc["random_pairs"]["deepened"] > 0
-    monkeypatch.setattr(montecarlo, "_CACHE_LEVELS", 2)
+    empty_store.clear()
+    _low_budget(monkeypatch, empty_store, 2)
     assert run() == doc
 
 
@@ -179,7 +192,7 @@ def test_exact_criterion_details_are_pinned(number):
 
 # criterion 9 at its own configuration (sample radius 12, up to 12 extra
 # levels, so folds go to depth 24) with 200 samples: three folds reach
-# depth 24 and twelve pass the 20-level id cache
+# depth 24 and twelve pass level 20
 CRITERION_09_SAMPLES = 200
 CRITERION_09_DIGEST = \
     "d23b25936df0a0582efb2c560430b99abc30c9ce3150b08d2f39637b200ca199"
@@ -202,10 +215,10 @@ def test_criterion_09_details_are_pinned(monkeypatch):
     assert _criterion_09_digest(monkeypatch) == CRITERION_09_DIGEST
 
 
-def test_criterion_09_past_a_low_id_cache(monkeypatch):
-    # with 4 cached levels every base fold builds levels 5..12 on the
-    # transient path, and every deepening step takes it too
-    monkeypatch.setattr(montecarlo, "_CACHE_LEVELS", 4)
+def test_criterion_09_past_a_low_id_cache(monkeypatch, empty_store):
+    # with a budget of 4 levels every base fold builds levels past them on
+    # the transient path, and every deepening step takes it too
+    _low_budget(monkeypatch, empty_store, 4)
     assert _criterion_09_digest(monkeypatch) == CRITERION_09_DIGEST
 
 

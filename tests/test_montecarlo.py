@@ -175,14 +175,13 @@ def test_tau_cascade_matches_carry_add(root):
     # addition machine on the same window, sample by sample
     cfg = cfg_with(sample_radius=4)
     R = cfg.sample_radius
-    cone = montecarlo._Cone(F2, root, "AB")
-    cone.grow(R)
+    window = montecarlo._Cone(F2, root, "AB").gather(R)
     sites = [s for level in islice(groups.cone_levels(F2, root, "AB"), R + 1)
              for s in level]
-    assert np.array_equal(cone.ids, rng.element_ids(F2, sites))
+    assert np.array_equal(window, rng.element_ids(F2, sites))
     discards = 0
     for index in range(300):
-        values, img = montecarlo._tau_cascade(cfg, index, cone)
+        values, img = montecarlo._tau_cascade(cfg, index, window)
         d = Configuration(F2, {s: int(v) for s, v in zip(sites, values)},
                           (0, 2))
         try:
@@ -196,15 +195,16 @@ def test_tau_cascade_matches_carry_add(root):
     assert 0 < discards < 300
 
 
-def _reaches(cfg, index, cone, level):
+def _reaches(cfg, index, window, level):
     """Whether the sample's cascade fires a site of the given level."""
-    return not montecarlo._tau_block(cfg, index, index + 1, cone, level)[2][0]
+    return not montecarlo._tau_block(cfg, index, index + 1, window,
+                                     level)[2][0]
 
 
 def test_tau_cascade_draws_once_per_sample(monkeypatch):
     # every sample index of both variants is drawn once over the prefix
     # levels; only the cascades that reach the prefix's last level are
-    # drawn again, once, over the whole stored cone (no prefixes tie at R =
+    # drawn again, once, over the whole window (no prefixes tie at R =
     # 10)
     k = montecarlo._TAU_PREFIX
     prefix, whole = [], []
@@ -217,9 +217,8 @@ def test_tau_cascade_draws_once_per_sample(monkeypatch):
         return draw(seed, index, ids, *args)
 
     cfg = cfg_with(samples=100, sample_radius=10)
-    cones = {root: montecarlo._Cone(F2, root, "AB") for root in ("", "a")}
-    for cone in cones.values():
-        cone.grow(cfg.sample_radius)
+    cones = {root: montecarlo._Cone(F2, root, "AB").gather(cfg.sample_radius)
+             for root in ("", "a")}
     reach = [i for i in range(2 * cfg.samples)
              if _reaches(cfg, i, cones["a" if i >= cfg.samples else ""], k)]
     monkeypatch.setattr(rng, "draw", counted)
@@ -259,15 +258,14 @@ def test_tau_blocks_match_the_one_row_cascade(R):
     # one sample, a block short of one and a block and one more, in the
     # blocks the variant uses: every row is the one-sample cascade
     cfg = cfg_with(sample_radius=R)
-    cone = montecarlo._Cone(F2, "a", "AB")
-    cone.grow(R)
-    per = montecarlo._ROW_BLOCK // len(cone.ids)
+    window = montecarlo._Cone(F2, "a", "AB").gather(R)
+    per = montecarlo._ROW_BLOCK // len(window)
     discards = 0
     for n in (1, per - 1, per + 1):
-        for lo, hi in montecarlo._row_blocks(5, 5 + n, len(cone.ids)):
-            values, img, kept = montecarlo._tau_block(cfg, lo, hi, cone)
+        for lo, hi in montecarlo._row_blocks(5, 5 + n, len(window)):
+            values, img, kept = montecarlo._tau_block(cfg, lo, hi, window)
             for index, v, i, ok in zip(range(lo, hi), values, img, kept):
-                one_v, one_i = montecarlo._tau_cascade(cfg, index, cone)
+                one_v, one_i = montecarlo._tau_cascade(cfg, index, window)
                 assert np.array_equal(v, one_v)
                 assert ok == (one_i is not None)
                 if ok:
@@ -288,9 +286,9 @@ def test_tied_prefixes_are_settled_on_the_whole_window(monkeypatch):
     cascades = []
     cascade = montecarlo._tau_cascade
 
-    def counted(cfg, index, cone):
+    def counted(cfg, index, window):
         cascades.append(index)
-        return cascade(cfg, index, cone)
+        return cascade(cfg, index, window)
 
     monkeypatch.setattr(montecarlo, "_TAU_PREFIX", 2)
     monkeypatch.setattr(montecarlo, "_tau_cascade", counted)
@@ -298,12 +296,11 @@ def test_tied_prefixes_are_settled_on_the_whole_window(monkeypatch):
     expected = []
     split = 0
     for v, lo in zip(honest["variants"], (0, cfg.samples)):
-        cone = montecarlo._Cone(F2, v["root"], "AB")
-        cone.grow(cfg.sample_radius)
+        window = montecarlo._Cone(F2, v["root"], "AB").gather(cfg.sample_radius)
         prefixes = {}
         for index in range(lo, lo + cfg.samples):
-            img = cascade(cfg, index, cone)[1]
-            if _reaches(cfg, index, cone, 2):
+            img = cascade(cfg, index, window)[1]
+            if _reaches(cfg, index, window, 2):
                 expected.append(index)
             if img is not None:
                 prefixes.setdefault(img[:7].tobytes(), []).append(
@@ -333,8 +330,7 @@ def _whole_window_variant(cfg, root, index_lo, eval_sites):
     the level 0..2 frequency table, distinct images and collisions
     (distinct inputs beyond the distinct images)."""
     M, R = cfg.M, cfg.sample_radius
-    cone = montecarlo._Cone(F2, root, "AB")
-    cone.grow(R)
+    window = montecarlo._Cone(F2, root, "AB").gather(R)
     sites = [s for level in islice(groups.cone_levels(F2, root, "AB"), R + 1)
              for s in level]
     f = PolyF(M, F2)
@@ -343,7 +339,7 @@ def _whole_window_variant(cfg, root, index_lo, eval_sites):
     discarded = matches = 0
     images, inputs = set(), set()
     values, img, kept = montecarlo._tau_block(
-        cfg, index_lo, index_lo + cfg.samples, cone)
+        cfg, index_lo, index_lo + cfg.samples, window)
     for v, i, ok in zip(values, img, kept):
         if not ok:
             discarded += 1
@@ -395,52 +391,130 @@ def test_base_folds_match_cone_folds(group, depths):
                             .to_depth(depth) for i in range(40, 110)]
 
 
-def test_fold_depth_guard_fails_before_any_draw(monkeypatch):
+def test_fold_depth_guard_fails_before_any_draw(monkeypatch, empty_store):
     def no_draw(*args):
         raise AssertionError("drew symbols before the depth check")
 
     monkeypatch.setattr(rng, "draw", no_draw)
-    with pytest.raises(WindowTooLarge):
+    budget = "store budget %d bytes" % montecarlo._STORE_BYTES
+    with pytest.raises(WindowTooLarge, match=budget):
         haar_window_test(cfg_with(sample_radius=13))  # 13 + 12 > 24
-    with pytest.raises(WindowTooLarge):
+    with pytest.raises(WindowTooLarge, match=budget):
         haar_window_test(cfg_with(sample_radius=8, bins=6), max_extra=17)
-    with pytest.raises(WindowTooLarge):
+    with pytest.raises(WindowTooLarge, match=budget):
         collision_search(cfg_with(), pair_depth=8, max_extra=17)
+    assert empty_store.nbytes == 0
     # the limit is criterion 9's depth, and z2 levels stay small
     montecarlo._check_fold_depth(F2, 24)
     montecarlo._check_fold_depth(Z2, 40)
+    # half the budget holds criterion 9's folds no more
+    monkeypatch.setattr(montecarlo, "_STORE_BYTES", 1 << 27)
+    with pytest.raises(WindowTooLarge, match="store budget %d" % (1 << 27)):
+        haar_window_test(cfg_with(sample_radius=12))  # 12 + 12 = 24
+    montecarlo._check_fold_depth(F2, 23)
 
 
-def test_stored_cone_guard_fails_before_any_cone_grows(monkeypatch):
+def test_stored_cone_guard_fails_before_any_cone_grows(monkeypatch,
+                                                       empty_store):
     def no_grow(*args):
         raise AssertionError("grew a cone before the memory check")
 
-    monkeypatch.setattr(montecarlo._Cone, "grow", no_grow)
-    # eval radius 1 has 5 sites; at depth 20 each stores 2^21 - 1 ids
-    monkeypatch.setattr(montecarlo, "_MAX_STORED_IDS", 5 * (2 ** 21 - 1) - 1)
-    with pytest.raises(WindowTooLarge, match="5 cones stored to level 20"):
-        haar_window_test(cfg_with(sample_radius=8))  # 8 + 12 = 20
-    monkeypatch.setattr(montecarlo, "_MAX_STORED_IDS", 1000)
+    monkeypatch.setattr(montecarlo._Store, "grow", no_grow)
+    # a fold to depth 20 builds 2^20 ids past the store, 8 MB: a budget
+    # one byte short of 16 MB refuses it, 16 MB lets it go on to grow
+    monkeypatch.setattr(montecarlo, "_STORE_BYTES", (1 << 24) - 1)
+    with pytest.raises(WindowTooLarge, match="depth 20 builds 2\\^20 ids"):
+        haar_window_test(cfg_with(sample_radius=8, bins=6))  # 8 + 12 = 20
+    monkeypatch.setattr(montecarlo, "_STORE_BYTES", 1 << 24)
+    with pytest.raises(AssertionError, match="grew a cone"):
+        haar_window_test(cfg_with(sample_radius=8, bins=6))
+    monkeypatch.setattr(montecarlo, "_STORE_BYTES", 1000)
     with pytest.raises(WindowTooLarge):
-        collision_search(cfg_with(), control=2)  # 5 cones of 2^15 - 1 ids
-    with pytest.raises(WindowTooLarge):
+        collision_search(cfg_with(), control=2)  # folds to depth 8 + 6
+    with pytest.raises(WindowTooLarge, match="25 cones to depth 42"):
         haar_window_test(cfg_with(group=Z2, sample_radius=30, eval_radius=3))
+    with pytest.raises(WindowTooLarge, match="store budget 1000 bytes"):
+        tau_invariance_test(cfg_with(sample_radius=6))  # 127 ids, twice
 
 
-def test_stored_cone_guard_bounds():
-    # counted at the deepest stored level: 20 on f2 however deep the fold
+def test_stored_cone_guard_bounds(monkeypatch):
+    # f2 folds are refused by their deepest level, 2^depth ids in half the
+    # budget, however many sites: each site's levels are stored while the
+    # budget lasts and built per fold past it
     check = montecarlo._check_fold_depth
-    check(F2, 24, 17)  # the pinned haar document, about 35.7M ids
-    check(F2, 24, 64)
-    with pytest.raises(WindowTooLarge):
-        check(F2, 21, 65)  # haar-test --eval-radius 4 needs 161 sites
-    check(F2, 14, 1457)  # collisions --eval-radius 6
-    with pytest.raises(WindowTooLarge):
-        check(F2, 14, 4373)  # collisions --eval-radius 7
+    check(F2, 24, 17)  # the pinned haar document
+    check(F2, 21, 161)  # haar-test --eval-radius 4
+    check(F2, 14, 4373)  # collisions --eval-radius 7
+    with pytest.raises(WindowTooLarge, match="depth 25"):
+        check(F2, 25)
+    monkeypatch.setattr(montecarlo, "_STORE_BYTES", 1 << 20)
+    check(F2, 16)
+    with pytest.raises(WindowTooLarge, match="store budget %d" % (1 << 20)):
+        check(F2, 17)
     # z2 cones store (l + 1)(l + 2) / 2 ids to level l
-    check(Z2, 40, montecarlo._MAX_STORED_IDS // 861)
+    check(Z2, 40, montecarlo._STORE_BYTES // 8 // 861)
     with pytest.raises(WindowTooLarge):
-        check(Z2, 40, montecarlo._MAX_STORED_IDS // 861 + 1)
+        check(Z2, 40, montecarlo._STORE_BYTES // 8 // 861 + 1)
+
+
+@pytest.mark.parametrize("room", [None, 0])
+def test_store_views_give_the_words_at_heap_positions(room, monkeypatch,
+                                                      empty_store):
+    # position p of levels 0..d is the word root * _heap_word(p), reduced,
+    # whether the store holds the levels or has no room left for them; the
+    # Fourier plan reads its sites' ids at those positions
+    if room is not None:
+        monkeypatch.setattr(empty_store, "nbytes", montecarlo._STORE_BYTES)
+    for letters in ("ab", "AB"):
+        for root in ("", "a", "b", "A", "B", "aB", "BA", "Aba"):
+            got = montecarlo._Cone(F2, root, letters).gather(6)
+            words = [groups.f2_multiply(root, montecarlo._heap_word(p, letters))
+                     for p in range(len(got))]
+            assert got.tolist() == [rng.word_id(w) for w in words]
+    g = parse_ring_element("1 + 2a - B + Ab")
+    ids, nums, den, tail = montecarlo._fourier_plan(g, PolyF(3, F2), 7)
+    assert room is None or empty_store.nbytes == montecarlo._STORE_BYTES
+    empty_store.clear()
+    monkeypatch.undo()
+    fresh = montecarlo._fourier_plan(g, PolyF(3, F2), 7)
+    assert np.array_equal(ids, fresh[0]) and (den, tail) == fresh[2:]
+    assert np.array_equal(nums, fresh[1])
+
+
+def test_store_bytes_stay_within_the_budget(monkeypatch, empty_store):
+    # a 64 KB budget (8,192 ids) under a sequence of every experiment: the
+    # store fills to its budget, never past it, and every document is the
+    # one an unbounded store gives
+    def calls():
+        yield haar_window_test(cfg_with(sample_radius=8, bins=6), max_extra=3)
+        yield collision_search(cfg_with(samples=30), control=2, pair_depth=8,
+                               max_extra=3)
+        yield tau_invariance_test(cfg_with(samples=40, sample_radius=9))
+        yield empirical_fourier(cfg_with(samples=30, sample_radius=10),
+                                parse_ring_element("1 - a + 2B"))
+        yield haar_window_test(cfg_with(group=Z2, sample_radius=9, bins=5))
+
+    wide = list(calls())
+    empty_store.clear()
+    budget = 1 << 16
+    monkeypatch.setattr(montecarlo, "_STORE_BYTES", budget)
+    seen = []
+    for doc, want in zip(calls(), wide):
+        assert doc == want
+        held = sum(ids.nbytes for levels in empty_store._levels.values()
+                   for ids, _ in levels)
+        assert held == empty_store.nbytes <= budget
+        seen.append(held)
+    assert seen == sorted(seen) and seen[-1] > budget // 2
+
+
+def test_haar_jobs_fork_a_warm_store(empty_store):
+    # worker processes fork from a parent whose store holds the cones: the
+    # merged document is the one a single process gives from an empty store
+    cfg = cfg_with(samples=60, sample_radius=8, bins=6)
+    serial = haar_window_test(cfg, jobs=1)
+    assert empty_store.nbytes > 0
+    assert haar_window_test(cfg, jobs=2) == serial
 
 
 def test_collision_search_free_group():
@@ -511,12 +585,12 @@ def test_empirical_fourier_guards():
 
 
 @pytest.fixture
-def no_growth(monkeypatch):
+def no_growth(monkeypatch, empty_store):
     """Make any cone growth or symbol draw fail the test."""
     def refuse(*args, **kwargs):
         raise AssertionError("grew a cone or drew before the size check")
 
-    monkeypatch.setattr(montecarlo._Cone, "grow", refuse)
+    monkeypatch.setattr(montecarlo._Store, "grow", refuse)
     monkeypatch.setattr(rng, "draw", refuse)
 
 

@@ -10,7 +10,7 @@ Rejecting ids are built on purpose with the inverse finalizer, since a
 random id reaches that branch with probability about M / 2^64.
 """
 
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -227,6 +227,45 @@ def test_rejection_branch(M, letter, rows):
         run_totals([expect], ends)
 
 
+@pytest.mark.parametrize("seed", [0, 77, (1 << 64) + 5, (1 << 70) - 1])
+@pytest.mark.parametrize("lo, n", [(0, 3), ((1 << 20) - 2, 5),
+                                   ((1 << 32) - 3, 7), ((1 << 62) + 1, 2)])
+def test_stream_keys_match_the_python_finalizer(seed, lo, n):
+    # the vectorized keys wrap (i + 1) * GOLD mod 2^64 as the Python-int
+    # finalizer masks it, for indices past 1 << 20, around 2^32 and beyond
+    rows = range(lo, lo + n)
+    assert rng._stream_keys(seed, rows).tolist() == \
+        [stream_key(seed, i) for i in rows]
+    ids = random_ids(9, n)
+    assert np.array_equal(rng.symbol_rows(seed, rows, ids, 5),
+                          ref_rows(seed, rows, ids, 5))
+
+
+@pytest.mark.parametrize("n", [1, 3, 32, 33])
+@pytest.mark.parametrize("ends", [[0], [1], [1, 1, 2], [2, 3, 40], [40]])
+@pytest.mark.parametrize("letter", [None, "b"])
+def test_symbol_sums_on_short_inputs(n, ends, letter):
+    # the fold's deepening steps sum one short level per call; empty runs,
+    # ends past the row and ids after the last end all occur here
+    ids = random_ids(n, n + len(ends))
+    kids = ids if letter is None else ref_child_ids(ids, letter)
+    for index in (4, range(2, 6)):
+        streams = index if isinstance(index, range) else [index]
+        want = run_totals(ref_rows(13, streams, kids, 3),
+                          [min(e, n) for e in ends])
+        assert rng.symbol_sums(13, index, ids, 3, ends, letter).tolist() \
+            == want
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, B // 2 + 3, B + 1])
+def test_child_ids_of_a_letter_pair_interleave_in_bit_order(n):
+    ids = random_ids(n, 3 * n)
+    got = rng.child_ids(ids, "AB")
+    assert len(got) == 2 * n
+    assert np.array_equal(got[0::2], ref_child_ids(ids, "A"))
+    assert np.array_equal(got[1::2], ref_child_ids(ids, "B"))
+
+
 @pytest.mark.parametrize("n, rows", [(1, B + 3), (511, 300), (32767, 5),
                                      (B + 1, 3), (0, 4)])
 def test_block_rows_are_the_one_stream_draws(n, rows):
@@ -255,12 +294,14 @@ def test_draw_yields_consecutive_blocks():
 
 # -- a cone fold through the kernel against the reference --------------------
 
-@pytest.mark.parametrize("cache", [2, 20])
+@pytest.mark.parametrize("levels", [2, 20])
 @pytest.mark.parametrize("root", ["", "a", "Ab"])
-def test_cone_fold_matches_the_reference_levels(root, cache, monkeypatch):
-    # with a low cache cap the stored run ends at level 2 and every later
-    # level is summed from its parent's ids one child letter at a time
-    monkeypatch.setattr(montecarlo, "_CACHE_LEVELS", cache)
+def test_cone_fold_matches_the_reference_levels(root, levels, monkeypatch,
+                                                empty_store):
+    # with a budget of one cone to level 2 the store ends there, and every
+    # later level is summed from its parent's ids one child letter at a time
+    monkeypatch.setattr(montecarlo, "_STORE_BYTES",
+                        8 * groups.cone_size(F2, levels))
     depth, M, seed, index = 8, 3, 19, 6
     cone = montecarlo._Cone(F2, root)
     fold = montecarlo._ConeFold(cone, seed, index, M)
@@ -277,14 +318,18 @@ def test_cone_fold_matches_the_reference_levels(root, cache, monkeypatch):
     assert (fold.depth, fold.num) == (depth, num)
 
 
-@pytest.mark.parametrize("cache", [3, 20])
+@pytest.mark.parametrize("levels", [3, 20])
 @pytest.mark.parametrize("group, root", [
     (F2, ""), (F2, "A"), (F2, "aB"), (F2, "BA"), (Z2, (0, 0)), (Z2, (2, -1))])
-def test_cone_fold_is_the_exact_coordinate_at_its_root(group, root, cache,
-                                                       monkeypatch):
+def test_cone_fold_is_the_exact_coordinate_at_its_root(group, root, levels,
+                                                       monkeypatch,
+                                                       empty_store):
     # the fold's value over M^(depth+1) is phi of its own stream, cut to the
-    # cone, at the root; roots "A" and "BA" cancel on their first steps
-    monkeypatch.setattr(montecarlo, "_CACHE_LEVELS", cache)
+    # cone, at the root; roots "A" and "BA" cancel on their first steps.  A
+    # budget of one cone to level 3 stores the levels of the first cones
+    # read and builds the rest per fold
+    monkeypatch.setattr(montecarlo, "_STORE_BYTES",
+                        8 * groups.cone_size(group, levels))
     depth, M, seed, index = 7, 3, 23, 4
     fold = montecarlo._ConeFold(montecarlo._Cone(group, root), seed, index, M)
     fold.to_depth(depth)
@@ -294,3 +339,53 @@ def test_cone_fold_is_the_exact_coordinate_at_its_root(group, root, cache,
                       (0, M - 1))
     assert TorusValue.from_numerator(fold.num, M ** (depth + 1)) == \
         phi_exact(d, [root], M)[root]
+
+
+# -- folds over the process store against the reference ----------------------
+
+def reference_numerators(group, root, seed, indices, M, depth):
+    """Base-M folds of the reference symbol totals of each level of the
+    cone, its sites walked by groups.cone_levels."""
+    levels = list(islice(groups.cone_levels(group, root), depth + 1))
+    ids = [rng.element_ids(group, level) for level in levels]
+    nums = []
+    for index in indices:
+        num = 0
+        for level, level_ids in zip(levels, ids):
+            vals = ref_symbols(seed, index, level_ids, M).tolist()
+            num = num * M + sum(w * v for w, v in zip(level.values(), vals))
+        nums.append(num)
+    return nums
+
+
+@pytest.mark.parametrize("store", ["below", "past", "warmed"])
+@pytest.mark.parametrize("root", ["", "a", "b", "A", "B", "aB"])
+def test_store_folds_match_the_reference_levels(root, store, monkeypatch,
+                                                empty_store):
+    # "a" and "b" read halves of the next level of the cone at "", "A" and
+    # "B" that cone one level up beside the cones at "Ab" and "Ba", and
+    # "aB" both ways at once.  Past a budget of one cone to level 3 the
+    # rest is built per call; a store warmed to level 4 is deepened in
+    # place, its levels kept as they were
+    seed, M, indices = 29, 3, range(60, 75)
+    cone = montecarlo._Cone(F2, root)
+    if store == "past":
+        monkeypatch.setattr(montecarlo, "_STORE_BYTES",
+                            8 * groups.cone_size(F2, 3))
+    if store == "warmed":
+        assert montecarlo._base_folds(cone, seed, indices, M, 4) == \
+            reference_numerators(F2, root, seed, indices, M, 4)
+        kept = {key: [ids for ids, _ in levels]
+                for key, levels in empty_store._levels.items()}
+    want = reference_numerators(F2, root, seed, indices, M, 10)
+    assert montecarlo._base_folds(cone, seed, indices, M, 10) == want
+    base = reference_numerators(F2, root, seed, indices, M, 6)
+    folds = [montecarlo._ConeFold(cone, seed, i, M, num, 6)
+             for i, num in zip(indices, base)]
+    assert [fold.to_depth(8) and fold.to_depth(10) for fold in folds] == want
+    assert empty_store.nbytes <= montecarlo._STORE_BYTES
+    if store == "warmed":
+        for key, levels in kept.items():
+            now = empty_store._levels[key]
+            assert len(now) > len(levels)
+            assert all(a is b for a, (b, _) in zip(levels, now))
