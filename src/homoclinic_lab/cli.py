@@ -215,11 +215,14 @@ def _cmd_divide(args):
 
 def _experiment_command(run, csv_rows=None):
     """A subcommand emitting run(cfg, args) with the schema, and
-    csv_rows(report) as its CSV form if given; cfg takes --radius and the
-    flags named like ExperimentConfig fields, its defaults for the rest."""
+    csv_rows(report) as its CSV form if given; cfg takes --radius, if the
+    subcommand has it, as its sample radius and the flags named like
+    ExperimentConfig fields, its defaults for the rest."""
     def command(args):
         flags = {field.name for field in dataclasses.fields(ExperimentConfig)}
-        cfg = ExperimentConfig(sample_radius=args.radius, **{
+        if "radius" in args:
+            args.sample_radius = args.radius
+        cfg = ExperimentConfig(**{
             name: value for name, value in vars(args).items() if name in flags})
         rep = run(cfg, args)
         rep["schema"] = acceptance.SCHEMA
@@ -330,10 +333,12 @@ def build_parser():
              _experiment_command(
                  lambda cfg, args: montecarlo.tau_invariance_test(cfg)),
              "M", "seed", "samples", "eval-radius", radius=14)
+    # collisions folds from pair depth 8 to 14 whatever the sample radius,
+    # so it takes no --radius
     _command(sub, "collisions", "parametrization collision search",
              _experiment_command(
                  lambda cfg, args: montecarlo.collision_search(cfg)),
-             "M", "group", "seed", "samples", "eval-radius", radius=12)
+             "M", "group", "seed", "samples", "eval-radius")
     _command(sub, "report", "run the full acceptance suite", _cmd_report,
              "seed", "jobs")
     return top

@@ -235,15 +235,15 @@ class _Cone:
         return [((self.group, base, self.letters), level + len(tail),
                  k << level, (k + 1) << level)]
 
-    def walk(self, start=0):
-        """Each level of the cone from start on, as a list of (ids, weights,
-        letters): the level's symbols are those of ids (weights, on z2, the
-        number of words reaching each site) when letters is None, else of
-        the children of ids by each letter.  Pieces past the store are
-        drawn from their parents' ids, which are built from the level
-        above only when the walk goes further."""
+    def walk(self):
+        """Each level of the cone, as a list of (ids, weights, letters): the
+        level's symbols are those of ids (weights, on z2, the number of
+        words reaching each site) when letters is None, else of the
+        children of ids by each letter.  Pieces past the store are drawn
+        from their parents' ids, which are built from the level above only
+        when the walk goes further."""
         held = {}
-        for level in itertools.count(start):
+        for level in itertools.count():
             parts, below = [], {}
             for piece in self.pieces(level):
                 stored = _STORE.piece(piece)
@@ -296,45 +296,38 @@ def _assign_bin(num, depth, M, bins):
     return lo_bin
 
 
-class _ConeFold:
-    """Running partial numerator of one coordinate of one sample: value
-    sum over levels 0..depth in base M, deepened one or more levels at a
-    time; it starts empty, or from a numerator already folded to a depth."""
+class _ConeFolds:
+    """Running partial numerators of one coordinate for each sample index
+    of a range: value sum over the cone's levels 0..depth in base M, all
+    folded to depth at once.  deepen reads the next level of the cone's one
+    walk and adds it at the given positions only."""
 
-    def __init__(self, cone, seed, index, M, num=0, depth=-1):
+    def __init__(self, cone, seed, indices, M, depth):
         self.cone = cone
         self.seed = seed
-        self.index = index
+        self.indices = indices
         self.M = M
-        self.num = num
         self.depth = depth
-        self._levels = None
+        self._levels = cone.walk()
+        self.nums = _fold(cone.group, seed, indices, M,
+                          list(itertools.islice(self._levels, depth + 1)),
+                          depth, np.zeros(len(indices), dtype=object))
 
-    def to_depth(self, depth):
-        """Add the levels down to depth."""
-        if depth > self.depth:
-            if self._levels is None:
-                self._levels = self.cone.walk(self.depth + 1)
-            levels = [next(self._levels) for _ in range(depth - self.depth)]
-            self.num, = _fold(self.cone.group, self.seed,
-                              range(self.index, self.index + 1), self.M,
-                              levels, depth, [self.num])
-            self.depth = depth
-        return self.num
-
-
-def _base_folds(cone, seed, indices, M, depth):
-    """The numerators of _ConeFold(cone, seed, i, M).to_depth(depth) for
-    every sample index i of the range."""
-    levels = list(itertools.islice(cone.walk(), depth + 1))
-    return _fold(cone.group, seed, indices, M, levels, depth,
-                 [0] * len(indices))
+    def deepen(self, pos):
+        """Add the next level to the numerators at the ascending positions
+        pos."""
+        self.depth += 1
+        rows = np.arange(self.indices.start, self.indices.stop)[pos]
+        self.nums[pos] = _fold(self.cone.group, self.seed, rows, self.M,
+                               [next(self._levels)], self.depth,
+                               self.nums[pos])
 
 
 def _fold(group, seed, indices, M, levels, depth, nums):
-    """The numerators nums of the samples of the index range, each times
-    M^len(levels) plus the base-M number of the symbol totals of the
-    levels (lists of _Cone.walk parts, the last one at depth).
+    """The object array nums of numerators of the samples of indices (a
+    range or an ascending int array), each times M^len(levels) plus the
+    base-M number of the symbol totals of the levels (lists of _Cone.walk
+    parts, the last one at depth), as a new object array.
 
     The levels are drawn for blocks of samples at once and summed per
     level, z2 sites weighted by their word counts (as Python ints once a
@@ -360,10 +353,9 @@ def _fold(group, seed, indices, M, levels, depth, nums):
             dtype=object if wide else np.int64)
         draws.append((ids, np.cumsum([len(ids) for _, ids, _ in runs]),
                       weights, letter, [level for level, _, _ in runs]))
-    out = []
-    for lo, hi in _row_blocks(indices.start, indices.stop,
-                              sum(len(d[0]) for d in draws)):
-        rows = range(lo, hi)
+    out = np.empty(len(indices), dtype=object)
+    for lo, hi in _row_blocks(0, len(indices), sum(len(d[0]) for d in draws)):
+        rows = indices[lo:hi]
         totals = np.zeros((hi - lo, len(levels)),
                           dtype=object if wide else np.int64)
         for ids, ends, weights, letter, runs in draws:
@@ -374,22 +366,11 @@ def _fold(group, seed, indices, M, levels, depth, nums):
                 sums = np.add.reduceat(vals, np.r_[0, ends[:-1]], axis=1)
             for j, level in enumerate(runs):
                 totals[:, level] += sums[:, j]
-        num = np.array(nums[lo - indices.start:hi - indices.start],
-                       dtype=object)
+        num = nums[lo:hi]
         for total in totals.T:
             num = num * M + total
-        out.extend(num.tolist())
+        out[lo:hi] = num
     return out
-
-
-def _sample_folds(cfg, sites, indices, depth):
-    """Each sample's folds on the forward cones at the sites, by position in
-    the range, started from their base folds to depth; a generator, so a
-    fold deepened past the store can be dropped before the next."""
-    cones = [_Cone(cfg.group, s) for s in sites]
-    base = [_base_folds(c, cfg.seed, indices, cfg.M, depth) for c in cones]
-    return lambda k: (_ConeFold(c, cfg.seed, indices[k], cfg.M, nums[k], depth)
-                      for c, nums in zip(cones, base))
 
 
 def _pair_cell(b, bins, cells):
@@ -433,32 +414,36 @@ def _haar_chunk(cfg, lo, hi, max_extra):
     sites = groups.ball(cfg.group, cfg.eval_radius)
     bins = cfg.bins
     cells = min(_PAIR_CELLS, bins)
-    hist = np.zeros((len(sites), bins), dtype=np.int64)
-    ambiguous = np.zeros(len(sites), dtype=np.int64)
-    grid = np.zeros((cells, cells), dtype=np.int64)
-    pair_total = 0
-    pair_sites = (0, 1) if len(sites) > 1 else (0, 0)
-    base = cfg.sample_radius
-    folds = _sample_folds(cfg, sites, range(lo, hi), base)
-    for k in range(hi - lo):
-        sample_bins = []
-        for ci, fold in enumerate(folds(k)):
-            fold.to_depth(base)
-            b = _assign_bin(fold.num, fold.depth, cfg.M, bins)
-            while b is None and fold.depth < base + max_extra:
-                fold.to_depth(fold.depth + 1)
-                b = _assign_bin(fold.num, fold.depth, cfg.M, bins)
-            if b is None:
-                ambiguous[ci] += 1
-            else:
-                hist[ci, b] += 1
-            sample_bins.append(b)
-        b1, b2 = sample_bins[pair_sites[0]], sample_bins[pair_sites[1]]
-        if b1 is not None and b2 is not None:
-            grid[_pair_cell(b1, bins, cells),
-                 _pair_cell(b2, bins, cells)] += 1
-            pair_total += 1
-    return hist, ambiguous, grid, pair_total
+    found = np.array([_certified_bins(cfg, site, range(lo, hi), max_extra)
+                      for site in sites])
+    hist = np.array([np.bincount(b[b >= 0], minlength=bins) for b in found])
+    b1, b2 = found[0], found[min(1, len(sites) - 1)]
+    both = (b1 >= 0) & (b2 >= 0)
+    cell = _pair_cell(b1[both], bins, cells) * cells \
+        + _pair_cell(b2[both], bins, cells)
+    grid = np.bincount(cell, minlength=cells * cells).reshape(cells, cells)
+    return hist, (found < 0).sum(axis=1), grid, int(both.sum())
+
+
+def _certified_bins(cfg, site, indices, max_extra):
+    """The certified bin of each sample's coordinate at site, -1 where it
+    still straddles at the sample radius plus max_extra: all samples are
+    folded to the sample radius at once, and the straddling ones deepen
+    together one level at a time."""
+    folds = _ConeFolds(_Cone(cfg.group, site), cfg.seed, indices, cfg.M,
+                       cfg.sample_radius)
+    found = np.full(len(indices), -1, dtype=np.int64)
+    pos = np.arange(len(indices))
+    for extra in range(max_extra + 1):
+        if extra:
+            folds.deepen(pos)
+        got = [_assign_bin(num, folds.depth, cfg.M, cfg.bins)
+               for num in folds.nums[pos]]
+        found[pos] = [-1 if b is None else b for b in got]
+        pos = pos[found[pos] < 0]
+        if not len(pos):
+            break
+    return found
 
 
 # haar_window_test fails below this p-value or at this ambiguity rate
@@ -936,25 +921,27 @@ def collision_search(cfg, control=64, pair_depth=8, max_extra=6):
     control_ok = control_matches == control
 
     # (ii) independent pairs, samples base + i and base + n + i: the folds
-    # of all of them start from stored levels drawn at once, and only the
-    # close pairs go deeper
+    # of all of them start from stored levels drawn at once, and the close
+    # pairs deepen together one level at a time
     n_pairs = cfg.samples
-    base_offset = 1 << 20
-    folds = _sample_folds(cfg, eval_sites,
-                          range(base_offset, base_offset + 2 * n_pairs), pair_depth)
-    folds_ok = 0
-    deepened = 0
-    for i in range(n_pairs):
-        fa, fb = list(folds(i)), list(folds(n_pairs + i))
-        for depth in range(pair_depth, pair_depth + max_extra + 1):
-            for fold in fa + fb:
-                fold.to_depth(depth)
-            separated = _pair_separated(fa, fb, M, depth)
-            if separated:
-                break
-            deepened += depth == pair_depth
-        folds_ok += separated
-    unresolved = n_pairs - folds_ok
+    indices = range(1 << 20, (1 << 20) + 2 * n_pairs)
+    folds = [_ConeFolds(_Cone(group, s), cfg.seed, indices, M, pair_depth)
+             for s in eval_sites]
+    close = np.arange(n_pairs)
+    for extra in range(max_extra + 1):
+        if extra:
+            for fold in folds:
+                fold.deepen(np.r_[close, close + n_pairs])
+        nums = np.array([fold.nums for fold in folds])
+        apart = _pair_separated(nums[:, close], nums[:, close + n_pairs], M,
+                                pair_depth + extra)
+        if not extra:
+            deepened = int((~apart).sum())
+        close = close[~apart]
+        if not len(close):
+            break
+    unresolved = len(close)
+    folds_ok = n_pairs - unresolved
     pairs_ok = unresolved == 0
 
     # (iii) symbolic reconstruction of the family from the all-ones pattern
@@ -996,10 +983,11 @@ def collision_search(cfg, control=64, pair_depth=8, max_extra=6):
     }
 
 
-def _pair_separated(fa, fb, M, depth):
-    """Whether the two samples' enclosures at depth are disjoint mod 1 at
-    some site: each is [num, num + t] / den, so they are when the distance
-    of the numerators mod den exceeds t both ways round."""
+def _pair_separated(na, nb, M, depth):
+    """Whether each pair's enclosures at depth, numerators na and nb (sites
+    by pairs), are disjoint mod 1 at some site: each is [num, num + t] /
+    den, so they are when the distance of the numerators mod den exceeds t
+    both ways round."""
     t = _tail_units(M, depth)
-    den = M ** (depth + 1)
-    return any(t < (b.num - a.num) % den < den - t for a, b in zip(fa, fb))
+    d = (nb - na) % M ** (depth + 1)
+    return ((t < d) & (d < M ** (depth + 1) - t)).any(axis=0)

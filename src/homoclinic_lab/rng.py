@@ -4,9 +4,9 @@ Every sampled symbol is a pure function of (seed, stream index, site), with
 the site keyed by a canonical 64-bit id: free-group ids chain one finalizer
 round per letter from a fixed root, so the id of a word is independent of
 which window or cone enumerated it.  Every symbol is drawn by one blocked,
-in-place kernel (draw), for one stream or a range of streams at once, and
-read as rows of symbols (symbol_rows, symbols) or as totals per stream over
-runs of the ids (symbol_sums).  No global state anywhere.
+in-place kernel (draw) for the streams of a range or an ascending array of
+indices, and read as rows of symbols (symbol_rows, symbols) or as totals
+per stream over runs of the ids (symbol_sums).  No global state anywhere.
 """
 
 import bisect
@@ -113,10 +113,12 @@ def child_ids(ids, letters):
 
 
 def _stream_keys(seed, rows):
-    """The key of each stream of the range: the finalizer of the seed's
-    finalizer xor the finalizer of (index + 1) * GOLD (mod 2^64)."""
-    keys = np.arange(rows.start + 1, rows.stop + 1, rows.step,
-                     dtype=np.uint64)
+    """The key of each stream of rows (a range or an int array): the
+    finalizer of the seed's finalizer xor the finalizer of (index + 1) *
+    GOLD (mod 2^64)."""
+    if isinstance(rows, range):
+        rows = np.arange(rows.start, rows.stop, rows.step, dtype=np.uint64)
+    keys = np.asarray(rows, dtype=np.uint64) + np.uint64(1)
     keys *= np.uint64(GOLD)
     tmp = np.empty_like(keys)
     _mix(keys, tmp)
@@ -125,10 +127,10 @@ def _stream_keys(seed, rows):
     return keys
 
 
-def draw(seed, index, ids, M, letter=None):
+def draw(seed, rows, ids, M, letter=None):
     """The draw kernel: uniform symbols in {0,...,M-1}, one per id (per
     child id w*letter when a letter is given, as child_ids would make
-    them), for the stream index or for each stream of a range of indices.
+    them), for each stream of rows, a range or an ascending int array.
 
     The symbols form a matrix, one row per stream, yielded as (start,
     block) for consecutive flat blocks in row order: start is the position
@@ -141,9 +143,8 @@ def draw(seed, index, ids, M, letter=None):
     Unbiased via rejection: draws landing in the final partial block of the
     64-bit range are re-finalized until they fall below it.
     """
-    rows = index if isinstance(index, range) else range(index, index + 1)
     n = len(ids)
-    if not n or not rows:
+    if not n or not len(rows):
         return
     keys = _stream_keys(seed, rows)
     # a block is per rows of width ids: whole rows, or part of one row
@@ -181,12 +182,12 @@ def draw(seed, index, ids, M, letter=None):
             yield r0 * n + c0, t
 
 
-def symbol_rows(seed, indices, ids, M, dtype=np.int64):
-    """The symbols of draw() for a range of stream indices, as a matrix of
-    the given dtype with one row per index."""
-    out = np.empty((len(indices), len(ids)), dtype=dtype)
+def symbol_rows(seed, rows, ids, M, dtype=np.int64):
+    """The symbols of draw() for the streams of rows, as a matrix of the
+    given dtype with one row per stream."""
+    out = np.empty((len(rows), len(ids)), dtype=dtype)
     flat = out.reshape(-1)
-    for lo, vals in draw(seed, indices, ids, M):
+    for lo, vals in draw(seed, rows, ids, M):
         flat[lo:lo + len(vals)] = vals
     return out
 
@@ -197,12 +198,11 @@ def symbols(seed, index, ids, M):
     return symbol_rows(seed, range(index, index + 1), ids, M)[0]
 
 
-def symbol_sums(seed, index, ids, M, ends, letter=None):
+def symbol_sums(seed, rows, ids, M, ends, letter=None):
     """Totals of the symbols of draw() over the consecutive runs
     ids[:ends[0]], ids[ends[0]:ends[1]], ... (ascending ends), as an int64
-    matrix with one row per stream of index, one int or a range.  The runs
-    are summed inside the draw's own blocks, so no symbol row is kept."""
-    rows = index if isinstance(index, range) else range(index, index + 1)
+    matrix with one row per stream of rows.  The runs are summed inside the
+    draw's own blocks, so no symbol row is kept."""
     n = len(ids)
     # run edges and block starts (one block per row when n < _BLOCK) cut
     # each row into pieces; the piece at n is an empty, zero column
@@ -214,7 +214,7 @@ def symbol_sums(seed, index, ids, M, ends, letter=None):
         k1 = bisect.bisect_left(cuts, min(c + _BLOCK, n))
         spans[c] = (k0, k1, np.array(cuts[k0:k1], dtype=np.intp) - c)
     pieces = np.zeros((len(rows), len(cuts)), dtype=np.int64)
-    for start, vals in draw(seed, index, ids, M, letter):
+    for start, vals in draw(seed, rows, ids, M, letter):
         r, c = divmod(start, n)
         k0, k1, local = spans[c]
         block = vals.view(np.int64).reshape(-1, min(n, len(vals)))

@@ -238,6 +238,7 @@ def test_csv_unsupported_exits_two():
     ("trees", "--size", "2", "--M", "4"),
     ("patterns", "--group", "z2"),
     ("percolation", "--ones", "--group", "z2"),
+    ("collisions", "--radius", "9"),
 ])
 def test_flag_the_subcommand_ignores_exits_two(argv):
     with pytest.raises(SystemExit) as exc:
@@ -373,7 +374,7 @@ def test_cli_surface_is_pinned():
                        for a in p._actions]]
                for name, p in sub.choices.items()]
     assert hashlib.sha256(json.dumps(surface).encode()).hexdigest() == \
-        "4002d3372d9354ee6ce4a051a772d6799623a0f17d2ad7c2c4b8199a4bcec897"
+        "36a724597587e5e4aec285b010c86e73bbbedbd469abbd580c9a14e45d79695c"
 
 
 @pytest.mark.parametrize("command, run, radius", [

@@ -134,8 +134,7 @@ def test_haar_rejects_wide_enclosure():
 def test_haar_flags_degenerate_sampler(monkeypatch):
     cfg = cfg_with(samples=120, sample_radius=8, bins=6)
 
-    def zeros(seed, index, ids, M, letter=None):
-        rows = index if isinstance(index, range) else [index]
+    def zeros(seed, rows, ids, M, letter=None):
         yield 0, np.zeros(len(rows) * len(ids), dtype=np.uint64)
 
     monkeypatch.setattr(rng, "draw", zeros)
@@ -210,11 +209,10 @@ def test_tau_cascade_draws_once_per_sample(monkeypatch):
     prefix, whole = [], []
     draw = rng.draw
 
-    def counted(seed, index, ids, *args):
+    def counted(seed, rows, ids, *args):
         assert len(ids) in (2 ** (k + 1) - 1, 2 ** 11 - 1)
-        rows = index if isinstance(index, range) else [index]
         (prefix if len(ids) < 2 ** 11 - 1 else whole).extend(rows)
-        return draw(seed, index, ids, *args)
+        return draw(seed, rows, ids, *args)
 
     cfg = cfg_with(samples=100, sample_radius=10)
     cones = {root: montecarlo._Cone(F2, root, "AB").gather(cfg.sample_radius)
@@ -381,14 +379,21 @@ def test_prefix_cascade_matches_the_whole_window(root, R):
     # past z2 level 62 a level's weighted total can pass int64
     pytest.param(Z2, [*range(2, 9), 70], id="z2")])
 def test_base_folds_match_cone_folds(group, depths):
-    # 70 samples: not a multiple of any block's row count
-    seed, M = 31, 3
+    # 70 samples: not a multiple of any block's row count.  A block's folds
+    # to each depth are its samples' one-row folds, and the block's folds
+    # deepened at every position from the first depth
+    seed, M, indices = 31, 3, range(40, 110)
     for root in groups.ball(group, 1):
         cone = montecarlo._Cone(group, root)
+        deep = montecarlo._ConeFolds(cone, seed, indices, M, depths[0])
         for depth in depths:
-            nums = montecarlo._base_folds(cone, seed, range(40, 110), M, depth)
-            assert nums == [montecarlo._ConeFold(cone, seed, i, M)
-                            .to_depth(depth) for i in range(40, 110)]
+            nums = montecarlo._ConeFolds(cone, seed, indices, M, depth).nums
+            assert nums.tolist() == [
+                montecarlo._ConeFolds(cone, seed, range(i, i + 1), M, depth)
+                .nums[0] for i in indices]
+            while deep.depth < depth:
+                deep.deepen(np.arange(len(indices)))
+            assert deep.nums.tolist() == nums.tolist()
 
 
 def test_fold_depth_guard_fails_before_any_draw(monkeypatch, empty_store):

@@ -139,8 +139,8 @@ def run_totals(matrix, ends):
        st.integers(0, 1 << 40), st.integers(0, 1 << 20), st.data())
 @PROPERTY
 def test_symbol_sums_are_run_totals(M, n, letter, rows, seed, index, data):
-    # one stream (an int index) or a range of them: rows shorter than a
-    # block are drawn several to a block, longer ones block by block
+    # a range of one stream or of several: rows shorter than a block are
+    # drawn several to a block, longer ones block by block
     ids = random_ids(n, seed)
     streams = range(index, index + (rows or 1))
     # ends anywhere, and on either side of every block edge, so runs cross
@@ -152,8 +152,7 @@ def test_symbol_sums_are_run_totals(M, n, letter, rows, seed, index, data):
         st.one_of(st.integers(0, n), st.sampled_from(near_edges)),
         max_size=8)))
     kids = ids if letter is None else ref_child_ids(ids, letter)
-    got = rng.symbol_sums(seed, index if rows is None else streams, ids, M,
-                          ends, letter)
+    got = rng.symbol_sums(seed, streams, ids, M, ends, letter)
     assert got.dtype == np.int64 and got.shape == (len(streams), len(ends))
     assert got.tolist() == run_totals(ref_rows(seed, streams, kids, M), ends)
 
@@ -168,8 +167,8 @@ def test_child_letter_sums_match_child_ids_then_symbols(M, n, letter,
     assert np.array_equal(kids, ref_child_ids(ids, letter))
     expect = int(rng.symbols(seed, index, kids, M).sum())
     assert expect == int(ref_symbols(seed, index, kids, M).sum())
-    assert rng.symbol_sums(seed, index, ids, M, [n], letter).tolist() == \
-        [[expect]]
+    assert rng.symbol_sums(seed, range(index, index + 1), ids, M, [n],
+                           letter).tolist() == [[expect]]
 
 
 def drawn_matrix(seed, rows, ids, M, letter=None):
@@ -223,8 +222,8 @@ def test_rejection_branch(M, letter, rows):
         return
     if letter is None:
         assert np.array_equal(rng.symbols(seed, index, ids, M), expect)
-    assert rng.symbol_sums(seed, index, ids, M, ends, letter).tolist() == \
-        run_totals([expect], ends)
+    assert rng.symbol_sums(seed, range(index, index + 1), ids, M, ends,
+                           letter).tolist() == run_totals([expect], ends)
 
 
 @pytest.mark.parametrize("seed", [0, 77, (1 << 64) + 5, (1 << 70) - 1])
@@ -249,12 +248,34 @@ def test_symbol_sums_on_short_inputs(n, ends, letter):
     # ends past the row and ids after the last end all occur here
     ids = random_ids(n, n + len(ends))
     kids = ids if letter is None else ref_child_ids(ids, letter)
-    for index in (4, range(2, 6)):
-        streams = index if isinstance(index, range) else [index]
+    for streams in (range(4, 5), range(2, 6)):
         want = run_totals(ref_rows(13, streams, kids, 3),
                           [min(e, n) for e in ends])
-        assert rng.symbol_sums(13, index, ids, 3, ends, letter).tolist() \
+        assert rng.symbol_sums(13, streams, ids, 3, ends, letter).tolist() \
             == want
+
+
+@pytest.mark.parametrize("n", [1, 33, B - 1, B + 5])
+@pytest.mark.parametrize("letter", [None, "a"])
+def test_index_arrays_draw_the_rows_of_their_range(n, letter):
+    # an ascending, scattered index array draws the rows its indices have
+    # in the covering range: the stream key depends on the index alone.
+    # Rows shorter than a block are drawn several to a block, n > B within
+    # the row
+    ids = random_ids(n, n + 2)
+    whole = range(3, 40)
+    for pos in ([0, 4, 5, 17, 36], [9], list(range(0, 37, 3))):
+        rows = np.array([whole[p] for p in pos])
+        assert np.array_equal(drawn_matrix(7, rows, ids, 5, letter),
+                              drawn_matrix(7, whole, ids, 5, letter)[pos])
+        ends = [1, n // 2, n]
+        assert np.array_equal(
+            rng.symbol_sums(7, rows, ids, 5, ends, letter),
+            rng.symbol_sums(7, whole, ids, 5, ends, letter)[pos])
+    # gaps far wider than a block of rows
+    far = [5, 1 << 40, (1 << 62) + 1]
+    assert rng._stream_keys(9, np.array(far)).tolist() == \
+        [stream_key(9, i) for i in far]
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, B // 2 + 3, B + 1])
@@ -287,12 +308,12 @@ def test_block_rows_are_the_one_stream_draws(n, rows):
 
 def test_draw_yields_consecutive_blocks():
     ids = random_ids(2 * B + 5, 0)
-    starts = [(lo, len(vals)) for lo, vals in rng.draw(1, 2, ids, 3)]
+    starts = [(lo, len(vals)) for lo, vals in rng.draw(1, range(2, 3), ids, 3)]
     assert starts == [(0, B), (B, B), (2 * B, 5)]
-    assert list(rng.draw(1, 2, ids[:0], 3)) == []
+    assert list(rng.draw(1, range(2, 3), ids[:0], 3)) == []
 
 
-# -- a cone fold through the kernel against the reference --------------------
+# -- cone folds through the kernel against the reference --------------------
 
 @pytest.mark.parametrize("levels", [2, 20])
 @pytest.mark.parametrize("root", ["", "a", "Ab"])
@@ -304,10 +325,9 @@ def test_cone_fold_matches_the_reference_levels(root, levels, monkeypatch,
                         8 * groups.cone_size(F2, levels))
     depth, M, seed, index = 8, 3, 19, 6
     cone = montecarlo._Cone(F2, root)
-    fold = montecarlo._ConeFold(cone, seed, index, M)
-    fold.to_depth(5)
-    for d in range(6, depth + 1):
-        fold.to_depth(d)
+    folds = montecarlo._ConeFolds(cone, seed, range(index, index + 1), M, 5)
+    for _ in range(6, depth + 1):
+        folds.deepen(np.array([0]))
     words = [root]
     num = 0
     for level in range(depth + 1):
@@ -315,7 +335,7 @@ def test_cone_fold_matches_the_reference_levels(root, levels, monkeypatch,
             words = [w + c for w in words for c in "ab"]
         ids = np.array([rng.word_id(w) for w in words], dtype=np.uint64)
         num = num * M + int(ref_symbols(seed, index, ids, M).sum())
-    assert (fold.depth, fold.num) == (depth, num)
+    assert (folds.depth, folds.nums.tolist()) == (depth, [num])
 
 
 @pytest.mark.parametrize("levels", [3, 20])
@@ -331,29 +351,40 @@ def test_cone_fold_is_the_exact_coordinate_at_its_root(group, root, levels,
     monkeypatch.setattr(montecarlo, "_STORE_BYTES",
                         8 * groups.cone_size(group, levels))
     depth, M, seed, index = 7, 3, 23, 4
-    fold = montecarlo._ConeFold(montecarlo._Cone(group, root), seed, index, M)
-    fold.to_depth(depth)
+    [num] = montecarlo._ConeFolds(montecarlo._Cone(group, root), seed,
+                                  range(index, index + 1), M, depth).nums
     sites = groups.cone_sites(group, root, depth)
     vals = rng.symbols(seed, index, rng.element_ids(group, sites), M)
     d = Configuration(group, {s: int(v) for s, v in zip(sites, vals)},
                       (0, M - 1))
-    assert TorusValue.from_numerator(fold.num, M ** (depth + 1)) == \
+    assert TorusValue.from_numerator(num, M ** (depth + 1)) == \
         phi_exact(d, [root], M)[root]
 
 
 # -- folds over the process store against the reference ----------------------
 
-def reference_numerators(group, root, seed, indices, M, depth):
-    """Base-M folds of the reference symbol totals of each level of the
-    cone, its sites walked by groups.cone_levels."""
+def reference_totals(group, root, seed, indices, M, depth):
+    """The reference symbol totals of each level 0..depth of the cone, for
+    each sample index, its sites walked by groups.cone_levels (z2 sites
+    weighted by their word counts)."""
     levels = list(islice(groups.cone_levels(group, root), depth + 1))
     ids = [rng.element_ids(group, level) for level in levels]
+
+    def total(index, level, level_ids):
+        vals = ref_symbols(seed, index, level_ids, M).tolist()
+        return sum(w * v for w, v in zip(level.values(), vals))
+
+    return [[total(index, level, level_ids)
+             for level, level_ids in zip(levels, ids)] for index in indices]
+
+
+def reference_numerators(group, root, seed, indices, M, depth):
+    """Base-M folds of the reference level totals of each sample."""
     nums = []
-    for index in indices:
+    for totals in reference_totals(group, root, seed, indices, M, depth):
         num = 0
-        for level, level_ids in zip(levels, ids):
-            vals = ref_symbols(seed, index, level_ids, M).tolist()
-            num = num * M + sum(w * v for w, v in zip(level.values(), vals))
+        for total in totals:
+            num = num * M + total
         nums.append(num)
     return nums
 
@@ -365,7 +396,7 @@ def test_store_folds_match_the_reference_levels(root, store, monkeypatch,
     # "a" and "b" read halves of the next level of the cone at "", "A" and
     # "B" that cone one level up beside the cones at "Ab" and "Ba", and
     # "aB" both ways at once.  Past a budget of one cone to level 3 the
-    # rest is built per call; a store warmed to level 4 is deepened in
+    # rest is built per walk; a store warmed to level 4 is deepened in
     # place, its levels kept as they were
     seed, M, indices = 29, 3, range(60, 75)
     cone = montecarlo._Cone(F2, root)
@@ -373,19 +404,109 @@ def test_store_folds_match_the_reference_levels(root, store, monkeypatch,
         monkeypatch.setattr(montecarlo, "_STORE_BYTES",
                             8 * groups.cone_size(F2, 3))
     if store == "warmed":
-        assert montecarlo._base_folds(cone, seed, indices, M, 4) == \
-            reference_numerators(F2, root, seed, indices, M, 4)
+        assert montecarlo._ConeFolds(cone, seed, indices, M, 4).nums \
+            .tolist() == reference_numerators(F2, root, seed, indices, M, 4)
         kept = {key: [ids for ids, _ in levels]
                 for key, levels in empty_store._levels.items()}
     want = reference_numerators(F2, root, seed, indices, M, 10)
-    assert montecarlo._base_folds(cone, seed, indices, M, 10) == want
-    base = reference_numerators(F2, root, seed, indices, M, 6)
-    folds = [montecarlo._ConeFold(cone, seed, i, M, num, 6)
-             for i, num in zip(indices, base)]
-    assert [fold.to_depth(8) and fold.to_depth(10) for fold in folds] == want
+    assert montecarlo._ConeFolds(cone, seed, indices, M, 10).nums.tolist() \
+        == want
+    folds = montecarlo._ConeFolds(cone, seed, indices, M, 6)
+    assert folds.nums.tolist() == \
+        reference_numerators(F2, root, seed, indices, M, 6)
+    for _ in range(4):
+        folds.deepen(np.arange(len(indices)))
+    assert (folds.depth, folds.nums.tolist()) == (10, want)
     assert empty_store.nbytes <= montecarlo._STORE_BYTES
     if store == "warmed":
         for key, levels in kept.items():
             now = empty_store._levels[key]
             assert len(now) > len(levels)
             assert all(a is b for a, (b, _) in zip(levels, now))
+
+
+@pytest.mark.parametrize("store", ["below", "past"])
+@pytest.mark.parametrize("positions", ["third", "one"])
+@pytest.mark.parametrize("group, root", [
+    (F2, ""), (F2, "a"), (F2, "A"), (F2, "aB"), (Z2, (1, -2))])
+def test_deepening_some_positions_matches_the_reference(group, root,
+                                                        positions, store,
+                                                        monkeypatch,
+                                                        empty_store):
+    # the positions deepened from 6 to 10 get the reference numerators to
+    # 10, drawn for their own sample indices only; the rest keep theirs to
+    # 6.  Past a budget of one cone to level 3 every deeper level is built
+    # from its parents' ids once per walk
+    if store == "past":
+        monkeypatch.setattr(montecarlo, "_STORE_BYTES",
+                            8 * groups.cone_size(F2, 3))
+    seed, M, indices = 37, 3, range(200, 223)
+    pos = np.arange(0, len(indices), 3) if positions == "third" \
+        else np.array([13])
+    folds = montecarlo._ConeFolds(montecarlo._Cone(group, root), seed,
+                                  indices, M, 6)
+    for _ in range(4):
+        folds.deepen(pos)
+    want = reference_numerators(group, root, seed, indices, M, 6)
+    deep = reference_numerators(group, root, seed, [indices[p] for p in pos],
+                                M, 10)
+    for p, num in zip(pos, deep):
+        want[p] = num
+    assert (folds.depth, folds.nums.tolist()) == (10, want)
+    assert empty_store.nbytes <= montecarlo._STORE_BYTES
+
+
+def test_haar_chunk_walks_each_cone_once(monkeypatch, empty_store):
+    # past a budget of one cone to level 3, each level is built from its
+    # parents' ids once per cone of the chunk, however many folds read it:
+    # the chunk calls child_ids as often as one walk of each cone to the
+    # deepest level any of its folds reached.  rng.draw draws exactly the
+    # ids of each fold's cone to its final depth: the first depth where its
+    # reference enclosure is certified, or the last one allowed
+    monkeypatch.setattr(montecarlo, "_STORE_BYTES",
+                        8 * groups.cone_size(F2, 3))
+    cfg = montecarlo.ExperimentConfig(seed=41, samples=60, sample_radius=8,
+                                      bins=6)
+    base, max_extra, M = cfg.sample_radius, 3, cfg.M
+    sites = groups.ball(F2, cfg.eval_radius)
+    final, ambiguous = {}, []
+    for site in sites:
+        ambiguous.append(0)
+        for index, totals in enumerate(reference_totals(
+                F2, site, cfg.seed, range(cfg.samples), M, base + max_extra)):
+            num = 0
+            for depth, total in enumerate(totals):
+                num = num * M + total
+                if depth >= base and montecarlo._assign_bin(
+                        num, depth, M, cfg.bins) is not None:
+                    break
+            else:
+                ambiguous[-1] += 1
+            final[site, index] = depth
+
+    calls, drawn = [], []
+    child_ids, draw = rng.child_ids, rng.draw
+
+    def counted_child_ids(ids, letters):
+        calls.append(len(ids))
+        return child_ids(ids, letters)
+
+    def counted_draw(seed, rows, ids, *args):
+        drawn.append(len(rows) * len(ids))
+        return draw(seed, rows, ids, *args)
+
+    monkeypatch.setattr(rng, "child_ids", counted_child_ids)
+    monkeypatch.setattr(rng, "draw", counted_draw)
+    _, got, _, _ = montecarlo._haar_chunk(cfg, 0, cfg.samples, max_extra)
+    assert got.tolist() == ambiguous
+    assert sum(drawn) == sum(groups.cone_size(F2, d) for d in final.values())
+    deepened = sum(d - base for d in final.values())
+    chunk_calls = len(calls)
+    assert 0 < chunk_calls < deepened
+
+    empty_store.clear()
+    calls.clear()
+    for site in sites:
+        deepest = max(final[site, i] for i in range(cfg.samples))
+        list(islice(montecarlo._Cone(F2, site).walk(), deepest + 1))
+    assert chunk_calls == len(calls)
