@@ -63,7 +63,9 @@ class ExperimentConfig:
 
 # bytes of cone ids the process store may hold: cone "" of the free group
 # to level 24 (criterion 9's deepest fold), or 2^25 ids.  A fold past the
-# store builds its levels beside it, so its deepest level may take half
+# store builds its levels beside it, so its deepest level may take half;
+# while that level is built the walk also holds the level above, so the
+# transient ids past the store stay within three quarters of the budget
 _STORE_BYTES = 1 << 28
 
 # symbols per block of sample rows: the carry cascade, the Fourier residues
@@ -236,28 +238,22 @@ class _Cone:
                  k << level, (k + 1) << level)]
 
     def walk(self):
-        """Each level of the cone, as a list of (ids, weights, letters): the
-        level's symbols are those of ids (weights, on z2, the number of
-        words reaching each site) when letters is None, else of the
-        children of ids by each letter.  Pieces past the store are drawn
-        from their parents' ids, which are built from the level above only
-        when the walk goes further."""
+        """Each level of the cone, as a list of (ids, weights): weights None
+        on f2, on z2 the number of words reaching each site.  A piece past
+        the store is built with one child_ids call from the ids the walk
+        holds for the level above, so each such level is built once per
+        walk."""
         held = {}
         for level in itertools.count():
             parts, below = [], {}
             for piece in self.pieces(level):
                 stored = _STORE.piece(piece)
                 up = _parent(piece)
-                if stored is not None or up is None:
-                    ids, weights = stored or _STORE.build(piece)
-                    parts.append((ids, weights, None))
-                    below[piece] = ids, False
-                    continue
-                ids, kids = held.get(up) or (_STORE.build(up)[0], False)
-                if kids:
-                    ids = rng.child_ids(ids, self.letters)
-                parts.append((ids, None, self.letters))
-                below[piece] = ids, True
+                if stored is None and up is not None:
+                    stored = rng.child_ids(held[up], self.letters), None
+                ids, weights = stored or _STORE.build(piece)
+                parts.append((ids, weights))
+                below[piece] = ids
             held = below
             yield parts
 
@@ -267,9 +263,7 @@ class _Cone:
         out = np.empty(groups.cone_size(self.group, depth), dtype=np.uint64)
         pos = 0
         for parts in itertools.islice(self.walk(), depth + 1):
-            for ids, _, letters in parts:
-                if letters:
-                    ids = rng.child_ids(ids, letters)
+            for ids, _ in parts:
                 out[pos:pos + len(ids)] = ids
                 pos += len(ids)
         return out
@@ -332,35 +326,34 @@ def _fold(group, seed, indices, M, levels, depth, nums):
     The levels are drawn for blocks of samples at once and summed per
     level, z2 sites weighted by their word counts (as Python ints once a
     level's total can pass int64).  Parts shorter than a draw block are
-    copied into one run of ids per child letter (or none), drawn in one
-    pass; longer ones are drawn as they are."""
-    small, units = {}, []
+    copied into one run of ids, drawn in one pass; longer ones are drawn as
+    they are."""
+    small, units = [], []
     for level, parts in enumerate(levels):
-        for ids, weights, letters in parts:
-            for letter in letters or [None]:
-                if len(ids) < rng._BLOCK:
-                    small.setdefault(letter, []).append((level, ids, weights))
-                else:
-                    units.append(([(level, ids, weights)], letter))
+        for ids, weights in parts:
+            if len(ids) < rng._BLOCK:
+                small.append((level, ids, weights))
+            else:
+                units.append([(level, ids, weights)])
     # the word counts of z2 level l sum to 2^l
     wide = group == Z2 and (M - 1) << depth >= 1 << 63
     draws = []
-    for runs, letter in [*((runs, c) for c, runs in small.items()), *units]:
+    for runs in ([small] if small else []) + units:
         ids = runs[0][1] if len(runs) == 1 else \
             np.concatenate([ids for _, ids, _ in runs])
         weights = None if group == F2 else np.array(
             [w for _, _, ws in runs for w in ws],
             dtype=object if wide else np.int64)
         draws.append((ids, np.cumsum([len(ids) for _, ids, _ in runs]),
-                      weights, letter, [level for level, _, _ in runs]))
+                      weights, [level for level, _, _ in runs]))
     out = np.empty(len(indices), dtype=object)
     for lo, hi in _row_blocks(0, len(indices), sum(len(d[0]) for d in draws)):
         rows = indices[lo:hi]
         totals = np.zeros((hi - lo, len(levels)),
                           dtype=object if wide else np.int64)
-        for ids, ends, weights, letter, runs in draws:
+        for ids, ends, weights, runs in draws:
             if weights is None:
-                sums = rng.symbol_sums(seed, rows, ids, M, ends, letter)
+                sums = rng.symbol_sums(seed, rows, ids, M, ends)
             else:
                 vals = rng.symbol_rows(seed, rows, ids, M) * weights
                 sums = np.add.reduceat(vals, np.r_[0, ends[:-1]], axis=1)
@@ -459,8 +452,10 @@ def haar_window_test(cfg, max_extra=12, jobs=1):
     Each eval-window coordinate gets a chi-square test against the uniform
     histogram; one pair of coordinates gets an independence test on a
     coarse product grid (cells are unions of whole bins, so a certified
-    bin implies a certified cell).  Fails if any p-value drops below
-    _P_THRESHOLD or the ambiguity rate reaches _AMBIGUITY_THRESHOLD.
+    bin implies a certified cell).  A window of one site pairs it with
+    itself, so its pair has no test (chi_square and p_value None).  Fails
+    if any p-value drops below _P_THRESHOLD or the ambiguity rate reaches
+    _AMBIGUITY_THRESHOLD.
     """
     sites = groups.ball(cfg.group, cfg.eval_radius)
     _check_fold_depth(cfg.group, cfg.sample_radius + max_extra, len(sites))
@@ -495,15 +490,17 @@ def haar_window_test(cfg, max_extra=12, jobs=1):
 
     cells = min(_PAIR_CELLS, bins)
     cells_per = bins // cells if bins % cells == 0 else None
-    if pair_total > 0:
+    if len(sites) == 1:
+        pair_stat = pair_p = None
+    elif pair_total > 0:
         cell_prob = np.zeros(cells)
         for b in range(bins):
             cell_prob[_pair_cell(b, bins, cells)] += 1.0 / bins
         expected = pair_total * np.outer(cell_prob, cell_prob)
         pair_stat, pair_p = _chi_square_p(grid.ravel(), expected.ravel())
+        worst_p = min(worst_p, pair_p)
     else:
         pair_stat, pair_p = 0.0, 1.0
-    worst_p = min(worst_p, pair_p)
 
     total_evals = cfg.samples * len(sites)
     amb_rate = float(ambiguous.sum()) / total_evals
@@ -869,8 +866,6 @@ def tau_invariance_test(cfg):
     if cfg.group != F2:
         raise ValueError("carry invariance experiment is defined over the "
                          "free group window")
-    if cfg.M != 3:
-        raise ValueError("the exact cylinder accounting needs M = 3")
     # each variant draws its whole window from one copy of its stored cone
     window = 8 * groups.cone_size(F2, cfg.sample_radius)
     if 2 * window > _STORE_BYTES:

@@ -3,10 +3,11 @@
 Every sampled symbol is a pure function of (seed, stream index, site), with
 the site keyed by a canonical 64-bit id: free-group ids chain one finalizer
 round per letter from a fixed root, so the id of a word is independent of
-which window or cone enumerated it.  Every symbol is drawn by one blocked,
-in-place kernel (draw) for the streams of a range or an ascending array of
-indices, and read as rows of symbols (symbol_rows, symbols) or as totals
-per stream over runs of the ids (symbol_sums).  No global state anywhere.
+which window or cone enumerated it.  Every symbol is drawn from its own
+site's id by one blocked, in-place kernel (draw) for the streams of a range
+or an ascending array of indices, and read as rows of symbols (symbol_rows,
+symbols) or as totals per stream over runs of the ids (symbol_sums).  No
+global state anywhere.
 """
 
 import bisect
@@ -127,10 +128,9 @@ def _stream_keys(seed, rows):
     return keys
 
 
-def draw(seed, rows, ids, M, letter=None):
-    """The draw kernel: uniform symbols in {0,...,M-1}, one per id (per
-    child id w*letter when a letter is given, as child_ids would make
-    them), for each stream of rows, a range or an ascending int array.
+def draw(seed, rows, ids, M):
+    """The draw kernel: uniform symbols in {0,...,M-1}, one per id, for
+    each stream of rows, a range or an ascending int array.
 
     The symbols form a matrix, one row per stream, yielded as (start,
     block) for consecutive flat blocks in row order: start is the position
@@ -162,12 +162,7 @@ def draw(seed, rows, ids, M, letter=None):
             v = buf[:(r1 - r0) * (c1 - c0)]
             t = tmp[:len(v)]
             grid = v.reshape(r1 - r0, c1 - c0)
-            if letter is None:
-                np.bitwise_xor(ids[c0:c1], keys[r0:r1, None], out=grid)
-            else:
-                np.bitwise_xor(ids[c0:c1], np.uint64(LETTER[letter]), out=grid)
-                _mix(v, t)
-                grid ^= keys[r0:r1, None]
+            np.bitwise_xor(ids[c0:c1], keys[r0:r1, None], out=grid)
             _mix(v, t)
             if rem and v.max() >= limit:
                 mask = v >= limit
@@ -198,7 +193,7 @@ def symbols(seed, index, ids, M):
     return symbol_rows(seed, range(index, index + 1), ids, M)[0]
 
 
-def symbol_sums(seed, rows, ids, M, ends, letter=None):
+def symbol_sums(seed, rows, ids, M, ends):
     """Totals of the symbols of draw() over the consecutive runs
     ids[:ends[0]], ids[ends[0]:ends[1]], ... (ascending ends), as an int64
     matrix with one row per stream of rows.  The runs are summed inside the
@@ -214,7 +209,7 @@ def symbol_sums(seed, rows, ids, M, ends, letter=None):
         k1 = bisect.bisect_left(cuts, min(c + _BLOCK, n))
         spans[c] = (k0, k1, np.array(cuts[k0:k1], dtype=np.intp) - c)
     pieces = np.zeros((len(rows), len(cuts)), dtype=np.int64)
-    for start, vals in draw(seed, rows, ids, M, letter):
+    for start, vals in draw(seed, rows, ids, M):
         r, c = divmod(start, n)
         k0, k1, local = spans[c]
         block = vals.view(np.int64).reshape(-1, min(n, len(vals)))

@@ -224,6 +224,21 @@ def test_haar_test_small_run_exits_zero():
     assert doc["passed"] is True
 
 
+@pytest.mark.parametrize("M", ["4", "5"])
+def test_tau_test_runs_past_m_three(M):
+    doc = run_json("tau-test", "--M", M)
+    assert doc["config"]["M"] == int(M)
+    assert doc["passed"] is True
+
+
+def test_haar_test_at_eval_radius_zero_exits_zero():
+    doc = run_json("haar-test", "--eval-radius", "0", "--samples", "300",
+                   "--radius", "8", "--bins", "6")
+    assert len(doc["coordinates"]) == 1
+    assert doc["pair"]["p_value"] is None
+    assert doc["passed"] is True
+
+
 def test_csv_unsupported_exits_two():
     with pytest.raises(SystemExit) as exc:
         run_cli("tau-test", "--samples", "30", "--radius", "10",

@@ -131,10 +131,25 @@ def test_haar_rejects_wide_enclosure():
         haar_window_test(cfg)
 
 
+def test_haar_window_of_one_site_has_no_pair_test():
+    # at eval radius 0 the pair is the one site with itself, a diagonal
+    # grid: it keeps its sites, cells and samples but gets no chi-square,
+    # and neither min_p_value nor the verdict reads it
+    rep = haar_window_test(cfg_with(samples=150, sample_radius=8, bins=6,
+                                    eval_radius=0))
+    [coord] = rep["coordinates"]
+    pair = rep["pair"]
+    assert pair["sites"] == [coord["site"]] * 2
+    assert (pair["cells"], pair["samples"]) == (6, coord["determined"])
+    assert pair["chi_square"] is None and pair["p_value"] is None
+    assert rep["min_p_value"] == coord["p_value"]
+    assert rep["passed"] is True
+
+
 def test_haar_flags_degenerate_sampler(monkeypatch):
     cfg = cfg_with(samples=120, sample_radius=8, bins=6)
 
-    def zeros(seed, rows, ids, M, letter=None):
+    def zeros(seed, rows, ids, M):
         yield 0, np.zeros(len(rows) * len(ids), dtype=np.uint64)
 
     monkeypatch.setattr(rng, "draw", zeros)
@@ -163,9 +178,16 @@ def test_tau_invariance_guards():
     with pytest.raises(ValueError):
         tau_invariance_test(cfg_with(group=Z2, sample_radius=10))
     with pytest.raises(ValueError):
-        tau_invariance_test(cfg_with(M=4, sample_radius=10))
-    with pytest.raises(ValueError):
         tau_invariance_test(cfg_with(sample_radius=24))
+    # the cylinder masses and the carry take any M: M = 4 and 5 run and
+    # pass, every retained sample meeting the exact identity
+    for M in (4, 5):
+        rep = tau_invariance_test(cfg_with(M=M, samples=400,
+                                           sample_radius=10))
+        assert rep["passed"] is True
+        for v in rep["variants"]:
+            assert v["exact_coordinate_matches"] == v["retained"] > 0
+            assert v["image_collisions"] == 0
 
 
 @pytest.mark.parametrize("root", ["", "a"])

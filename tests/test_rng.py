@@ -1,6 +1,10 @@
 """Differential tests of the blocked draw kernel (rng.draw and its readers
 symbols, symbol_rows and symbol_sums) and of child_ids.
 
+Tests with a letter axis also draw, beside random ids, the children of
+those ids by a letter as rng.child_ids builds them: the ids of a cone
+level past the process store, which the kernel draws like any others.
+
 The reference written here is the whole-array formula the kernel must
 reproduce bit for bit: xor the stream key into the ids (one key per row
 for a range of streams), run the splitmix64 finalizer over the whole
@@ -11,6 +15,7 @@ random id reaches that branch with probability about M / 2^64.
 """
 
 from itertools import islice, product
+import weakref
 
 import numpy as np
 import pytest
@@ -77,6 +82,14 @@ def ref_child_ids(ids, letter):
     return ref_mix64(ids ^ np.uint64(rng.LETTER[letter]))
 
 
+def drawn_ids(ids, letter):
+    """ids, or their children by the letter built by rng.child_ids, with
+    the whole-array reference of the same ids."""
+    if letter is None:
+        return ids, ids
+    return rng.child_ids(ids, letter), ref_child_ids(ids, letter)
+
+
 # -- inverse finalizer, to build ids that reach the rejection loop -----------
 
 def _unshift(x, k):
@@ -96,7 +109,8 @@ def unmix64_int(x):
 
 
 def rejecting_ids(seed, index, M, letter=None):
-    """Every id whose first draw lands at or above the rejection limit."""
+    """Every id whose first draw lands at or above the rejection limit (or,
+    given a letter, whose child by it does)."""
     key = stream_key(seed, index)
     out = []
     for v in range(ref_limit(M), 1 << 64):
@@ -151,31 +165,17 @@ def test_symbol_sums_are_run_totals(M, n, letter, rows, seed, index, data):
     ends = sorted(data.draw(st.lists(
         st.one_of(st.integers(0, n), st.sampled_from(near_edges)),
         max_size=8)))
-    kids = ids if letter is None else ref_child_ids(ids, letter)
-    got = rng.symbol_sums(seed, streams, ids, M, ends, letter)
+    ids, kids = drawn_ids(ids, letter)
+    got = rng.symbol_sums(seed, streams, ids, M, ends)
     assert got.dtype == np.int64 and got.shape == (len(streams), len(ends))
     assert got.tolist() == run_totals(ref_rows(seed, streams, kids, M), ends)
 
 
-@given(st.integers(2, 7), st.sampled_from(LENGTHS), st.sampled_from("abAB"),
-       st.integers(0, 1 << 40), st.integers(0, 1 << 20))
-@PROPERTY
-def test_child_letter_sums_match_child_ids_then_symbols(M, n, letter,
-                                                        seed, index):
-    ids = random_ids(n, seed + 1)
-    kids = rng.child_ids(ids, letter)
-    assert np.array_equal(kids, ref_child_ids(ids, letter))
-    expect = int(rng.symbols(seed, index, kids, M).sum())
-    assert expect == int(ref_symbols(seed, index, kids, M).sum())
-    assert rng.symbol_sums(seed, range(index, index + 1), ids, M, [n],
-                           letter).tolist() == [[expect]]
-
-
-def drawn_matrix(seed, rows, ids, M, letter=None):
+def drawn_matrix(seed, rows, ids, M):
     """rng.draw of a range of streams, its flat blocks put back together as
     one row per stream."""
     flat = np.full(len(rows) * len(ids), -1, dtype=np.int64)
-    for lo, vals in rng.draw(seed, rows, ids, M, letter):
+    for lo, vals in rng.draw(seed, rows, ids, M):
         flat[lo:lo + len(vals)] = vals
     return flat.reshape(len(rows), len(ids))
 
@@ -201,7 +201,7 @@ def test_rejection_branch(M, letter, rows):
         spots = (7, B - 1, B + 9)
     for pos in spots:
         ids[pos:pos + len(bad)] = bad
-    kids = ids if letter is None else ref_child_ids(ids, letter)
+    ids, kids = drawn_ids(ids, letter)
     first = ref_mix64(kids ^ np.uint64(stream_key(seed, index)))
     assert int((first >= np.uint64(ref_limit(M))).sum()) == \
         len(spots) * len(bad)
@@ -215,15 +215,13 @@ def test_rejection_branch(M, letter, rows):
     if rows is not None:
         streams = range(index - rows // 2, index + rows // 2 + 1)
         ref = [ref_symbols(seed, i, kids, M) for i in streams]
-        assert np.array_equal(
-            drawn_matrix(seed, streams, ids, M, letter), ref)
-        assert rng.symbol_sums(seed, streams, ids, M, ends, letter).tolist() \
+        assert np.array_equal(drawn_matrix(seed, streams, ids, M), ref)
+        assert rng.symbol_sums(seed, streams, ids, M, ends).tolist() \
             == run_totals(ref, ends)
         return
-    if letter is None:
-        assert np.array_equal(rng.symbols(seed, index, ids, M), expect)
-    assert rng.symbol_sums(seed, range(index, index + 1), ids, M, ends,
-                           letter).tolist() == run_totals([expect], ends)
+    assert np.array_equal(rng.symbols(seed, index, ids, M), expect)
+    assert rng.symbol_sums(seed, range(index, index + 1), ids, M,
+                           ends).tolist() == run_totals([expect], ends)
 
 
 @pytest.mark.parametrize("seed", [0, 77, (1 << 64) + 5, (1 << 70) - 1])
@@ -246,13 +244,11 @@ def test_stream_keys_match_the_python_finalizer(seed, lo, n):
 def test_symbol_sums_on_short_inputs(n, ends, letter):
     # the fold's deepening steps sum one short level per call; empty runs,
     # ends past the row and ids after the last end all occur here
-    ids = random_ids(n, n + len(ends))
-    kids = ids if letter is None else ref_child_ids(ids, letter)
+    ids, kids = drawn_ids(random_ids(n, n + len(ends)), letter)
     for streams in (range(4, 5), range(2, 6)):
         want = run_totals(ref_rows(13, streams, kids, 3),
                           [min(e, n) for e in ends])
-        assert rng.symbol_sums(13, streams, ids, 3, ends, letter).tolist() \
-            == want
+        assert rng.symbol_sums(13, streams, ids, 3, ends).tolist() == want
 
 
 @pytest.mark.parametrize("n", [1, 33, B - 1, B + 5])
@@ -262,16 +258,15 @@ def test_index_arrays_draw_the_rows_of_their_range(n, letter):
     # in the covering range: the stream key depends on the index alone.
     # Rows shorter than a block are drawn several to a block, n > B within
     # the row
-    ids = random_ids(n, n + 2)
+    ids, _ = drawn_ids(random_ids(n, n + 2), letter)
     whole = range(3, 40)
     for pos in ([0, 4, 5, 17, 36], [9], list(range(0, 37, 3))):
         rows = np.array([whole[p] for p in pos])
-        assert np.array_equal(drawn_matrix(7, rows, ids, 5, letter),
-                              drawn_matrix(7, whole, ids, 5, letter)[pos])
+        assert np.array_equal(drawn_matrix(7, rows, ids, 5),
+                              drawn_matrix(7, whole, ids, 5)[pos])
         ends = [1, n // 2, n]
-        assert np.array_equal(
-            rng.symbol_sums(7, rows, ids, 5, ends, letter),
-            rng.symbol_sums(7, whole, ids, 5, ends, letter)[pos])
+        assert np.array_equal(rng.symbol_sums(7, rows, ids, 5, ends),
+                              rng.symbol_sums(7, whole, ids, 5, ends)[pos])
     # gaps far wider than a block of rows
     far = [5, 1 << 40, (1 << 62) + 1]
     assert rng._stream_keys(9, np.array(far)).tolist() == \
@@ -285,6 +280,9 @@ def test_child_ids_of_a_letter_pair_interleave_in_bit_order(n):
     assert len(got) == 2 * n
     assert np.array_equal(got[0::2], ref_child_ids(ids, "A"))
     assert np.array_equal(got[1::2], ref_child_ids(ids, "B"))
+    for letter in "abAB":
+        assert np.array_equal(rng.child_ids(ids, letter),
+                              ref_child_ids(ids, letter))
 
 
 @pytest.mark.parametrize("n, rows", [(1, B + 3), (511, 300), (32767, 5),
@@ -320,7 +318,7 @@ def test_draw_yields_consecutive_blocks():
 def test_cone_fold_matches_the_reference_levels(root, levels, monkeypatch,
                                                 empty_store):
     # with a budget of one cone to level 2 the store ends there, and every
-    # later level is summed from its parent's ids one child letter at a time
+    # later level is built from its parent's ids
     monkeypatch.setattr(montecarlo, "_STORE_BYTES",
                         8 * groups.cone_size(F2, levels))
     depth, M, seed, index = 8, 3, 19, 6
@@ -510,3 +508,50 @@ def test_haar_chunk_walks_each_cone_once(monkeypatch, empty_store):
         deepest = max(final[site, i] for i in range(cfg.samples))
         list(islice(montecarlo._Cone(F2, site).walk(), deepest + 1))
     assert chunk_calls == len(calls)
+
+
+@pytest.mark.parametrize("root", ["", "a", "A", "aB"])
+def test_walk_past_the_store_stays_within_the_fold_guard(root, monkeypatch,
+                                                         empty_store):
+    # with the store full, every level of a fold is built per walk.  At
+    # the deepest depth the guard allows, no child_ids call makes more
+    # than 2^depth ids (half the budget), and a call's parents and
+    # children together stay within 1.5 * 2^depth.  While deepening, the
+    # walk holds only the level above the one it builds, so the ids built
+    # and still alive stay within that bound too
+    depth, M, seed, indices = 10, 3, 43, range(5, 9)
+    monkeypatch.setattr(montecarlo, "_STORE_BYTES", 16 << depth)
+    montecarlo._check_fold_depth(F2, depth)
+    with pytest.raises(groups.WindowTooLarge):
+        montecarlo._check_fold_depth(F2, depth + 1)
+    empty_store.nbytes = montecarlo._STORE_BYTES
+    limit = 3 << (depth - 1)
+
+    sizes, built = [], []
+    child_ids = rng.child_ids
+
+    def watched(ids, letters):
+        out = child_ids(ids, letters)
+        alive = sum(len(ref()) for ref in built if ref() is not None)
+        sizes.append((len(ids), len(out), alive + len(out)))
+        built.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(rng, "child_ids", watched)
+    want = reference_numerators(F2, root, seed, indices, M, depth)
+    cone = montecarlo._Cone(F2, root)
+    assert montecarlo._ConeFolds(cone, seed, indices, M, depth).nums \
+        .tolist() == want
+    # a root ending in A or B reads each level in two halves
+    pieces = 2 if root[-1:] in ("A", "B") else 1
+    assert max(n for _, n, _ in sizes) == (1 << depth) // pieces
+    assert all(up + n <= limit for up, n, _ in sizes)
+
+    sizes.clear()
+    folds = montecarlo._ConeFolds(cone, seed, indices, M, 4)
+    for _ in range(4, depth):
+        folds.deepen(np.arange(len(indices)))
+    assert folds.nums.tolist() == want
+    assert max(n for _, n, _ in sizes) <= 1 << depth
+    assert all(up + n <= limit and alive <= limit for up, n, alive in sizes)
+    assert empty_store.nbytes == montecarlo._STORE_BYTES
