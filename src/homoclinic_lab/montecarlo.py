@@ -68,9 +68,9 @@ class ExperimentConfig:
 # transient ids past the store stay within three quarters of the budget
 _STORE_BYTES = 1 << 28
 
-# symbols per block of sample rows: the carry cascade, the Fourier residues
-# and the base folds draw and process this many at a time (8 samples of the
-# depth-14 backward cone)
+# symbols per block of sample rows: the carry cascade and the base folds
+# draw and process this many at a time (8 samples of the depth-14 backward
+# cone)
 _ROW_BLOCK = 4 * rng._BLOCK
 
 
@@ -324,10 +324,9 @@ def _fold(group, seed, indices, M, levels, depth, nums):
     parts, the last one at depth), as a new object array.
 
     The levels are drawn for blocks of samples at once and summed per
-    level, z2 sites weighted by their word counts (as Python ints once a
-    level's total can pass int64).  Parts shorter than a draw block are
-    copied into one run of ids, drawn in one pass; longer ones are drawn as
-    they are."""
+    level by rng.symbol_sums, z2 sites weighted by their word counts.
+    Parts shorter than a draw block are copied into one run of ids, drawn
+    in one pass; longer ones are drawn as they are."""
     small, units = [], []
     for level, parts in enumerate(levels):
         for ids, weights in parts:
@@ -335,28 +334,19 @@ def _fold(group, seed, indices, M, levels, depth, nums):
                 small.append((level, ids, weights))
             else:
                 units.append([(level, ids, weights)])
-    # the word counts of z2 level l sum to 2^l
-    wide = group == Z2 and (M - 1) << depth >= 1 << 63
     draws = []
     for runs in ([small] if small else []) + units:
         ids = runs[0][1] if len(runs) == 1 else \
             np.concatenate([ids for _, ids, _ in runs])
-        weights = None if group == F2 else np.array(
-            [w for _, _, ws in runs for w in ws],
-            dtype=object if wide else np.int64)
+        weights = None if group == F2 else [w for _, _, ws in runs for w in ws]
         draws.append((ids, np.cumsum([len(ids) for _, ids, _ in runs]),
                       weights, [level for level, _, _ in runs]))
     out = np.empty(len(indices), dtype=object)
     for lo, hi in _row_blocks(0, len(indices), sum(len(d[0]) for d in draws)):
         rows = indices[lo:hi]
-        totals = np.zeros((hi - lo, len(levels)),
-                          dtype=object if wide else np.int64)
+        totals = np.zeros((hi - lo, len(levels)), dtype=object)
         for ids, ends, weights, runs in draws:
-            if weights is None:
-                sums = rng.symbol_sums(seed, rows, ids, M, ends)
-            else:
-                vals = rng.symbol_rows(seed, rows, ids, M) * weights
-                sums = np.add.reduceat(vals, np.r_[0, ends[:-1]], axis=1)
+            sums = rng.symbol_sums(seed, rows, ids, M, ends, weights)
             for j, level in enumerate(runs):
                 totals[:, level] += sums[:, j]
         num = nums[lo:hi]
@@ -621,26 +611,12 @@ def _fourier_plan(g, f, radius):
 
 def _fourier_chunk(cfg, lo, hi, ids, nums, den):
     """Exact residues (mod den) of the pairing exponent for each sample in
-    [lo, hi), one block of samples at a time: one int64 matrix-vector
-    product per block when the dot products provably fit, Python ints row
-    by row otherwise."""
-    ids = np.asarray(ids, dtype=np.uint64)
-    nums = np.asarray(nums)
-    top = max(int(nums.max(initial=0)), -int(nums.min(initial=0)))
-    use_i64 = top * (cfg.M - 1) * max(len(nums), 1) < (1 << 62)
-    nvec = nums.astype(np.int64 if use_i64 else object)
-    exps = np.zeros(hi - lo, dtype=np.int64) if use_i64 else [0] * (hi - lo)
-    # the draw's own blocks: whole rows, or part of one row from column c
-    for start, vals in rng.draw(cfg.seed, range(lo, hi), ids, cfg.M):
-        r, c = divmod(start, len(ids))
-        rows = vals.view(np.int64).reshape(-1, min(len(ids), len(vals)))
-        part = nvec[c:c + rows.shape[1]]
-        if use_i64:
-            exps[r:r + len(rows)] += rows @ part
-        else:
-            for j, row in enumerate(rows, r):
-                exps[j] += sum(n * int(v) for n, v in zip(part, row))
-    return [int(e) % den for e in exps]
+    [lo, hi): the sample's symbols at ids weighted by nums, summed by
+    rng.symbol_sums."""
+    sums = rng.symbol_sums(cfg.seed, range(lo, hi),
+                           np.asarray(ids, dtype=np.uint64), cfg.M,
+                           [len(ids)], nums)
+    return [int(e) % den for e in sums[:, 0]]
 
 
 def empirical_fourier(cfg, g, jobs=1):
@@ -887,29 +863,30 @@ def tau_invariance_test(cfg):
 def collision_search(cfg, control=64, pair_depth=8, max_extra=6):
     """Search for distinct samples with equal parametrized coordinates.
 
-    Three parts: (i) a positive control on the known family d -> d + 1,
-    whose windowed coordinate enclosures must agree exactly; (ii) random
-    pairs of independent samples, cfg.samples of them, separated by
+    Three parts: (i) a positive control on the known family d -> d + M - 2
+    (d of symbols 0 and 1; the kernel sums to 1 / (M - 2), so the shift
+    adds 1), whose windowed coordinate enclosures must agree exactly; (ii)
+    random pairs of independent samples, cfg.samples of them, separated by
     certified intervals with adaptive deepening, expecting zero unresolved
-    pairs; (iii) a symbolic reconstruction of the family from an all-ones
-    pattern configuration, confirming the forced pair-restriction structure
-    along percolation paths.
+    pairs; (iii) on the free group at M = 3 only (family None otherwise), a
+    symbolic reconstruction of the family from an all-ones pattern
+    configuration, confirming the forced pair-restriction structure along
+    percolation paths.
     """
-    if cfg.M != 3:
-        raise ValueError("the exact collision family needs M = 3")
     group = cfg.group
     M = cfg.M
     eval_sites = groups.ball(group, cfg.eval_radius)
     _check_fold_depth(group, pair_depth + max_extra, len(eval_sites))
 
-    # (i) control family: e = d + 1 sitewise gives identical enclosures
+    # (i) control family: e = d + M - 2 sitewise gives identical enclosures
     window = groups.ball(group, 4)
     ids = rng.element_ids(group, window)
     control_matches = 0
     for n in range(control):
         raw = rng.symbols(cfg.seed, n, ids, 2)
         d = Configuration(group, {s: int(v) for s, v in zip(window, raw)}, (0, 1))
-        e = Configuration(group, {s: int(v) + 1 for s, v in zip(window, raw)}, (1, 2))
+        e = Configuration(group, {s: v + M - 2 for s, v in d.values.items()},
+                          (M - 2, M - 1))
         enc_d = phi_windowed(d, eval_sites, M)
         enc_e = phi_windowed(e, eval_sites, M)
         control_matches += all(enc_d[s] == enc_e[s] for s in eval_sites)
@@ -941,7 +918,7 @@ def collision_search(cfg, control=64, pair_depth=8, max_extra=6):
 
     # (iii) symbolic reconstruction of the family from the all-ones pattern
     family = None
-    if group == F2:
+    if group == F2 and M == 3:
         f = PolyF.standard(M, group)
         cwin = groups.ball(F2, 3)
         ones = Configuration(F2, {s: 1 for s in cwin}, (-1, 1))

@@ -6,8 +6,9 @@ round per letter from a fixed root, so the id of a word is independent of
 which window or cone enumerated it.  Every symbol is drawn from its own
 site's id by one blocked, in-place kernel (draw) for the streams of a range
 or an ascending array of indices, and read as rows of symbols (symbol_rows,
-symbols) or as totals per stream over runs of the ids (symbol_sums).  No
-global state anywhere.
+symbols) or as integer-weighted totals per stream over runs of the ids
+(symbol_sums): the cone folds and the Fourier pairings are such totals.
+Only this module reads the draw's block layout.  No global state anywhere.
 """
 
 import bisect
@@ -193,12 +194,27 @@ def symbols(seed, index, ids, M):
     return symbol_rows(seed, range(index, index + 1), ids, M)[0]
 
 
-def symbol_sums(seed, rows, ids, M, ends):
-    """Totals of the symbols of draw() over the consecutive runs
-    ids[:ends[0]], ids[ends[0]:ends[1]], ... (ascending ends), as an int64
-    matrix with one row per stream of rows.  The runs are summed inside the
-    draw's own blocks, so no symbol row is kept."""
+def symbol_sums(seed, rows, ids, M, ends, weights=None):
+    """Totals of the symbols of draw(), each times its id's weight (one
+    int per id, all 1 when weights is None), over the consecutive runs
+    ids[:ends[0]], ids[ends[0]:ends[1]], ... (ascending ends), as a matrix
+    with one row per stream of rows: int64 when every total provably fits,
+    (M - 1) * max|w| * len(ids) < 2^63, Python ints (object) otherwise.
+    The runs are summed inside the draw's own blocks, so no symbol row is
+    kept."""
     n = len(ids)
+    w, top = None, 1
+    if weights is not None:
+        # anything but int64 is read as Python ints: numpy reads a
+        # nonnegative list holding 2^63 as uint64, whose products with
+        # int64 are float64
+        w = np.asarray(weights)
+        if w.dtype != np.int64:
+            w = np.asarray(weights, dtype=object)
+        top = max(int(w.max(initial=0)), -int(w.min(initial=0)))
+    dtype = np.int64 if (M - 1) * top * n < 1 << 63 else object
+    if w is not None:
+        w = w.astype(dtype, copy=False)
     # run edges and block starts (one block per row when n < _BLOCK) cut
     # each row into pieces; the piece at n is an empty, zero column
     cuts = sorted({0, n, *(min(e, n) for e in ends), *range(0, n, _BLOCK)})
@@ -208,11 +224,17 @@ def symbol_sums(seed, rows, ids, M, ends):
         k0 = bisect.bisect_left(cuts, c)
         k1 = bisect.bisect_left(cuts, min(c + _BLOCK, n))
         spans[c] = (k0, k1, np.array(cuts[k0:k1], dtype=np.intp) - c)
-    pieces = np.zeros((len(rows), len(cuts)), dtype=np.int64)
+    pieces = np.zeros((len(rows), len(cuts)), dtype=dtype)
     for start, vals in draw(seed, rows, ids, M):
         r, c = divmod(start, n)
         k0, k1, local = spans[c]
         block = vals.view(np.int64).reshape(-1, min(n, len(vals)))
+        if w is not None:
+            part = w[c:c + block.shape[1]]
+            # the draw overwrites the block next, so int64 products may
+            # take its place
+            block = block * part if dtype is object else \
+                np.multiply(block, part, out=block)
         np.add.reduceat(block, local, axis=1,
                         out=pieces[r:r + len(block), k0:k1])
     # a run is the pieces from its first cut to the next run's; an empty

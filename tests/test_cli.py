@@ -231,6 +231,14 @@ def test_tau_test_runs_past_m_three(M):
     assert doc["passed"] is True
 
 
+@pytest.mark.parametrize("M", ["4", "5"])
+def test_collisions_runs_past_m_three(M):
+    doc = run_json("collisions", "--M", M)
+    assert doc["config"]["M"] == int(M)
+    assert doc["family"] is None
+    assert doc["passed"] is True
+
+
 def test_haar_test_at_eval_radius_zero_exits_zero():
     doc = run_json("haar-test", "--eval-radius", "0", "--samples", "300",
                    "--radius", "8", "--bins", "6")

@@ -567,9 +567,16 @@ def test_collision_search_z2_has_no_family_section():
     assert rep["passed"] is True
 
 
-def test_collision_search_requires_m_three():
-    with pytest.raises(ValueError):
-        collision_search(cfg_with(M=4, samples=5), control=2)
+@pytest.mark.parametrize("M", [4, 5])
+def test_collision_search_runs_past_m_three(M):
+    # the control family shifts by M - 2; the exact family is M = 3's alone
+    for group in (F2, Z2):
+        rep = collision_search(cfg_with(M=M, samples=30, group=group),
+                               control=8)
+        assert rep["control"]["enclosure_matches"] == 8
+        assert rep["random_pairs"]["separated"] == 30
+        assert rep["family"] is None
+        assert rep["passed"] is True
 
 
 def test_empirical_fourier_member_is_exact():

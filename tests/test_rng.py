@@ -1,5 +1,5 @@
 """Differential tests of the blocked draw kernel (rng.draw and its readers
-symbols, symbol_rows and symbol_sums) and of child_ids.
+symbols, symbol_rows and the weighted symbol_sums) and of child_ids.
 
 Tests with a letter axis also draw, beside random ids, the children of
 those ids by a letter as rng.child_ids builds them: the ids of a cone
@@ -142,17 +142,46 @@ def test_symbols_match_the_whole_array_formula(n, M):
     assert np.array_equal(got, ref_symbols(5, 3, ids, M))
 
 
-def run_totals(matrix, ends):
+def run_totals(matrix, ends, weights=None):
+    """Totals of each row over the runs, each entry times its column's
+    weight, as Python ints."""
+    if weights is not None:
+        matrix = matrix.astype(object) * np.array(weights, dtype=object)
     starts = [0] + list(ends[:-1])
     return [[int(row[a:b].sum()) for a, b in zip(starts, ends)]
             for row in matrix]
 
 
+# the weights of symbol_sums: none (all 1), small signed ints, nonnegative
+# ints one of which is 2^63 (numpy alone would read them as uint64), and
+# signed ints of 2^70 scale
+WEIGHTS = [None, "small", "2^63", "2^70"]
+
+
+def weights_of(kind, n, salt):
+    if kind is None:
+        return None
+    small = [int(x) for x in np.random.default_rng(salt).integers(-9, 10, n)]
+    if kind == "small":
+        return small
+    if kind == "2^63":
+        return [abs(x) for x in small[:-1]] + [1 << 63] * bool(n)
+    return [(2 * x + 1) << 69 for x in small]
+
+
+def sums_dtype(kind, n):
+    """The dtype of symbol_sums: int64 while (M - 1) max|w| n < 2^63, so
+    for the small weights, and Python ints past it."""
+    return object if n and kind in ("2^63", "2^70") else np.int64
+
+
 @given(st.integers(2, 7), st.sampled_from(LENGTHS),
        st.sampled_from([None, "a", "B"]), st.sampled_from([None, 2, 7]),
-       st.integers(0, 1 << 40), st.integers(0, 1 << 20), st.data())
+       st.integers(0, 1 << 40), st.integers(0, 1 << 20),
+       st.sampled_from(WEIGHTS), st.data())
 @PROPERTY
-def test_symbol_sums_are_run_totals(M, n, letter, rows, seed, index, data):
+def test_symbol_sums_are_run_totals(M, n, letter, rows, seed, index, kind,
+                                    data):
     # a range of one stream or of several: rows shorter than a block are
     # drawn several to a block, longer ones block by block
     ids = random_ids(n, seed)
@@ -166,9 +195,12 @@ def test_symbol_sums_are_run_totals(M, n, letter, rows, seed, index, data):
         st.one_of(st.integers(0, n), st.sampled_from(near_edges)),
         max_size=8)))
     ids, kids = drawn_ids(ids, letter)
-    got = rng.symbol_sums(seed, streams, ids, M, ends)
-    assert got.dtype == np.int64 and got.shape == (len(streams), len(ends))
-    assert got.tolist() == run_totals(ref_rows(seed, streams, kids, M), ends)
+    weights = weights_of(kind, n, seed)
+    got = rng.symbol_sums(seed, streams, ids, M, ends, weights)
+    assert got.dtype == sums_dtype(kind, n)
+    assert got.shape == (len(streams), len(ends))
+    assert got.tolist() == run_totals(ref_rows(seed, streams, kids, M), ends,
+                                      weights)
 
 
 def drawn_matrix(seed, rows, ids, M):
@@ -245,10 +277,13 @@ def test_symbol_sums_on_short_inputs(n, ends, letter):
     # the fold's deepening steps sum one short level per call; empty runs,
     # ends past the row and ids after the last end all occur here
     ids, kids = drawn_ids(random_ids(n, n + len(ends)), letter)
-    for streams in (range(4, 5), range(2, 6)):
+    for kind, streams in product(WEIGHTS, (range(4, 5), range(2, 6))):
+        weights = weights_of(kind, n, len(ends))
         want = run_totals(ref_rows(13, streams, kids, 3),
-                          [min(e, n) for e in ends])
-        assert rng.symbol_sums(13, streams, ids, 3, ends).tolist() == want
+                          [min(e, n) for e in ends], weights)
+        got = rng.symbol_sums(13, streams, ids, 3, ends, weights)
+        assert got.dtype == sums_dtype(kind, n)
+        assert got.tolist() == want
 
 
 @pytest.mark.parametrize("n", [1, 33, B - 1, B + 5])
