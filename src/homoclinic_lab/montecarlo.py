@@ -61,11 +61,10 @@ class ExperimentConfig:
         return asdict(self)
 
 
-# bytes of cone ids the process store may hold: cone "" of the free group
-# to level 24 (criterion 9's deepest fold), or 2^25 ids.  A fold past the
-# store builds its levels beside it, so its deepest level may take half;
-# while that level is built the walk also holds the level above, so the
-# transient ids past the store stay within three quarters of the budget
+# bytes of cone ids a process may hold.  Kept levels (_KEPT) take at most
+# a quarter; a walk past them holds at most three quarters: its deepest
+# level, at most half by _check_fold_depth, and the level above it.  So f2
+# folds reach depth 24, criterion 9's deepest
 _STORE_BYTES = 1 << 28
 
 # symbols per block of sample rows: the carry cascade and the base folds
@@ -82,10 +81,11 @@ def _row_blocks(lo, hi, width):
 
 
 def _check_fold_depth(group, depth, sites=1):
-    """Refuse, before any draw, folds that cannot fit the store budget: on
-    f2 a fold whose deepest level, 2^depth ids, takes more than half of
-    _STORE_BYTES; on z2, whose cones are drawn whole, cones of that many
-    sites holding more than _STORE_BYTES of ids."""
+    """Refuse, before any draw, folds whose walks cannot fit _STORE_BYTES:
+    on f2 a fold whose deepest level, 2^depth ids, takes more than half of
+    it, so that the walk with the level above stays within three quarters;
+    on z2, whose cones are drawn whole, cones of that many sites holding
+    more than _STORE_BYTES of ids."""
     if group == F2:
         need, limit = 8 << depth, _STORE_BYTES // 2
         what = "a cone fold to depth %d builds 2^%d ids" % (depth, depth)
@@ -105,111 +105,33 @@ def _free(root, letters):
     return not root or root[-1] in letters
 
 
-class _Store:
-    """Canonical site ids of cone levels, kept for the life of the process
-    under the byte budget _STORE_BYTES.
-
-    A stored cone is a z2 cone, or a free-group cone root*{x, y}* whose
-    root is free (_free), so that its words never cancel; _Cone makes
-    every other cone from those.  Level l of a stored cone is one uint64
-    array of its ids in bit order, written in place from level l-1 (one
-    finalizer round per id; z2 levels from groups.cone_levels, with the
-    number of words reaching each site) when a fold first reads it, and
-    kept when it fits the budget beside every level kept so far.  Ids
-    depend on the word alone, never on the seed or the call, so a level is
-    built once per process, and worker processes inherit the levels of
-    their parent.
-    """
-
-    def __init__(self):
-        self.clear()
-
-    def clear(self):
-        self._levels = {}
-        self.nbytes = 0
-
-    def grow(self, cone, depth):
-        """Store the levels of the cone (group, root, letters) up to depth
-        as far as the budget allows; returns whether level depth is
-        stored."""
-        levels = self._levels.setdefault(cone, [])
-        group, root, letters = cone
-        while len(levels) <= depth:
-            l = len(levels)
-            size = groups.cone_size(group, l) - groups.cone_size(group, l - 1)
-            # the cone at the identity serves every root of the unit ball
-            # (at a and b one level down), so it is kept a level ahead
-            if group == F2 and root and not self.grow((F2, "", letters), l + 1) \
-                    or self.nbytes + 8 * size > _STORE_BYTES:
-                return False
-            levels.append(self.build((cone, l, 0, size)))
-            self.nbytes += 8 * size
-        return True
-
-    def piece(self, piece):
-        """(ids, weights) of a piece (cone, level, lo, hi), weights None on
-        f2, if the store holds that level of the cone or can add it."""
-        cone, level, lo, hi = piece
-        if cone[0] == F2 and not _free(cone[1], cone[2]) \
-                or not self.grow(cone, level):
-            return None
-        ids, weights = self._levels[cone][level]
-        return ids[lo:hi], weights and weights[lo:hi]
-
-    def build(self, piece):
-        """(ids, weights) of a piece, built: on f2 from the piece's part of
-        the deepest stored level of its cone above it (or from the root's
-        own id), one level of children at a time; on z2 by a walk of the
-        cone."""
-        cone, level, lo, hi = piece
-        group, root, letters = cone
-        if group == Z2:
-            sites = next(itertools.islice(
-                groups.cone_levels(group, root, letters), level, None))
-            return (rng.element_ids(group, sites)[lo:hi],
-                    list(sites.values())[lo:hi])
-        top = min(len(self._levels.get(cone, ())) - 1, level)
-        ids = (self._levels[cone][top][0] if top >= 0
-               else rng.element_ids(group, [root]))
-        k = level - max(top, 0)
-        a = lo >> k
-        ids = ids[a:((hi - 1) >> k) + 1]
-        for _ in range(k):
-            ids = rng.child_ids(ids, letters)
-        return ids[lo - (a << k):hi - (a << k)], None
+# (group, root, letters) -> the first levels of that cone as _Cone.walk
+# built them, kept for the life of the process (and inherited by forked
+# workers) while all of them fit in _STORE_BYTES // 4
+_KEPT = {}
 
 
-_STORE = _Store()
-
-
-def _parent(piece):
-    """The piece of the level above whose children, in bit order, are the
-    piece; None on z2 and for a piece of a single site's id."""
-    cone, level, lo, hi = piece
-    if cone[0] == Z2 or not level or (lo | hi) & 1:
-        return None
-    return cone, level - 1, lo >> 1, hi >> 1
+def _kept_bytes():
+    return sum(ids.nbytes for levels in _KEPT.values() for ids, _ in levels)
 
 
 class _Cone:
     """The monoid cone root*{x, y}* of a fold, a carry window or a Fourier
-    plan term, read from the process store.
+    plan term.
 
     A coordinate of the parametrized point at root is determined by the
     sampled symbols on the forward cone root*P (letters "ab"), each level l
     carrying weight M^-(l+1); the carry machine instead spreads over the
     backward cone root*N (letters "AB").
 
-    Level l is a list of pieces (stored cone, level, lo, hi): the ids lo..hi
-    of a level of a cone the store keeps, in groups.cone_levels bit order.
-    z2 cones are stored as they are.  A free-group root that ends in x or y
-    and has a free prefix reads the cone at that prefix one level down:
-    level l of the cone at "a" is the first half of level l+1 of the cone
-    at "", of "b" the second.  A root ending in X (the inverse of x) is its
-    own site at level 0 and, below it, the cone at root[:-1] one level up
-    followed by the cone at root y: level l of the cone at "A" is level l-1
-    of the cone at "" and then of the one at "Ab"; at "B" the cone at "Ba"
-    comes first.
+    Each z2 cone, and each free-group cone whose root is free (_free), is
+    one chain of levels of canonical site ids in groups.cone_levels bit order:
+    on f2 level 0 is the root's id and level l the children of level l-1
+    (rng.child_ids), on z2 a walk of groups.cone_levels.  A root ending in
+    X (the inverse of x) is its own site at level 0 and, below it, the
+    cone at root[:-1] one level up followed by the cone at root y: level l
+    of the cone at "A" is level l-1 of the cone at "" and then of the one
+    at "Ab"; at "B" the cone at "Ba" comes first.
     """
 
     def __init__(self, group, root, letters="ab"):
@@ -217,45 +139,42 @@ class _Cone:
         self.root = root
         self.letters = letters
 
-    def pieces(self, level, root=None):
-        root = self.root if root is None else root
-        cone = (self.group, root, self.letters)
-        if self.group == Z2:
-            return [(cone, level, 0, level + 1)]
-        x, y = self.letters
-        if not _free(root, self.letters):
-            if not level:
-                return [(cone, 0, 0, 1)]
-            halves = ((root[:-1], root + y) if root[-1] == x.swapcase()
-                      else (root + x, root[:-1]))
-            return [p for r in halves for p in self.pieces(level - 1, r)]
-        base = root
-        while base and _free(base[:-1], self.letters):
-            base = base[:-1]
-        tail = root[len(base):]
-        k = int("0" + tail.translate(str.maketrans(self.letters, "01")), 2)
-        return [((self.group, base, self.letters), level + len(tail),
-                 k << level, (k + 1) << level)]
-
     def walk(self):
         """Each level of the cone, as a list of (ids, weights): weights None
-        on f2, on z2 the number of words reaching each site.  A piece past
-        the store is built with one child_ids call from the ids the walk
-        holds for the level above, so each such level is built once per
-        walk."""
-        held = {}
-        for level in itertools.count():
-            parts, below = [], {}
-            for piece in self.pieces(level):
-                stored = _STORE.piece(piece)
-                up = _parent(piece)
-                if stored is None and up is not None:
-                    stored = rng.child_ids(held[up], self.letters), None
-                ids, weights = stored or _STORE.build(piece)
-                parts.append((ids, weights))
-                below[piece] = ids
-            held = below
-            yield parts
+        on f2, on z2 the number of words reaching each site.  A level kept
+        in _KEPT is read; any other is built from the level above and kept
+        while the kept bytes stay within _STORE_BYTES // 4."""
+        group, root, letters = self.group, self.root, self.letters
+        if group == F2 and not _free(root, letters):
+            x, y = letters
+            halves = ((root[:-1], root + y) if root[-1] == x.swapcase()
+                      else (root + x, root[:-1]))
+            yield [(rng.element_ids(F2, [root]), None)]
+            for a, b in zip(*(_Cone(F2, r, letters).walk() for r in halves)):
+                yield a + b
+            return
+        kept = _KEPT.setdefault((group, root, letters), [])
+        sites = level = None
+        for l in itertools.count():
+            if group == Z2 and sites is None and l >= len(kept):
+                # one walk of the z2 cone from the first level not kept,
+                # stepped at every later level, kept or not, so that it
+                # stays in step when another walk keeps levels meanwhile
+                sites = itertools.islice(
+                    groups.cone_levels(group, root, letters), l, None)
+            counts = None if sites is None else next(sites)
+            if l < len(kept):
+                level = kept[l]
+            elif counts is not None:
+                level = rng.element_ids(group, counts), list(counts.values())
+            elif l:
+                level = rng.child_ids(level[0], letters), None
+            else:
+                level = rng.element_ids(group, [root]), None
+            if l == len(kept) and \
+                    _kept_bytes() + level[0].nbytes <= _STORE_BYTES // 4:
+                kept.append(level)
+            yield [level]
 
     def gather(self, depth):
         """The ids of levels 0..depth in one array, level after level: on
@@ -303,9 +222,15 @@ class _ConeFolds:
         self.M = M
         self.depth = depth
         self._levels = cone.walk()
-        self.nums = _fold(cone.group, seed, indices, M,
-                          list(itertools.islice(self._levels, depth + 1)),
-                          depth, np.zeros(len(indices), dtype=object))
+        # levels shorter than a draw block fold together with the first
+        # longer one, and each longer one folds alone, so the walk holds
+        # the level it builds and the one above it, not every level
+        self.nums, run = np.zeros(len(indices), dtype=object), []
+        for l, parts in enumerate(itertools.islice(self._levels, depth + 1)):
+            run.append(parts)
+            if l == depth or sum(len(ids) for ids, _ in parts) >= rng._BLOCK:
+                self.nums = _fold(cone.group, seed, indices, M, run, self.nums)
+                run = []
 
     def deepen(self, pos):
         """Add the next level to the numerators at the ascending positions
@@ -313,15 +238,14 @@ class _ConeFolds:
         self.depth += 1
         rows = np.arange(self.indices.start, self.indices.stop)[pos]
         self.nums[pos] = _fold(self.cone.group, self.seed, rows, self.M,
-                               [next(self._levels)], self.depth,
-                               self.nums[pos])
+                               [next(self._levels)], self.nums[pos])
 
 
-def _fold(group, seed, indices, M, levels, depth, nums):
+def _fold(group, seed, indices, M, levels, nums):
     """The object array nums of numerators of the samples of indices (a
     range or an ascending int array), each times M^len(levels) plus the
     base-M number of the symbol totals of the levels (lists of _Cone.walk
-    parts, the last one at depth), as a new object array.
+    parts), as a new object array.
 
     The levels are drawn for blocks of samples at once and summed per
     level by rng.symbol_sums, z2 sites weighted by their word counts.
@@ -521,9 +445,9 @@ _BITS = str.maketrans("ab", "01")
 
 
 def _heap_word(p, letters):
-    """The word from the root of a stored free-group cone to position p of
-    its levels, over the letter pair: the binary expansion of p+1 after its
-    leading 1, 0 for the first letter (see _tau_block)."""
+    """The word from the root of a free-group cone to position p of its
+    gathered levels, over the letter pair: the binary expansion of p+1
+    after its leading 1, 0 for the first letter (see _tau_block)."""
     return bin(p + 1)[3:].translate(_HEAP_LETTERS[letters])
 
 
@@ -842,7 +766,8 @@ def tau_invariance_test(cfg):
     if cfg.group != F2:
         raise ValueError("carry invariance experiment is defined over the "
                          "free group window")
-    # each variant draws its whole window from one copy of its stored cone
+    # each variant gathers its whole window into one array, beside the
+    # levels its walk reads, which hold at most as many ids
     window = 8 * groups.cone_size(F2, cfg.sample_radius)
     if 2 * window > _STORE_BYTES:
         raise groups.WindowTooLarge(
@@ -893,7 +818,7 @@ def collision_search(cfg, control=64, pair_depth=8, max_extra=6):
     control_ok = control_matches == control
 
     # (ii) independent pairs, samples base + i and base + n + i: the folds
-    # of all of them start from stored levels drawn at once, and the close
+    # of all of them start from base folds drawn at once, and the close
     # pairs deepen together one level at a time
     n_pairs = cfg.samples
     indices = range(1 << 20, (1 << 20) + 2 * n_pairs)

@@ -42,11 +42,11 @@ def inline_pool(monkeypatch):
 
 @pytest.fixture
 def empty_store():
-    """Empty montecarlo's process-wide cone id store before the test and
-    again after it, so the test grows every level it reads and leaves no
-    levels kept under a patched budget; returns the store."""
+    """Empty montecarlo's kept cone levels (_KEPT) before the test and again
+    after it, so the test builds every level it reads and leaves no levels
+    kept under a patched budget; returns the memo."""
     from homoclinic_lab import montecarlo
 
-    montecarlo._STORE.clear()
-    yield montecarlo._STORE
-    montecarlo._STORE.clear()
+    montecarlo._KEPT.clear()
+    yield montecarlo._KEPT
+    montecarlo._KEPT.clear()

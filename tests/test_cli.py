@@ -146,7 +146,7 @@ def test_experiments_past_the_store_budget_exit_one(monkeypatch, command):
         raise AssertionError("grew a cone or drew past the budget")
 
     monkeypatch.setattr(montecarlo, "_STORE_BYTES", 4096)
-    monkeypatch.setattr(montecarlo._Store, "grow", refuse)
+    monkeypatch.setattr(montecarlo.rng, "child_ids", refuse)
     monkeypatch.setattr(montecarlo.rng, "draw", refuse)
     code, out, err = run_cli(command, "--samples", "10")
     assert code == 1

@@ -14,6 +14,7 @@ import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 
 from homoclinic_lab import acceptance, groups, montecarlo, rng
@@ -70,7 +71,7 @@ DIGESTS = {
         "2e658c7200408c0f0676408aa4e019f0c668dbfe16e5e34d6520ff267584e4d0",
 }
 
-# the cases whose cone folds go past a store budget of 4 levels
+# the cases whose cone folds go past room for 4 kept levels
 PAST_CACHE = ["haar_f2", "haar_z2", "haar_z2_deep", "collision_f2",
               "collision_z2"]
 
@@ -86,13 +87,13 @@ def test_document_digest_is_pinned(name):
 
 
 def _low_budget(monkeypatch, store, levels):
-    """Leave the store room for one f2 cone to the given level only, as if
-    other cones held the rest of the budget: every level past that room is
-    built per call, or per fold, from its parents' ids.  (Lowering the
-    budget itself would refuse these folds, whose deepest levels need half
-    of it.)"""
-    monkeypatch.setattr(store, "nbytes", montecarlo._STORE_BYTES
-                        - 8 * groups.cone_size(F2, levels))
+    """Leave the kept levels room for one f2 cone to the given level only,
+    as if other cones held the rest of their quarter of the budget: every
+    level past that room is built per call, or per fold, from its parents'
+    ids.  (Lowering the budget itself would refuse these folds, whose
+    deepest levels need half of it.)"""
+    room = montecarlo._STORE_BYTES // 4 - 8 * groups.cone_size(F2, levels)
+    monkeypatch.setitem(store, "others", [(np.empty(room, np.uint8), None)])
 
 
 @pytest.mark.parametrize("name", PAST_CACHE)

@@ -192,8 +192,8 @@ def test_tau_invariance_guards():
 
 @pytest.mark.parametrize("root", ["", "a"])
 def test_tau_cascade_matches_carry_add(root):
-    # the numpy cascade on one draw of the stored backward cone against the
-    # addition machine on the same window, sample by sample
+    # the numpy cascade on one draw of the gathered backward cone against
+    # the addition machine on the same window, sample by sample
     cfg = cfg_with(sample_radius=4)
     R = cfg.sample_radius
     window = montecarlo._Cone(F2, root, "AB").gather(R)
@@ -430,7 +430,7 @@ def test_fold_depth_guard_fails_before_any_draw(monkeypatch, empty_store):
         haar_window_test(cfg_with(sample_radius=8, bins=6), max_extra=17)
     with pytest.raises(WindowTooLarge, match=budget):
         collision_search(cfg_with(), pair_depth=8, max_extra=17)
-    assert empty_store.nbytes == 0
+    assert empty_store == {}
     # the limit is criterion 9's depth, and z2 levels stay small
     montecarlo._check_fold_depth(F2, 24)
     montecarlo._check_fold_depth(Z2, 40)
@@ -446,9 +446,9 @@ def test_stored_cone_guard_fails_before_any_cone_grows(monkeypatch,
     def no_grow(*args):
         raise AssertionError("grew a cone before the memory check")
 
-    monkeypatch.setattr(montecarlo._Store, "grow", no_grow)
-    # a fold to depth 20 builds 2^20 ids past the store, 8 MB: a budget
-    # one byte short of 16 MB refuses it, 16 MB lets it go on to grow
+    monkeypatch.setattr(rng, "child_ids", no_grow)
+    # a fold to depth 20 builds 2^20 ids past the kept levels, 8 MB: a
+    # budget one byte short of 16 MB refuses it, 16 MB lets it go on to grow
     monkeypatch.setattr(montecarlo, "_STORE_BYTES", (1 << 24) - 1)
     with pytest.raises(WindowTooLarge, match="depth 20 builds 2\\^20 ids"):
         haar_window_test(cfg_with(sample_radius=8, bins=6))  # 8 + 12 = 20
@@ -466,8 +466,8 @@ def test_stored_cone_guard_fails_before_any_cone_grows(monkeypatch,
 
 def test_stored_cone_guard_bounds(monkeypatch):
     # f2 folds are refused by their deepest level, 2^depth ids in half the
-    # budget, however many sites: each site's levels are stored while the
-    # budget lasts and built per fold past it
+    # budget, however many sites: each site's levels are kept while a
+    # quarter of the budget lasts and built per fold past it
     check = montecarlo._check_fold_depth
     check(F2, 24, 17)  # the pinned haar document
     check(F2, 21, 161)  # haar-test --eval-radius 4
@@ -478,20 +478,44 @@ def test_stored_cone_guard_bounds(monkeypatch):
     check(F2, 16)
     with pytest.raises(WindowTooLarge, match="store budget %d" % (1 << 20)):
         check(F2, 17)
-    # z2 cones store (l + 1)(l + 2) / 2 ids to level l
+    # z2 cones hold (l + 1)(l + 2) / 2 ids to level l
     check(Z2, 40, montecarlo._STORE_BYTES // 8 // 861)
     with pytest.raises(WindowTooLarge):
         check(Z2, 40, montecarlo._STORE_BYTES // 8 // 861 + 1)
 
 
+@pytest.mark.parametrize("budget", [100, 400, 1 << 28])
+@pytest.mark.parametrize("group, root", [(F2, ""), (F2, "A"), (Z2, (1, -1))])
+def test_interleaved_walks_of_one_cone_give_its_levels(group, root, budget,
+                                                       monkeypatch,
+                                                       empty_store):
+    # a walk that reads levels another walk kept after it went past the
+    # kept ones stays in step: at 100 bytes the z2 walk that built level 0
+    # reads level 1 from the other walk, and builds level 2 after it
+    def levels(walk, n):
+        return [np.concatenate([ids for ids, _ in parts]).tolist()
+                for parts in islice(walk, n)]
+
+    want = levels(montecarlo._Cone(group, root).walk(), 12)
+    empty_store.clear()
+    monkeypatch.setattr(montecarlo, "_STORE_BYTES", budget)
+    slow = montecarlo._Cone(group, root).walk()
+    fast = montecarlo._Cone(group, root).walk()
+    got_slow, got_fast = [], []
+    for _ in range(6):
+        got_slow += levels(slow, 1)
+        got_fast += levels(fast, 2)
+    assert got_slow + levels(slow, 6) == got_fast == want
+
+
 @pytest.mark.parametrize("room", [None, 0])
-def test_store_views_give_the_words_at_heap_positions(room, monkeypatch,
-                                                      empty_store):
+def test_store_views_give_the_words_at_heap_positions(room, empty_store):
     # position p of levels 0..d is the word root * _heap_word(p), reduced,
-    # whether the store holds the levels or has no room left for them; the
+    # whether the levels are kept or there is no room left for them; the
     # Fourier plan reads its sites' ids at those positions
+    quarter = montecarlo._STORE_BYTES // 4
     if room is not None:
-        monkeypatch.setattr(empty_store, "nbytes", montecarlo._STORE_BYTES)
+        empty_store["others"] = [(np.empty(quarter, np.uint8), None)]
     for letters in ("ab", "AB"):
         for root in ("", "a", "b", "A", "B", "aB", "BA", "Aba"):
             got = montecarlo._Cone(F2, root, letters).gather(6)
@@ -500,18 +524,17 @@ def test_store_views_give_the_words_at_heap_positions(room, monkeypatch,
             assert got.tolist() == [rng.word_id(w) for w in words]
     g = parse_ring_element("1 + 2a - B + Ab")
     ids, nums, den, tail = montecarlo._fourier_plan(g, PolyF(3, F2), 7)
-    assert room is None or empty_store.nbytes == montecarlo._STORE_BYTES
+    assert room is None or montecarlo._kept_bytes() == quarter
     empty_store.clear()
-    monkeypatch.undo()
     fresh = montecarlo._fourier_plan(g, PolyF(3, F2), 7)
     assert np.array_equal(ids, fresh[0]) and (den, tail) == fresh[2:]
     assert np.array_equal(nums, fresh[1])
 
 
 def test_store_bytes_stay_within_the_budget(monkeypatch, empty_store):
-    # a 64 KB budget (8,192 ids) under a sequence of every experiment: the
-    # store fills to its budget, never past it, and every document is the
-    # one an unbounded store gives
+    # a 64 KB budget under a sequence of every experiment: the kept levels
+    # fill their quarter of it (2,048 ids), never past it, and every
+    # document is the one a full budget gives
     def calls():
         yield haar_window_test(cfg_with(sample_radius=8, bins=6), max_extra=3)
         yield collision_search(cfg_with(samples=30), control=2, pair_depth=8,
@@ -528,20 +551,45 @@ def test_store_bytes_stay_within_the_budget(monkeypatch, empty_store):
     seen = []
     for doc, want in zip(calls(), wide):
         assert doc == want
-        held = sum(ids.nbytes for levels in empty_store._levels.values()
+        held = sum(ids.nbytes for levels in empty_store.values()
                    for ids, _ in levels)
-        assert held == empty_store.nbytes <= budget
+        assert held == montecarlo._kept_bytes() <= budget // 4
         seen.append(held)
-    assert seen == sorted(seen) and seen[-1] > budget // 2
+    assert seen == sorted(seen) and seen[-1] > budget // 8
 
 
 def test_haar_jobs_fork_a_warm_store(empty_store):
-    # worker processes fork from a parent whose store holds the cones: the
-    # merged document is the one a single process gives from an empty store
+    # worker processes fork from a parent that keeps the cones' levels: the
+    # merged document is the one a single process gives from no kept levels
     cfg = cfg_with(samples=60, sample_radius=8, bins=6)
     serial = haar_window_test(cfg, jobs=1)
-    assert empty_store.nbytes > 0
+    assert montecarlo._kept_bytes() > 0
     assert haar_window_test(cfg, jobs=2) == serial
+
+
+def test_a_second_call_on_a_cone_reads_its_kept_levels(monkeypatch,
+                                                       empty_store):
+    # the reuse the kept levels are for: a second haar test on the same
+    # cone, with a new seed, builds no level, and gives the document it
+    # gives from no kept levels
+    calls = []
+    child_ids = rng.child_ids
+
+    def counted(ids, letters):
+        calls.append(len(ids))
+        return child_ids(ids, letters)
+
+    monkeypatch.setattr(rng, "child_ids", counted)
+    radius = 12
+    cfgs = [cfg_with(seed=seed, samples=20, sample_radius=radius,
+                     eval_radius=0, bins=6) for seed in (5, 6)]
+    haar_window_test(cfgs[0], max_extra=0)
+    assert len(calls) == radius
+    second = haar_window_test(cfgs[1], max_extra=0)
+    assert len(calls) == radius
+    empty_store.clear()
+    assert haar_window_test(cfgs[1], max_extra=0) == second
+    assert len(calls) == 2 * radius
 
 
 def test_collision_search_free_group():
@@ -624,7 +672,7 @@ def no_growth(monkeypatch, empty_store):
     def refuse(*args, **kwargs):
         raise AssertionError("grew a cone or drew before the size check")
 
-    monkeypatch.setattr(montecarlo._Store, "grow", refuse)
+    monkeypatch.setattr(rng, "child_ids", refuse)
     monkeypatch.setattr(rng, "draw", refuse)
 
 

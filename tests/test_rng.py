@@ -3,7 +3,7 @@ symbols, symbol_rows and the weighted symbol_sums) and of child_ids.
 
 Tests with a letter axis also draw, beside random ids, the children of
 those ids by a letter as rng.child_ids builds them: the ids of a cone
-level past the process store, which the kernel draws like any others.
+level, which the kernel draws like any others.
 
 The reference written here is the whole-array formula the kernel must
 reproduce bit for bit: xor the stream key into the ids (one key per row
@@ -352,10 +352,10 @@ def test_draw_yields_consecutive_blocks():
 @pytest.mark.parametrize("root", ["", "a", "Ab"])
 def test_cone_fold_matches_the_reference_levels(root, levels, monkeypatch,
                                                 empty_store):
-    # with a budget of one cone to level 2 the store ends there, and every
-    # later level is built from its parent's ids
+    # with room for one cone to level 2 the kept levels end there, and
+    # every later level is built from its parent's ids
     monkeypatch.setattr(montecarlo, "_STORE_BYTES",
-                        8 * groups.cone_size(F2, levels))
+                        32 * groups.cone_size(F2, levels))
     depth, M, seed, index = 8, 3, 19, 6
     cone = montecarlo._Cone(F2, root)
     folds = montecarlo._ConeFolds(cone, seed, range(index, index + 1), M, 5)
@@ -378,11 +378,11 @@ def test_cone_fold_is_the_exact_coordinate_at_its_root(group, root, levels,
                                                        monkeypatch,
                                                        empty_store):
     # the fold's value over M^(depth+1) is phi of its own stream, cut to the
-    # cone, at the root; roots "A" and "BA" cancel on their first steps.  A
-    # budget of one cone to level 3 stores the levels of the first cones
-    # read and builds the rest per fold
+    # cone, at the root; roots "A" and "BA" cancel on their first steps.
+    # Room for one cone to level 3 keeps the levels of the first cones read
+    # and builds the rest per fold
     monkeypatch.setattr(montecarlo, "_STORE_BYTES",
-                        8 * groups.cone_size(group, levels))
+                        32 * groups.cone_size(group, levels))
     depth, M, seed, index = 7, 3, 23, 4
     [num] = montecarlo._ConeFolds(montecarlo._Cone(group, root), seed,
                                   range(index, index + 1), M, depth).nums
@@ -394,7 +394,7 @@ def test_cone_fold_is_the_exact_coordinate_at_its_root(group, root, levels,
         phi_exact(d, [root], M)[root]
 
 
-# -- folds over the process store against the reference ----------------------
+# -- folds over the kept levels against the reference -----------------------
 
 def reference_totals(group, root, seed, indices, M, depth):
     """The reference symbol totals of each level 0..depth of the cone, for
@@ -426,21 +426,21 @@ def reference_numerators(group, root, seed, indices, M, depth):
 @pytest.mark.parametrize("root", ["", "a", "b", "A", "B", "aB"])
 def test_store_folds_match_the_reference_levels(root, store, monkeypatch,
                                                 empty_store):
-    # "a" and "b" read halves of the next level of the cone at "", "A" and
-    # "B" that cone one level up beside the cones at "Ab" and "Ba", and
-    # "aB" both ways at once.  Past a budget of one cone to level 3 the
-    # rest is built per walk; a store warmed to level 4 is deepened in
-    # place, its levels kept as they were
+    # "", "a" and "b" are chains of their own, "A" and "B" read the cone at
+    # "" one level up beside the cones at "Ab" and "Ba", and "aB" those at
+    # "aBa" and "a".  Past room for one cone to level 3 the rest is built
+    # per walk; kept levels warmed to level 4 are deepened in place, the
+    # arrays kept as they were
     seed, M, indices = 29, 3, range(60, 75)
     cone = montecarlo._Cone(F2, root)
     if store == "past":
         monkeypatch.setattr(montecarlo, "_STORE_BYTES",
-                            8 * groups.cone_size(F2, 3))
+                            32 * groups.cone_size(F2, 3))
     if store == "warmed":
         assert montecarlo._ConeFolds(cone, seed, indices, M, 4).nums \
             .tolist() == reference_numerators(F2, root, seed, indices, M, 4)
         kept = {key: [ids for ids, _ in levels]
-                for key, levels in empty_store._levels.items()}
+                for key, levels in empty_store.items()}
     want = reference_numerators(F2, root, seed, indices, M, 10)
     assert montecarlo._ConeFolds(cone, seed, indices, M, 10).nums.tolist() \
         == want
@@ -450,10 +450,10 @@ def test_store_folds_match_the_reference_levels(root, store, monkeypatch,
     for _ in range(4):
         folds.deepen(np.arange(len(indices)))
     assert (folds.depth, folds.nums.tolist()) == (10, want)
-    assert empty_store.nbytes <= montecarlo._STORE_BYTES
+    assert montecarlo._kept_bytes() <= montecarlo._STORE_BYTES // 4
     if store == "warmed":
         for key, levels in kept.items():
-            now = empty_store._levels[key]
+            now = empty_store[key]
             assert len(now) > len(levels)
             assert all(a is b for a, (b, _) in zip(levels, now))
 
@@ -468,11 +468,11 @@ def test_deepening_some_positions_matches_the_reference(group, root,
                                                         empty_store):
     # the positions deepened from 6 to 10 get the reference numerators to
     # 10, drawn for their own sample indices only; the rest keep theirs to
-    # 6.  Past a budget of one cone to level 3 every deeper level is built
+    # 6.  Past room for one cone to level 3 every deeper level is built
     # from its parents' ids once per walk
     if store == "past":
         monkeypatch.setattr(montecarlo, "_STORE_BYTES",
-                            8 * groups.cone_size(F2, 3))
+                            32 * groups.cone_size(F2, 3))
     seed, M, indices = 37, 3, range(200, 223)
     pos = np.arange(0, len(indices), 3) if positions == "third" \
         else np.array([13])
@@ -486,18 +486,18 @@ def test_deepening_some_positions_matches_the_reference(group, root,
     for p, num in zip(pos, deep):
         want[p] = num
     assert (folds.depth, folds.nums.tolist()) == (10, want)
-    assert empty_store.nbytes <= montecarlo._STORE_BYTES
+    assert montecarlo._kept_bytes() <= montecarlo._STORE_BYTES // 4
 
 
 def test_haar_chunk_walks_each_cone_once(monkeypatch, empty_store):
-    # past a budget of one cone to level 3, each level is built from its
+    # past room for one cone to level 3, each level is built from its
     # parents' ids once per cone of the chunk, however many folds read it:
     # the chunk calls child_ids as often as one walk of each cone to the
     # deepest level any of its folds reached.  rng.draw draws exactly the
     # ids of each fold's cone to its final depth: the first depth where its
     # reference enclosure is certified, or the last one allowed
     monkeypatch.setattr(montecarlo, "_STORE_BYTES",
-                        8 * groups.cone_size(F2, 3))
+                        32 * groups.cone_size(F2, 3))
     cfg = montecarlo.ExperimentConfig(seed=41, samples=60, sample_radius=8,
                                       bins=6)
     base, max_extra, M = cfg.sample_radius, 3, cfg.M
@@ -548,20 +548,15 @@ def test_haar_chunk_walks_each_cone_once(monkeypatch, empty_store):
 @pytest.mark.parametrize("root", ["", "a", "A", "aB"])
 def test_walk_past_the_store_stays_within_the_fold_guard(root, monkeypatch,
                                                          empty_store):
-    # with the store full, every level of a fold is built per walk.  At
-    # the deepest depth the guard allows, no child_ids call makes more
+    # with the kept levels full, every level of a fold is built per walk.
+    # At the deepest depth the guard allows, no child_ids call makes more
     # than 2^depth ids (half the budget), and a call's parents and
     # children together stay within 1.5 * 2^depth.  While deepening, the
     # walk holds only the level above the one it builds, so the ids built
-    # and still alive stay within that bound too
-    depth, M, seed, indices = 10, 3, 43, range(5, 9)
-    monkeypatch.setattr(montecarlo, "_STORE_BYTES", 16 << depth)
-    montecarlo._check_fold_depth(F2, depth)
-    with pytest.raises(groups.WindowTooLarge):
-        montecarlo._check_fold_depth(F2, depth + 1)
-    empty_store.nbytes = montecarlo._STORE_BYTES
-    limit = 3 << (depth - 1)
-
+    # and still alive stay within that bound too.  So does the base fold
+    # once its levels reach a draw block (depth 17: levels 16 and 17 fold
+    # alone); its numerators there are checked against the deepened fold
+    M, seed, indices = 3, 43, range(5, 9)
     sizes, built = [], []
     child_ids = rng.child_ids
 
@@ -573,20 +568,37 @@ def test_walk_past_the_store_stays_within_the_fold_guard(root, monkeypatch,
         return out
 
     monkeypatch.setattr(rng, "child_ids", watched)
-    want = reference_numerators(F2, root, seed, indices, M, depth)
     cone = montecarlo._Cone(F2, root)
-    assert montecarlo._ConeFolds(cone, seed, indices, M, depth).nums \
-        .tolist() == want
-    # a root ending in A or B reads each level in two halves
-    pieces = 2 if root[-1:] in ("A", "B") else 1
-    assert max(n for _, n, _ in sizes) == (1 << depth) // pieces
-    assert all(up + n <= limit for up, n, _ in sizes)
+    for depth in (10, 17):
+        monkeypatch.setattr(montecarlo, "_STORE_BYTES", 16 << depth)
+        montecarlo._check_fold_depth(F2, depth)
+        with pytest.raises(groups.WindowTooLarge):
+            montecarlo._check_fold_depth(F2, depth + 1)
+        quarter = montecarlo._STORE_BYTES // 4
+        empty_store.clear()
+        empty_store["others"] = [(np.empty(quarter, np.uint8), None)]
+        limit = 3 << (depth - 1)
 
-    sizes.clear()
-    folds = montecarlo._ConeFolds(cone, seed, indices, M, 4)
-    for _ in range(4, depth):
-        folds.deepen(np.arange(len(indices)))
-    assert folds.nums.tolist() == want
-    assert max(n for _, n, _ in sizes) <= 1 << depth
-    assert all(up + n <= limit and alive <= limit for up, n, alive in sizes)
-    assert empty_store.nbytes == montecarlo._STORE_BYTES
+        sizes.clear()
+        built.clear()
+        want = montecarlo._ConeFolds(cone, seed, indices, M, depth).nums \
+            .tolist()
+        if depth < 17:
+            assert want == reference_numerators(F2, root, seed, indices, M,
+                                                depth)
+        else:
+            assert max(alive for _, _, alive in sizes) <= limit
+        # a root ending in A or B reads each level in two halves
+        pieces = 2 if root[-1:] in ("A", "B") else 1
+        assert max(n for _, n, _ in sizes) == (1 << depth) // pieces
+        assert all(up + n <= limit for up, n, _ in sizes)
+
+        sizes.clear()
+        folds = montecarlo._ConeFolds(cone, seed, indices, M, 4)
+        for _ in range(4, depth):
+            folds.deepen(np.arange(len(indices)))
+        assert folds.nums.tolist() == want
+        assert max(n for _, n, _ in sizes) <= 1 << depth
+        assert all(up + n <= limit and alive <= limit
+                   for up, n, alive in sizes)
+        assert montecarlo._kept_bytes() == quarter
