@@ -67,9 +67,9 @@ def criterion_03(seed=DEFAULT_SEED, jobs=1):
     """Kernel l1 mass: exact partial sums and the closed-form full norm."""
     partials_ok = all(
         f.full_inverse_l1 - f.tail_l1_beyond(n) == 1 - Fraction(2, 3) ** (n + 1)
-        for f in (PolyF.standard(3, F2), PolyF.standard(3, Z2))
+        for f in (PolyF(3, F2), PolyF(3, Z2))
         for n in range(31))
-    full = {group: PolyF.standard(5, group).full_inverse_l1 for group in (F2, Z2)}
+    full = {group: PolyF(5, group).full_inverse_l1 for group in (F2, Z2)}
     full_ok = full[F2] == full[Z2] == Fraction(1, 3)
     return CriterionResult(
         3, "kernel l1 mass", partials_ok and full_ok,
@@ -239,7 +239,7 @@ def criterion_08(seed=DEFAULT_SEED, jobs=1):
     batteries = {}
     for group in (F2, Z2):
         for M in (3, 4, 5):
-            f = PolyF.standard(M, group)
+            f = PolyF(M, group)
             fr = f.as_ring()
             g_list = [
                 parse_ring_element(h, group) * fr for h in _MEMBER_FACTORS

@@ -112,7 +112,7 @@ def _cmd_trees(args):
 def _cmd_kernel(args):
     if args.radius < 0:
         raise ValueError("radius must be nonnegative")
-    f = PolyF.standard(args.M, args.group)
+    f = PolyF(args.M, args.group)
     window = groups.negative_monoid(args.group, args.radius)
     nums, E = kernel_convolution(f, {groups.identity(args.group): 1}, window,
                                  star=True)
@@ -180,7 +180,7 @@ def _cmd_percolation(args):
 
 
 def _cmd_fourier(args):
-    f = PolyF.standard(args.M, args.group)
+    f = PolyF(args.M, args.group)
     g = parse_ring_element(args.g, group=args.group)
     verdict = spectral.rational_witness(g, f)
     member = isinstance(verdict, RingElement)
@@ -201,7 +201,7 @@ def _cmd_fourier(args):
 
 
 def _cmd_divide(args):
-    f = PolyF.standard(args.M, args.group)
+    f = PolyF(args.M, args.group)
     g = parse_ring_element(args.g, group=args.group)
     verdict = spectral.rational_witness(g, f)
     member = isinstance(verdict, RingElement)

@@ -142,7 +142,7 @@ class TorusValue:
 def _exact_coordinates(group, terms, window, M):
     """sum_t terms_t w(t^-1 s) mod 1 at every s of the window, exactly."""
     window = list(window)
-    nums, E = kernel_convolution(PolyF.standard(M, group), terms, window,
+    nums, E = kernel_convolution(PolyF(M, group), terms, window,
                                  star=True)
     den = M ** (E + 1)
     return {s: TorusValue.from_numerator(n, den) for s, n in zip(window, nums)}
@@ -165,7 +165,7 @@ def phi_windowed(d, eval_window, M):
     window at s: the full mass 1/(M-2) less phi of the window's indicator.
     """
     eval_window = list(eval_window)
-    f = PolyF.standard(M, d.group)
+    f = PolyF(M, d.group)
     (nums, inside), E = kernel_convolutions(
         f, [d.values, dict.fromkeys(d.values, 1)], eval_window, star=True)
     den = M ** (E + 1)

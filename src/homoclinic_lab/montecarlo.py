@@ -70,7 +70,7 @@ _STORE_BYTES = 1 << 28
 # symbols per block of sample rows: the carry cascade and the base folds
 # draw and process this many at a time (8 samples of the depth-14 backward
 # cone)
-_ROW_BLOCK = 4 * rng._BLOCK
+_ROW_BLOCK = 1 << 18
 
 
 def _row_blocks(lo, hi, width):
@@ -211,72 +211,43 @@ def _assign_bin(num, depth, M, bins):
 
 class _ConeFolds:
     """Running partial numerators of one coordinate for each sample index
-    of a range: value sum over the cone's levels 0..depth in base M, all
-    folded to depth at once.  deepen reads the next level of the cone's one
-    walk and adds it at the given positions only."""
+    of a range: value sum over the cone's levels 0..depth in base M.  The
+    levels fold one at a time, each read once from the cone's one walk, so
+    the walk holds only the level it builds and the one above it; deepen
+    folds the next level at the given positions only."""
 
     def __init__(self, cone, seed, indices, M, depth):
-        self.cone = cone
         self.seed = seed
         self.indices = indices
         self.M = M
         self.depth = depth
         self._levels = cone.walk()
-        # levels shorter than a draw block fold together with the first
-        # longer one, and each longer one folds alone, so the walk holds
-        # the level it builds and the one above it, not every level
-        self.nums, run = np.zeros(len(indices), dtype=object), []
-        for l, parts in enumerate(itertools.islice(self._levels, depth + 1)):
-            run.append(parts)
-            if l == depth or sum(len(ids) for ids, _ in parts) >= rng._BLOCK:
-                self.nums = _fold(cone.group, seed, indices, M, run, self.nums)
-                run = []
+        self.nums = np.zeros(len(indices), dtype=object)
+        for parts in itertools.islice(self._levels, depth + 1):
+            self.nums = _fold(seed, indices, M, parts, self.nums)
 
     def deepen(self, pos):
         """Add the next level to the numerators at the ascending positions
         pos."""
         self.depth += 1
         rows = np.arange(self.indices.start, self.indices.stop)[pos]
-        self.nums[pos] = _fold(self.cone.group, self.seed, rows, self.M,
-                               [next(self._levels)], self.nums[pos])
+        self.nums[pos] = _fold(self.seed, rows, self.M, next(self._levels),
+                               self.nums[pos])
 
 
-def _fold(group, seed, indices, M, levels, nums):
+def _fold(seed, indices, M, parts, nums):
     """The object array nums of numerators of the samples of indices (a
-    range or an ascending int array), each times M^len(levels) plus the
-    base-M number of the symbol totals of the levels (lists of _Cone.walk
-    parts), as a new object array.
-
-    The levels are drawn for blocks of samples at once and summed per
-    level by rng.symbol_sums, z2 sites weighted by their word counts.
-    Parts shorter than a draw block are copied into one run of ids, drawn
-    in one pass; longer ones are drawn as they are."""
-    small, units = [], []
-    for level, parts in enumerate(levels):
-        for ids, weights in parts:
-            if len(ids) < rng._BLOCK:
-                small.append((level, ids, weights))
-            else:
-                units.append([(level, ids, weights)])
-    draws = []
-    for runs in ([small] if small else []) + units:
-        ids = runs[0][1] if len(runs) == 1 else \
-            np.concatenate([ids for _, ids, _ in runs])
-        weights = None if group == F2 else [w for _, _, ws in runs for w in ws]
-        draws.append((ids, np.cumsum([len(ids) for _, ids, _ in runs]),
-                      weights, [level for level, _, _ in runs]))
+    range or an ascending int array), each times M plus the symbol total of
+    one cone level (its _Cone.walk parts), as a new object array: each part
+    is drawn for a block of samples at once and summed by rng.symbol_sums,
+    z2 sites weighted by their word counts."""
     out = np.empty(len(indices), dtype=object)
-    for lo, hi in _row_blocks(0, len(indices), sum(len(d[0]) for d in draws)):
+    width = sum(len(ids) for ids, _ in parts)
+    for lo, hi in _row_blocks(0, len(indices), width):
         rows = indices[lo:hi]
-        totals = np.zeros((hi - lo, len(levels)), dtype=object)
-        for ids, ends, weights, runs in draws:
-            sums = rng.symbol_sums(seed, rows, ids, M, ends, weights)
-            for j, level in enumerate(runs):
-                totals[:, level] += sums[:, j]
-        num = nums[lo:hi]
-        for total in totals.T:
-            num = num * M + total
-        out[lo:hi] = num
+        out[lo:hi] = nums[lo:hi] * M + sum(
+            rng.symbol_sums(seed, rows, ids, M, weights)
+            for ids, weights in parts)
     return out
 
 
@@ -373,7 +344,7 @@ def haar_window_test(cfg, max_extra=12, jobs=1):
     """
     sites = groups.ball(cfg.group, cfg.eval_radius)
     _check_fold_depth(cfg.group, cfg.sample_radius + max_extra, len(sites))
-    f = PolyF.standard(cfg.M, cfg.group)
+    f = PolyF(cfg.M, cfg.group)
     width = (cfg.M - 1) * f.tail_l1_beyond(cfg.sample_radius)
     if width >= Fraction(1, cfg.bins):
         raise EnclosureTooWide(
@@ -538,9 +509,8 @@ def _fourier_chunk(cfg, lo, hi, ids, nums, den):
     [lo, hi): the sample's symbols at ids weighted by nums, summed by
     rng.symbol_sums."""
     sums = rng.symbol_sums(cfg.seed, range(lo, hi),
-                           np.asarray(ids, dtype=np.uint64), cfg.M,
-                           [len(ids)], nums)
-    return [int(e) % den for e in sums[:, 0]]
+                           np.asarray(ids, dtype=np.uint64), cfg.M, nums)
+    return [int(e) % den for e in sums]
 
 
 def empirical_fourier(cfg, g, jobs=1):
@@ -557,7 +527,7 @@ def empirical_fourier(cfg, g, jobs=1):
         raise groups.GroupMismatch("character and config disagree on group")
     if not g.is_integral():
         raise ValueError("empirical_fourier needs an integral character")
-    f = PolyF.standard(cfg.M, cfg.group)
+    f = PolyF(cfg.M, cfg.group)
     ids, nums, den, tail = _fourier_plan(g, f, cfg.sample_radius)
 
     parts = _map_samples(_fourier_chunk, cfg, jobs if len(ids) else 1,
@@ -624,7 +594,7 @@ def _tau_variant(cfg, root, index_lo, eval_sites):
 
     # the homoclinic coordinate at the carry site: the kernel of phi,
     # 1/f*, translated to root, as integers over M^(E+1)
-    f = PolyF.standard(M, F2)
+    f = PolyF(M, F2)
     nums, E = kernel_convolution(f, {root: 1}, eval_sites, star=True)
     rhs = {s: Fraction(n, M ** (E + 1)) for s, n in zip(eval_sites, nums)}
 
@@ -844,7 +814,7 @@ def collision_search(cfg, control=64, pair_depth=8, max_extra=6):
     # (iii) symbolic reconstruction of the family from the all-ones pattern
     family = None
     if group == F2 and M == 3:
-        f = PolyF.standard(M, group)
+        f = PolyF(M, group)
         cwin = groups.ball(F2, 3)
         ones = Configuration(F2, {s: 1 for s in cwin}, (-1, 1))
         forward = groups.steps(F2, "ab")

@@ -185,6 +185,9 @@ class PolyF:
 
     @classmethod
     def standard(cls, M, group=F2):
+        """PolyF(M, group) under a second name, kept for the benchmark's
+        workloads (perfbench/workloads.py), which call it; src/ calls
+        PolyF(M, group)."""
         return cls(M, group)
 
     def as_ring(self):

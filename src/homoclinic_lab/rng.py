@@ -6,12 +6,10 @@ round per letter from a fixed root, so the id of a word is independent of
 which window or cone enumerated it.  Every symbol is drawn from its own
 site's id by one blocked, in-place kernel (draw) for the streams of a range
 or an ascending array of indices, and read as rows of symbols (symbol_rows,
-symbols) or as integer-weighted totals per stream over runs of the ids
-(symbol_sums): the cone folds and the Fourier pairings are such totals.
-Only this module reads the draw's block layout.  No global state anywhere.
+symbols) or as one integer-weighted total per stream (symbol_sums): each
+level of a cone fold and each Fourier pairing is such a total.  Only this
+module reads the draw's block layout.  No global state anywhere.
 """
-
-import bisect
 
 import numpy as np
 
@@ -56,16 +54,6 @@ def _mix(buf, tmp):
     buf *= m2
     np.right_shift(buf, s31, out=tmp)
     buf ^= tmp
-
-
-def mix64(arr):
-    """The same finalizer on a uint64 array (wrapping multiplies), in place,
-    one block at a time; returns arr."""
-    tmp = np.empty(min(len(arr), _BLOCK), dtype=np.uint64)
-    for lo in range(0, len(arr), _BLOCK):
-        blk = arr[lo:lo + _BLOCK]
-        _mix(blk, tmp[:len(blk)])
-    return arr
 
 
 _F2_ROOT = mix64_int(0xF2)
@@ -168,7 +156,9 @@ def draw(seed, rows, ids, M):
             if rem and v.max() >= limit:
                 mask = v >= limit
                 while mask.any():
-                    v[mask] = mix64(v[mask])
+                    r = v[mask]
+                    _mix(r, np.empty_like(r))
+                    v[mask] = r
                     mask = v >= limit
             # v % M as v - (v // M) * M: numpy divides by a scalar without
             # a hardware division per element
@@ -194,14 +184,12 @@ def symbols(seed, index, ids, M):
     return symbol_rows(seed, range(index, index + 1), ids, M)[0]
 
 
-def symbol_sums(seed, rows, ids, M, ends, weights=None):
-    """Totals of the symbols of draw(), each times its id's weight (one
-    int per id, all 1 when weights is None), over the consecutive runs
-    ids[:ends[0]], ids[ends[0]:ends[1]], ... (ascending ends), as a matrix
-    with one row per stream of rows: int64 when every total provably fits,
-    (M - 1) * max|w| * len(ids) < 2^63, Python ints (object) otherwise.
-    The runs are summed inside the draw's own blocks, so no symbol row is
-    kept."""
+def symbol_sums(seed, rows, ids, M, weights=None):
+    """The total of the symbols of draw() over the ids, each times its id's
+    weight (one int per id, all 1 when weights is None), for each stream of
+    rows, as a 1-d array: int64 when every total provably fits, (M - 1) *
+    max|w| * len(ids) < 2^63, Python ints (object) otherwise.  Each block
+    of the draw adds its row totals, so no symbol row is kept."""
     n = len(ids)
     w, top = None, 1
     if weights is not None:
@@ -215,19 +203,9 @@ def symbol_sums(seed, rows, ids, M, ends, weights=None):
     dtype = np.int64 if (M - 1) * top * n < 1 << 63 else object
     if w is not None:
         w = w.astype(dtype, copy=False)
-    # run edges and block starts (one block per row when n < _BLOCK) cut
-    # each row into pieces; the piece at n is an empty, zero column
-    cuts = sorted({0, n, *(min(e, n) for e in ends), *range(0, n, _BLOCK)})
-    # the pieces of the block at column c, by their starts within it
-    spans = {}
-    for c in range(0, n, _BLOCK):
-        k0 = bisect.bisect_left(cuts, c)
-        k1 = bisect.bisect_left(cuts, min(c + _BLOCK, n))
-        spans[c] = (k0, k1, np.array(cuts[k0:k1], dtype=np.intp) - c)
-    pieces = np.zeros((len(rows), len(cuts)), dtype=dtype)
+    sums = np.zeros(len(rows), dtype=dtype)
     for start, vals in draw(seed, rows, ids, M):
         r, c = divmod(start, n)
-        k0, k1, local = spans[c]
         block = vals.view(np.int64).reshape(-1, min(n, len(vals)))
         if w is not None:
             part = w[c:c + block.shape[1]]
@@ -235,12 +213,5 @@ def symbol_sums(seed, rows, ids, M, ends, weights=None):
             # take its place
             block = block * part if dtype is object else \
                 np.multiply(block, part, out=block)
-        np.add.reduceat(block, local, axis=1,
-                        out=pieces[r:r + len(block), k0:k1])
-    # a run is the pieces from its first cut to the next run's; an empty
-    # run (equal edges) would read its neighbour's piece
-    first = [bisect.bisect_left(cuts, min(e, n)) for e in (0, *ends)]
-    sums = np.add.reduceat(pieces, first, axis=1)[:, :-1]
-    empty = [j for j in range(len(ends)) if first[j] == first[j + 1]]
-    sums[:, empty] = 0
+        sums[r:r + len(block)] += block.sum(axis=1)
     return sums

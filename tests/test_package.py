@@ -34,6 +34,22 @@ def test_import_leaves_scipy_stats_out():
     assert out.split() == ["False", "True"]
 
 
+def test_only_rng_reads_the_draw_block():
+    # the draw's block layout is rng's own: no other module names _BLOCK,
+    # as an attribute, a name or an import
+    package = pathlib.Path(homoclinic_lab.__file__).resolve().parent
+    modules = sorted(package.glob("*.py"))
+    assert package / "montecarlo.py" in modules
+    for path in modules:
+        if path.name == "rng.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [getattr(node, "attr", None), getattr(node, "id", None)]
+            if isinstance(node, ast.ImportFrom):
+                names += [alias.name for alias in node.names]
+            assert "_BLOCK" not in names, (path.name, node.lineno)
+
+
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 

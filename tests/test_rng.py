@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from homoclinic_lab import groups, montecarlo, rng
 from homoclinic_lab.groups import F2, Z2
 from homoclinic_lab.homoclinic import Configuration, TorusValue, phi_exact
+from homoclinic_lab.ring import RingElement
 
 # the rest of the settings come from the profile in conftest.py
 PROPERTY = settings(max_examples=40)
@@ -142,14 +143,13 @@ def test_symbols_match_the_whole_array_formula(n, M):
     assert np.array_equal(got, ref_symbols(5, 3, ids, M))
 
 
-def run_totals(matrix, ends, weights=None):
-    """Totals of each row over the runs, each entry times its column's
-    weight, as Python ints."""
+def run_totals(matrix, weights=None):
+    """The total of each row, each entry times its column's weight, as
+    Python ints."""
+    matrix = np.asarray(matrix)
     if weights is not None:
         matrix = matrix.astype(object) * np.array(weights, dtype=object)
-    starts = [0] + list(ends[:-1])
-    return [[int(row[a:b].sum()) for a, b in zip(starts, ends)]
-            for row in matrix]
+    return [int(row.sum()) for row in matrix]
 
 
 # the weights of symbol_sums: none (all 1), small signed ints, nonnegative
@@ -178,28 +178,20 @@ def sums_dtype(kind, n):
 @given(st.integers(2, 7), st.sampled_from(LENGTHS),
        st.sampled_from([None, "a", "B"]), st.sampled_from([None, 2, 7]),
        st.integers(0, 1 << 40), st.integers(0, 1 << 20),
-       st.sampled_from(WEIGHTS), st.data())
+       st.sampled_from(WEIGHTS))
 @PROPERTY
-def test_symbol_sums_are_run_totals(M, n, letter, rows, seed, index, kind,
-                                    data):
+def test_symbol_sums_are_run_totals(M, n, letter, rows, seed, index, kind):
     # a range of one stream or of several: rows shorter than a block are
-    # drawn several to a block, longer ones block by block
+    # drawn several to a block, longer ones block by block, so a row's
+    # total gathers the totals of its blocks
     ids = random_ids(n, seed)
     streams = range(index, index + (rows or 1))
-    # ends anywhere, and on either side of every block edge, so runs cross
-    # block edges; equal ends make empty runs, and ids past the last end
-    # belong to no run
-    near_edges = [c for lo in range(0, n + 1, B)
-                  for c in (lo - 1, lo, lo + 1) if 0 <= c <= n]
-    ends = sorted(data.draw(st.lists(
-        st.one_of(st.integers(0, n), st.sampled_from(near_edges)),
-        max_size=8)))
     ids, kids = drawn_ids(ids, letter)
     weights = weights_of(kind, n, seed)
-    got = rng.symbol_sums(seed, streams, ids, M, ends, weights)
+    got = rng.symbol_sums(seed, streams, ids, M, weights)
     assert got.dtype == sums_dtype(kind, n)
-    assert got.shape == (len(streams), len(ends))
-    assert got.tolist() == run_totals(ref_rows(seed, streams, kids, M), ends,
+    assert got.shape == (len(streams),)
+    assert got.tolist() == run_totals(ref_rows(seed, streams, kids, M),
                                       weights)
 
 
@@ -239,21 +231,16 @@ def test_rejection_branch(M, letter, rows):
         len(spots) * len(bad)
 
     expect = ref_symbols(seed, index, kids, M)
-    # runs that end on either side of each run of rejecting ids, and of
-    # the first block edge when the row passes it
-    ends = sorted({e for pos in spots + (B,)
-                   for e in (pos, pos + len(bad)) if e < len(ids)}
-                  | {len(ids)})
     if rows is not None:
         streams = range(index - rows // 2, index + rows // 2 + 1)
         ref = [ref_symbols(seed, i, kids, M) for i in streams]
         assert np.array_equal(drawn_matrix(seed, streams, ids, M), ref)
-        assert rng.symbol_sums(seed, streams, ids, M, ends).tolist() \
-            == run_totals(ref, ends)
+        assert rng.symbol_sums(seed, streams, ids, M).tolist() \
+            == run_totals(ref)
         return
     assert np.array_equal(rng.symbols(seed, index, ids, M), expect)
-    assert rng.symbol_sums(seed, range(index, index + 1), ids, M,
-                           ends).tolist() == run_totals([expect], ends)
+    assert rng.symbol_sums(seed, range(index, index + 1), ids,
+                           M).tolist() == run_totals([expect])
 
 
 @pytest.mark.parametrize("seed", [0, 77, (1 << 64) + 5, (1 << 70) - 1])
@@ -270,20 +257,31 @@ def test_stream_keys_match_the_python_finalizer(seed, lo, n):
                           ref_rows(seed, rows, ids, 5))
 
 
-@pytest.mark.parametrize("n", [1, 3, 32, 33])
+@pytest.mark.parametrize("n", [0, 1, 3, 32, 33])
 @pytest.mark.parametrize("ends", [[0], [1], [1, 1, 2], [2, 3, 40], [40]])
 @pytest.mark.parametrize("letter", [None, "b"])
 def test_symbol_sums_on_short_inputs(n, ends, letter):
-    # the fold's deepening steps sum one short level per call; empty runs,
-    # ends past the row and ids after the last end all occur here
+    # the fold sums one short level per call, and a level in parts (as
+    # _Cone.walk gives a root ending in A or B) part by part: the ids cut
+    # at ends into runs, empty where ends are equal, the last one running
+    # to the end of the row, have totals that add up to the row's.  n = 0
+    # is the empty Fourier plan of g = 0, whose every total is 0
     ids, kids = drawn_ids(random_ids(n, n + len(ends)), letter)
+    cuts = [0, *(min(e, n) for e in ends), n]
     for kind, streams in product(WEIGHTS, (range(4, 5), range(2, 6))):
         weights = weights_of(kind, n, len(ends))
-        want = run_totals(ref_rows(13, streams, kids, 3),
-                          [min(e, n) for e in ends], weights)
-        got = rng.symbol_sums(13, streams, ids, 3, ends, weights)
+        want = run_totals(ref_rows(13, streams, kids, 3), weights)
+        got = rng.symbol_sums(13, streams, ids, 3, weights)
         assert got.dtype == sums_dtype(kind, n)
         assert got.tolist() == want
+        runs = [rng.symbol_sums(13, streams, ids[a:b], 3,
+                                None if weights is None else weights[a:b])
+                for a, b in zip(cuts, cuts[1:])]
+        assert [sum(map(int, t)) for t in zip(*runs)] == want
+    if not n:
+        cfg = montecarlo.ExperimentConfig(seed=13, samples=4)
+        rep = montecarlo.empirical_fourier(cfg, RingElement(F2, {}))
+        assert (rep["sites"], rep["estimate"]) == (0, [1.0, 0.0])
 
 
 @pytest.mark.parametrize("n", [1, 33, B - 1, B + 5])
@@ -299,9 +297,9 @@ def test_index_arrays_draw_the_rows_of_their_range(n, letter):
         rows = np.array([whole[p] for p in pos])
         assert np.array_equal(drawn_matrix(7, rows, ids, 5),
                               drawn_matrix(7, whole, ids, 5)[pos])
-        ends = [1, n // 2, n]
-        assert np.array_equal(rng.symbol_sums(7, rows, ids, 5, ends),
-                              rng.symbol_sums(7, whole, ids, 5, ends)[pos])
+        weights = weights_of("small", n, n)
+        assert np.array_equal(rng.symbol_sums(7, rows, ids, 5, weights),
+                              rng.symbol_sums(7, whole, ids, 5, weights)[pos])
     # gaps far wider than a block of rows
     far = [5, 1 << 40, (1 << 62) + 1]
     assert rng._stream_keys(9, np.array(far)).tolist() == \
@@ -553,9 +551,9 @@ def test_walk_past_the_store_stays_within_the_fold_guard(root, monkeypatch,
     # than 2^depth ids (half the budget), and a call's parents and
     # children together stay within 1.5 * 2^depth.  While deepening, the
     # walk holds only the level above the one it builds, so the ids built
-    # and still alive stay within that bound too.  So does the base fold
-    # once its levels reach a draw block (depth 17: levels 16 and 17 fold
-    # alone); its numerators there are checked against the deepened fold
+    # and still alive stay within that bound too.  So does the base fold,
+    # which folds one level at a time; at depth 17 its numerators are
+    # checked against the deepened fold
     M, seed, indices = 3, 43, range(5, 9)
     sizes, built = [], []
     child_ids = rng.child_ids
@@ -586,8 +584,7 @@ def test_walk_past_the_store_stays_within_the_fold_guard(root, monkeypatch,
         if depth < 17:
             assert want == reference_numerators(F2, root, seed, indices, M,
                                                 depth)
-        else:
-            assert max(alive for _, _, alive in sizes) <= limit
+        assert max(alive for _, _, alive in sizes) <= limit
         # a root ending in A or B reads each level in two halves
         pieces = 2 if root[-1:] in ("A", "B") else 1
         assert max(n for _, n, _ in sizes) == (1 << depth) // pieces
