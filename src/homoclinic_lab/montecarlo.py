@@ -67,9 +67,8 @@ class ExperimentConfig:
 # folds reach depth 24, criterion 9's deepest
 _STORE_BYTES = 1 << 28
 
-# symbols per block of sample rows: the carry cascade and the base folds
-# draw and process this many at a time (8 samples of the depth-14 backward
-# cone)
+# symbols per block of sample rows: the carry cascade draws and processes
+# this many at a time (8 samples of the depth-14 backward cone)
 _ROW_BLOCK = 1 << 18
 
 
@@ -81,11 +80,13 @@ def _row_blocks(lo, hi, width):
 
 
 def _check_fold_depth(group, depth, sites=1):
-    """Refuse, before any draw, folds whose walks cannot fit _STORE_BYTES:
-    on f2 a fold whose deepest level, 2^depth ids, takes more than half of
-    it, so that the walk with the level above stays within three quarters;
-    on z2, whose cones are drawn whole, cones of that many sites holding
-    more than _STORE_BYTES of ids."""
+    """Refuse, before any draw, folds past a bound on their ids.  On f2
+    the bound is memory: a fold whose deepest level, 2^depth ids, takes
+    more than half of _STORE_BYTES, so that the walk with the level above
+    stays within three quarters.  A z2 fold walks one level of at most
+    depth + 1 ids at a time, so there the refusal bounds no memory the
+    fold holds: it caps the ids drawn per sample, sites cones to depth, at
+    _STORE_BYTES // 8."""
     if group == F2:
         need, limit = 8 << depth, _STORE_BYTES // 2
         what = "a cone fold to depth %d builds 2^%d ids" % (depth, depth)
@@ -239,16 +240,10 @@ def _fold(seed, indices, M, parts, nums):
     """The object array nums of numerators of the samples of indices (a
     range or an ascending int array), each times M plus the symbol total of
     one cone level (its _Cone.walk parts), as a new object array: each part
-    is drawn for a block of samples at once and summed by rng.symbol_sums,
+    is drawn for all the samples at once and summed by rng.symbol_sums,
     z2 sites weighted by their word counts."""
-    out = np.empty(len(indices), dtype=object)
-    width = sum(len(ids) for ids, _ in parts)
-    for lo, hi in _row_blocks(0, len(indices), width):
-        rows = indices[lo:hi]
-        out[lo:hi] = nums[lo:hi] * M + sum(
-            rng.symbol_sums(seed, rows, ids, M, weights)
-            for ids, weights in parts)
-    return out
+    return nums * M + sum(rng.symbol_sums(seed, indices, ids, M, weights)
+                          for ids, weights in parts)
 
 
 def _pair_cell(b, bins, cells):

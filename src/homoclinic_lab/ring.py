@@ -13,6 +13,7 @@ same identity level by level over the whole support.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 import math
 
 from . import groups
@@ -216,8 +217,7 @@ class PolyF:
 
 
 def _pull(group, terms, star):
-    """The walk of kernel_convolution's recurrence, unchecked:
-    (length, height, step, live).
+    """The walk of kernel_convolution's recurrence: (step, live).
 
     step(u) gives the two sites u x, u y that x_u is pulled from (x, y = a, b
     for 1/f*, one level above u; A, B for 1/f, one level below); live(u) is
@@ -236,26 +236,17 @@ def _pull(group, terms, star):
                 heads.add(head)
                 head = head[:-1]
 
-        def height(u):
-            return len(u) - 2 * (u.count("A") + u.count("B"))
-
         def live(u):
             return u.rstrip(tail) in heads
-        return len, height, step, live
+        return step, live
     # on z2 x vanishes outside the support's bounding corner
     sign = 1 if star else -1
     top_i = max((sign * t[0] for t in terms), default=-math.inf)
     top_j = max((sign * t[1] for t in terms), default=-math.inf)
 
-    def length(u):
-        return abs(u[0]) + abs(u[1])
-
-    def height(u):
-        return u[0] + u[1]
-
     def live(u):
         return sign * u[0] <= top_i and sign * u[1] <= top_j
-    return length, height, step, live
+    return step, live
 
 
 def kernel_convolution(f, terms, window, star=False):
@@ -304,7 +295,8 @@ def kernel_convolutions(f, term_maps, window, star=False):
                 items[t] = c
         item_maps.append(items)
     support = {t: None for items in item_maps for t in items}
-    length, height, step, live = _pull(group, support, star)
+    step, live = _pull(group, support, star)
+    length = partial(groups.word_length, group)
     E = max(map(length, support), default=0) + max(map(length, window), default=0)
     M, scale = f.M, f.M ** (E + 1)
     successors = {}
@@ -314,7 +306,7 @@ def kernel_convolutions(f, term_maps, window, star=False):
         if u not in successors and live(u):
             successors[u] = step(u)
             todo.extend(successors[u])
-    order = sorted(successors, key=height, reverse=star)
+    order = sorted(successors, key=partial(groups.height, group), reverse=star)
     out = []
     for items in item_maps:
         nums = {}

@@ -21,14 +21,15 @@ from homoclinic_lab import groups, rng
 from homoclinic_lab.groups import F2, Z2, GroupMismatch, WindowTooLarge
 from homoclinic_lab.homoclinic import (Configuration, ResidualNonzero,
                                        TorusValue, WidthExceedsOne,
-                                       four_cover_lift, phi_exact,
-                                       phi_windowed, xf_residual)
+                                       four_cover_lift, homoclinic_point,
+                                       phi_exact, phi_windowed, xf_residual)
 from homoclinic_lab.montecarlo import _fourier_plan
 from homoclinic_lab.ring import (NotDivisible, PolyF, RingElement,
                                  divide_by_f, kernel_convolution,
                                  parse_ring_element, quotient_coordinates)
 from homoclinic_lab.spectral import (Witness, quotient_tail_l1,
                                      rational_witness)
+from homoclinic_lab.symbolic import carry_add
 
 # the rest of the settings come from the profile in conftest.py
 PROPERTY = settings(max_examples=60)
@@ -209,6 +210,12 @@ def test_kernel_convolution_validates_once_at_entry():
     with pytest.raises(TypeError):
         kernel_convolution(f, {"a": Fraction(1, 2)}, [""])
     assert kernel_convolution(f, {}, []) == ([], 0)
+    # groups' helpers trust their callers: the ring's boundaries check
+    for group, el in ((F2, (0, 0)), (Z2, "a")):
+        with pytest.raises(GroupMismatch):
+            RingElement(group, {el: 1})
+    with pytest.raises(GroupMismatch):
+        quotient_coordinates(RingElement(F2, {"": 1}), f, ["", (0, 0)])
 
 
 # -- the recurrence behind phi and the integer lift ---------------------------
@@ -258,8 +265,17 @@ def test_phi_recurrence_of_an_empty_d_and_a_missed_window(group):
 
 def test_phi_validates_the_window_once_at_entry(monkeypatch):
     d = Configuration(F2, {"": 1}, (0, 1))
+    for phi in (phi_exact, phi_windowed):
+        with pytest.raises(GroupMismatch):
+            phi(d, ["", (0, 0)], 3)
     with pytest.raises(GroupMismatch):
-        phi_exact(d, ["", (0, 0)], 3)
+        homoclinic_point(d.as_ring(), ["", (0, 0)], 3)
+    # a configuration checks its own sites, and the carry machine its site
+    for group, el in ((F2, (0, 0)), (Z2, "a")):
+        with pytest.raises(GroupMismatch):
+            Configuration(group, {el: 1}, (0, 1))
+    with pytest.raises(GroupMismatch):
+        carry_add(d, (0, 0), 3)
     # the window is built first: ball reads the same budget
     window = groups.ball(F2, 1)
     monkeypatch.setattr(groups, "MAX_ELEMENTS", 4)

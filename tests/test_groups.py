@@ -90,9 +90,12 @@ def test_ball_is_sorted_and_deduplicated():
     ball = groups.ball(F2, 2)
     assert ball[0] == ""
     assert ball[1:5] == ["a", "b", "A", "B"]
-    assert len(set(ball)) == len(ball)
-    keys = [groups.sort_key(F2, el) for el in ball]
-    assert keys == sorted(keys)
+    for group in (F2, Z2):
+        for radius in range(6):
+            ball = groups.ball(group, radius)
+            assert len(set(ball)) == len(ball)
+            keys = [groups.sort_key(group, el) for el in ball]
+            assert keys == sorted(keys)
 
 
 def test_format_parse_round_trip():

@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import homoclinic_lab
+from homoclinic_lab import groups
 
 
 def test_exports_resolve_and_match_the_imports():
@@ -49,6 +50,16 @@ def test_only_rng_reads_the_draw_block():
                 names += [alias.name for alias in node.names]
             assert "_BLOCK" not in names, (path.name, node.lineno)
 
+
+def test_only_boundaries_validate_group_elements():
+    # an element is checked once, where it enters; groups' helpers trust
+    # their callers, so in groups only these functions call the checks
+    checks = {"check_element", "check_group"}
+    tree = ast.parse(pathlib.Path(groups.__file__).read_text())
+    callers = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) in checks}
+    assert callers == {"check_element", "ball", "parse_element"}
 
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
