@@ -106,14 +106,14 @@ def _free(root, letters):
     return not root or root[-1] in letters
 
 
-# (group, root, letters) -> the first levels of that cone as _Cone.walk
-# built them, kept for the life of the process (and inherited by forked
-# workers) while all of them fit in _STORE_BYTES // 4
+# (root, letters) -> the id arrays of the first levels of that f2 chain as
+# _Cone.walk built them, kept for the life of the process (and inherited by
+# forked workers) while all of them fit in _STORE_BYTES // 4
 _KEPT = {}
 
 
 def _kept_bytes():
-    return sum(ids.nbytes for levels in _KEPT.values() for ids, _ in levels)
+    return sum(ids.nbytes for levels in _KEPT.values() for ids in levels)
 
 
 class _Cone:
@@ -125,14 +125,14 @@ class _Cone:
     carrying weight M^-(l+1); the carry machine instead spreads over the
     backward cone root*N (letters "AB").
 
-    Each z2 cone, and each free-group cone whose root is free (_free), is
-    one chain of levels of canonical site ids in groups.cone_levels bit order:
-    on f2 level 0 is the root's id and level l the children of level l-1
-    (rng.child_ids), on z2 a walk of groups.cone_levels.  A root ending in
-    X (the inverse of x) is its own site at level 0 and, below it, the
-    cone at root[:-1] one level up followed by the cone at root y: level l
-    of the cone at "A" is level l-1 of the cone at "" and then of the one
-    at "Ab"; at "B" the cone at "Ba" comes first.
+    A z2 cone is one walk of groups.cone_levels, never kept.  A free-group
+    cone whose root is free (_free) is one chain of levels of canonical
+    site ids in bit order: level 0 is the root's id and level l the
+    children of level l-1 (rng.child_ids), its first levels kept in _KEPT.
+    A root ending in X (the inverse of x) is its own site at level 0 and,
+    below it, the cone at root[:-1] one level up followed by the cone at
+    root y: level l of the cone at "A" is level l-1 of the cone at "" and
+    then of the one at "Ab"; at "B" the cone at "Ba" comes first.
     """
 
     def __init__(self, group, root, letters="ab"):
@@ -142,11 +142,15 @@ class _Cone:
 
     def walk(self):
         """Each level of the cone, as a list of (ids, weights): weights None
-        on f2, on z2 the number of words reaching each site.  A level kept
-        in _KEPT is read; any other is built from the level above and kept
-        while the kept bytes stay within _STORE_BYTES // 4."""
+        on f2, on z2 the number of words reaching each site.  An f2 chain
+        level kept in _KEPT is read; any other is built from the level above
+        and kept while the kept bytes stay within _STORE_BYTES // 4."""
         group, root, letters = self.group, self.root, self.letters
-        if group == F2 and not _free(root, letters):
+        if group == Z2:
+            for counts in groups.cone_levels(Z2, root, letters):
+                yield [(rng.element_ids(Z2, counts), list(counts.values()))]
+            return
+        if not _free(root, letters):
             x, y = letters
             halves = ((root[:-1], root + y) if root[-1] == x.swapcase()
                       else (root + x, root[:-1]))
@@ -154,28 +158,18 @@ class _Cone:
             for a, b in zip(*(_Cone(F2, r, letters).walk() for r in halves)):
                 yield a + b
             return
-        kept = _KEPT.setdefault((group, root, letters), [])
-        sites = level = None
+        kept = _KEPT.setdefault((root, letters), [])
         for l in itertools.count():
-            if group == Z2 and sites is None and l >= len(kept):
-                # one walk of the z2 cone from the first level not kept,
-                # stepped at every later level, kept or not, so that it
-                # stays in step when another walk keeps levels meanwhile
-                sites = itertools.islice(
-                    groups.cone_levels(group, root, letters), l, None)
-            counts = None if sites is None else next(sites)
             if l < len(kept):
-                level = kept[l]
-            elif counts is not None:
-                level = rng.element_ids(group, counts), list(counts.values())
+                ids = kept[l]
             elif l:
-                level = rng.child_ids(level[0], letters), None
+                ids = rng.child_ids(ids, letters)
             else:
-                level = rng.element_ids(group, [root]), None
+                ids = rng.element_ids(F2, [root])
             if l == len(kept) and \
-                    _kept_bytes() + level[0].nbytes <= _STORE_BYTES // 4:
-                kept.append(level)
-            yield [level]
+                    _kept_bytes() + ids.nbytes <= _STORE_BYTES // 4:
+                kept.append(ids)
+            yield [(ids, None)]
 
     def gather(self, depth):
         """The ids of levels 0..depth in one array, level after level: on
@@ -337,6 +331,8 @@ def haar_window_test(cfg, max_extra=12, jobs=1):
     if any p-value drops below _P_THRESHOLD or the ambiguity rate reaches
     _AMBIGUITY_THRESHOLD.
     """
+    if max_extra < 0:
+        raise ValueError("max_extra must be nonnegative")
     sites = groups.ball(cfg.group, cfg.eval_radius)
     _check_fold_depth(cfg.group, cfg.sample_radius + max_extra, len(sites))
     f = PolyF(cfg.M, cfg.group)
@@ -442,14 +438,12 @@ def _fourier_plan(g, f, radius):
         raise ValueError("sample radius smaller than the support of g")
     terms = {t: int(c) for t, c in g.terms.items()}
     if group == Z2 or not support:
-        site_ids = {}
-        for t, cap in zip(support, caps):
-            # a site already in an earlier cone keeps its place (same id)
-            site_ids.update(zip(groups.cone_sites(group, t, cap),
-                                _Cone(group, t).gather(cap).tolist()))
-        nums, E = kernel_convolution(f, terms, list(site_ids))
-        sites = [s for s, n in zip(site_ids, nums) if n]
-        ids = np.array([site_ids[s] for s in sites], dtype=np.uint64)
+        # the union of the cones, a site in two at its first place
+        sites = list(dict.fromkeys(s for t, cap in zip(support, caps)
+                                   for s in groups.cone_sites(group, t, cap)))
+        nums, E = kernel_convolution(f, terms, sites)
+        sites = [s for s, n in zip(sites, nums) if n]
+        ids = rng.element_ids(group, sites)
         nums = np.array([n for n in nums if n], dtype=object)
     else:
         E = max(map(len, support)) + radius
@@ -763,6 +757,8 @@ def collision_search(cfg, control=64, pair_depth=8, max_extra=6):
     configuration, confirming the forced pair-restriction structure along
     percolation paths.
     """
+    if min(control, pair_depth, max_extra) < 0:
+        raise ValueError("control, pair_depth and max_extra must be nonnegative")
     group = cfg.group
     M = cfg.M
     eval_sites = groups.ball(group, cfg.eval_radius)

@@ -93,7 +93,7 @@ def _low_budget(monkeypatch, store, levels):
     ids.  (Lowering the budget itself would refuse these folds, whose
     deepest levels need half of it.)"""
     room = montecarlo._STORE_BYTES // 4 - 8 * groups.cone_size(F2, levels)
-    monkeypatch.setitem(store, "others", [(np.empty(room, np.uint8), None)])
+    monkeypatch.setitem(store, "others", [np.empty(room, np.uint8)])
 
 
 @pytest.mark.parametrize("name", PAST_CACHE)

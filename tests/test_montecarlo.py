@@ -1,5 +1,6 @@
 from itertools import islice
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -441,6 +442,36 @@ def test_fold_depth_guard_fails_before_any_draw(monkeypatch, empty_store):
     montecarlo._check_fold_depth(F2, 23)
 
 
+@pytest.mark.parametrize("experiment, name", [
+    (haar_window_test, "max_extra"),
+    (collision_search, "max_extra"),
+    (collision_search, "pair_depth"),
+    (collision_search, "control"),
+])
+def test_negative_counts_fail_before_any_draw(experiment, name, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew symbols before the argument check")
+
+    monkeypatch.setattr(rng, "draw", no_draw)
+    with pytest.raises(ValueError, match="%s.* must be nonnegative" % name):
+        experiment(cfg_with(sample_radius=8, bins=6), **{name: -1})
+
+
+def test_a_z2_fold_keeps_nothing(empty_store):
+    # z2 cones are walked, never kept: once a fold to depth 150 is gone,
+    # neither the memo nor anything else holds its levels
+    tracemalloc.start()
+    try:
+        folds = montecarlo._ConeFolds(montecarlo._Cone(Z2, (0, 0)), 3,
+                                      range(10), 3, 150)
+        del folds
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 100_000
+    assert empty_store == {}
+
+
 def test_stored_cone_guard_fails_before_any_cone_grows(monkeypatch,
                                                        empty_store):
     def no_grow(*args):
@@ -489,9 +520,10 @@ def test_stored_cone_guard_bounds(monkeypatch):
 def test_interleaved_walks_of_one_cone_give_its_levels(group, root, budget,
                                                        monkeypatch,
                                                        empty_store):
-    # a walk that reads levels another walk kept after it went past the
-    # kept ones stays in step: at 100 bytes the z2 walk that built level 0
-    # reads level 1 from the other walk, and builds level 2 after it
+    # two walks of one cone, stepped at different rates, each give the
+    # cone's levels: on f2 a walk past the kept levels reads the ones the
+    # other walk kept meanwhile (at 100 bytes only the first few fit), and
+    # each z2 walk builds its own levels, never kept
     def levels(walk, n):
         return [np.concatenate([ids for ids, _ in parts]).tolist()
                 for parts in islice(walk, n)]
@@ -515,7 +547,7 @@ def test_store_views_give_the_words_at_heap_positions(room, empty_store):
     # Fourier plan reads its sites' ids at those positions
     quarter = montecarlo._STORE_BYTES // 4
     if room is not None:
-        empty_store["others"] = [(np.empty(quarter, np.uint8), None)]
+        empty_store["others"] = [np.empty(quarter, np.uint8)]
     for letters in ("ab", "AB"):
         for root in ("", "a", "b", "A", "B", "aB", "BA", "Aba"):
             got = montecarlo._Cone(F2, root, letters).gather(6)
@@ -552,7 +584,7 @@ def test_store_bytes_stay_within_the_budget(monkeypatch, empty_store):
     for doc, want in zip(calls(), wide):
         assert doc == want
         held = sum(ids.nbytes for levels in empty_store.values()
-                   for ids, _ in levels)
+                   for ids in levels)
         assert held == montecarlo._kept_bytes() <= budget // 4
         seen.append(held)
     assert seen == sorted(seen) and seen[-1] > budget // 8

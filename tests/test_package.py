@@ -62,6 +62,59 @@ def test_only_boundaries_validate_group_elements():
     assert callers == {"check_element", "ball", "parse_element"}
 
 
+def test_only_the_f2_walk_reads_the_kept_levels():
+    # the kept-levels memo's policy is _Cone.walk's own: in the package only
+    # its definition, _Cone.walk and _kept_bytes name _KEPT
+    package = pathlib.Path(homoclinic_lab.__file__).resolve().parent
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + "." + node.name
+        names = [getattr(node, "attr", None), getattr(node, "id", None)]
+        if isinstance(node, ast.ImportFrom):
+            names += [alias.name for alias in node.names]
+        if "_KEPT" in names:
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert found == {"montecarlo", "montecarlo._Cone.walk",
+                     "montecarlo._kept_bytes"}
+
+
+def test_documents_do_not_depend_on_the_hash_seed():
+    # the determinism contract, tested: each command prints the same bytes
+    # under two hash seeds, so no set or hash order reaches a document
+    src = pathlib.Path(homoclinic_lab.__file__).resolve().parent.parent
+    commands = [
+        ["kernel", "--group", "z2"],
+        ["cover", "--group", "z2"],
+        ["haar-test", "--group", "z2", "--samples", "300", "--radius", "9",
+         "--bins", "5"],
+        ["collisions", "--group", "z2", "--samples", "50"],
+        ["fourier", "--group", "z2", "--M", "4", "--g", "2 - a*b"],
+        ["percolation", "--ones"],
+    ]
+    probe = ("import contextlib, hashlib, io\n"
+             "from homoclinic_lab import cli\n"
+             "for argv in %r:\n"
+             "    out = io.StringIO()\n"
+             "    with contextlib.redirect_stdout(out):\n"
+             "        assert cli.main(argv) == 0, argv\n"
+             "    print(hashlib.sha256(out.getvalue().encode()).hexdigest())\n"
+             % (commands,))
+    hashes = [subprocess.run([sys.executable, "-c", probe], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src),
+                                  "PYTHONHASHSEED": seed}).stdout.split()
+              for seed in ("0", "1")]
+    assert len(hashes[0]) == len(commands)
+    assert hashes[0] == hashes[1]
+
+
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 

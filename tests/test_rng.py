@@ -437,8 +437,7 @@ def test_store_folds_match_the_reference_levels(root, store, monkeypatch,
     if store == "warmed":
         assert montecarlo._ConeFolds(cone, seed, indices, M, 4).nums \
             .tolist() == reference_numerators(F2, root, seed, indices, M, 4)
-        kept = {key: [ids for ids, _ in levels]
-                for key, levels in empty_store.items()}
+        kept = {key: list(levels) for key, levels in empty_store.items()}
     want = reference_numerators(F2, root, seed, indices, M, 10)
     assert montecarlo._ConeFolds(cone, seed, indices, M, 10).nums.tolist() \
         == want
@@ -453,7 +452,7 @@ def test_store_folds_match_the_reference_levels(root, store, monkeypatch,
         for key, levels in kept.items():
             now = empty_store[key]
             assert len(now) > len(levels)
-            assert all(a is b for a, (b, _) in zip(levels, now))
+            assert all(a is b for a, b in zip(levels, now))
 
 
 @pytest.mark.parametrize("store", ["below", "past"])
@@ -574,7 +573,7 @@ def test_walk_past_the_store_stays_within_the_fold_guard(root, monkeypatch,
             montecarlo._check_fold_depth(F2, depth + 1)
         quarter = montecarlo._STORE_BYTES // 4
         empty_store.clear()
-        empty_store["others"] = [(np.empty(quarter, np.uint8), None)]
+        empty_store["others"] = [np.empty(quarter, np.uint8)]
         limit = 3 << (depth - 1)
 
         sizes.clear()
