@@ -114,10 +114,10 @@ def _cmd_kernel(args):
         raise ValueError("radius must be nonnegative")
     f = PolyF(args.M, args.group)
     window = groups.negative_monoid(args.group, args.radius)
-    nums, E = kernel_convolution(f, {groups.identity(args.group): 1}, window,
-                                 star=True)
-    ring = RingElement(args.group, {s: Fraction(n, args.M ** (E + 1))
-                                    for s, n in zip(window, nums)})
+    nums, den = kernel_convolution(f, {groups.identity(args.group): 1},
+                                   window, star=True)
+    ring = RingElement(args.group, {s: Fraction(n, den)
+                                    for s, n in nums.items()})
     full = f.full_inverse_l1
     doc = _doc("kernel",
                {"M": args.M, "group": args.group, "radius": args.radius},

@@ -122,8 +122,9 @@ def sort_key(group, g):
     return (len(g), tuple(_LETTER_RANK[c] for c in g))
 
 
-def _check_size(what, size):
-    """Refuse a set of more than MAX_ELEMENTS elements before building it."""
+def check_size(what, size):
+    """The one refusal of a set (a ball, a cone, a convolution window) of
+    more than MAX_ELEMENTS elements, before it is built."""
     if size > MAX_ELEMENTS:
         raise WindowTooLarge(f"{what} has {size} elements (limit {MAX_ELEMENTS})")
 
@@ -141,7 +142,7 @@ def ball(group, radius):
         size = 2 * 3**radius - 1
     else:
         size = 2 * radius * radius + 2 * radius + 1
-    _check_size(f"ball of radius {radius} in {group}", size)
+    check_size(f"ball of radius {radius} in {group}", size)
     if group == Z2:
         out = [
             (i, j)
@@ -169,7 +170,8 @@ def sphere(group, radius):
     return [g for g in ball(group, radius) if word_length(group, g) == radius]
 
 
-_Z2_STEP = {"a": (1, 0), "b": (0, 1), "A": (-1, 0), "B": (0, -1)}
+# the z2 element of each letter
+Z2_STEP = {"a": (1, 0), "b": (0, 1), "A": (-1, 0), "B": (0, -1)}
 
 
 def steps(group, letters):
@@ -217,7 +219,7 @@ def cone_sites(group, root, depth, letters="ab"):
     """Sites of the monoid cone root*{x, y}* up to the given depth,
     deduplicated, in cone_levels order (level by level, x before y); an
     oversized cone is refused before it is walked."""
-    _check_size(f"cone of depth {depth} in {group}", cone_size(group, depth))
+    check_size(f"cone of depth {depth} in {group}", cone_size(group, depth))
     levels = islice(cone_levels(group, root, letters), max(depth + 1, 0))
     return [s for level in levels for s in level]
 

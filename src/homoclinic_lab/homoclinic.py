@@ -2,11 +2,11 @@
 membership residuals for X_f windows, and the 4-cover lift.  The kernel's
 coefficients and l1 masses are those of 1/f (ring.PolyF) read at inverses.
 
-Coordinates of phi on finite-support inputs are exact rationals, computed
-by ring.kernel_convolution as integer numerators over one power of M from
-the recurrence x . f* = d, and the lift reads them back as integers;
-windowed inputs get rigorous interval enclosures whose tails are the full
-kernel mass less the same recurrence on the window's indicator.
+Coordinates of phi on finite-support inputs are exact rationals, read off
+ring.kernel_convolution's {site: integer numerator} over its denominator, a
+power of M, from the recurrence x . f* = d, and the lift reads them back as
+integers; windowed inputs get rigorous interval enclosures whose tails are
+the full kernel mass less the same recurrence on the window's indicator.
 """
 
 from dataclasses import dataclass
@@ -141,11 +141,8 @@ class TorusValue:
 
 def _exact_coordinates(group, terms, window, M):
     """sum_t terms_t w(t^-1 s) mod 1 at every s of the window, exactly."""
-    window = list(window)
-    nums, E = kernel_convolution(PolyF(M, group), terms, window,
-                                 star=True)
-    den = M ** (E + 1)
-    return {s: TorusValue.from_numerator(n, den) for s, n in zip(window, nums)}
+    nums, den = kernel_convolution(PolyF(M, group), terms, window, star=True)
+    return {s: TorusValue.from_numerator(n, den) for s, n in nums.items()}
 
 
 def phi_exact(d, window, M):
@@ -164,17 +161,15 @@ def phi_windowed(d, eval_window, M):
     is the alphabet range and tail_s is the exact kernel mass escaping the
     window at s: the full mass 1/(M-2) less phi of the window's indicator.
     """
-    eval_window = list(eval_window)
     f = PolyF(M, d.group)
-    (nums, inside), E = kernel_convolutions(
+    (nums, inside), den = kernel_convolutions(
         f, [d.values, dict.fromkeys(d.values, 1)], eval_window, star=True)
-    den = M ** (E + 1)
     full = f.full_inverse_l1
     alo, ahi = d.alphabet
     out = {}
-    for s, n, m in zip(eval_window, nums, inside):
+    for s, n in nums.items():
         exact = Fraction(n, den)
-        tail = full - Fraction(m, den)
+        tail = full - Fraction(inside[s], den)
         out[s] = TorusValue(exact + alo * tail, exact + ahi * tail)
     return out
 

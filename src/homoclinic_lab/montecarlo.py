@@ -439,19 +439,20 @@ def _fourier_plan(g, f, radius):
     terms = {t: int(c) for t, c in g.terms.items()}
     if group == Z2 or not support:
         # the union of the cones, a site in two at its first place
-        sites = list(dict.fromkeys(s for t, cap in zip(support, caps)
-                                   for s in groups.cone_sites(group, t, cap)))
-        nums, E = kernel_convolution(f, terms, sites)
-        sites = [s for s, n in zip(sites, nums) if n]
+        nums, power = kernel_convolution(f, terms, dict.fromkeys(
+            s for t, cap in zip(support, caps)
+            for s in groups.cone_sites(group, t, cap)))
+        sites = [s for s, n in nums.items() if n]
         ids = rng.element_ids(group, sites)
-        nums = np.array([n for n in nums if n], dtype=object)
+        nums = np.array([n for n in nums.values() if n], dtype=object)
     else:
         E = max(map(len, support)) + radius
-        wide = sum(map(abs, terms.values())) * M ** (E + 1) >= 1 << 62
+        power = M ** (E + 1)
+        wide = sum(map(abs, terms.values())) * power >= 1 << 62
         ids, nums, kept, union = [], [], [], 0
         for i, (t, cap) in enumerate(zip(support, caps)):
             size = groups.cone_size(F2, cap)
-            groups._check_size("cone of depth %d in f2" % cap, size)
+            groups.check_size("cone of depth %d in f2" % cap, size)
             num = np.zeros(size, dtype=object if wide else np.int64)
             keep = np.ones(size, dtype=bool)
             for j, u in enumerate(support):
@@ -471,15 +472,14 @@ def _fourier_plan(g, f, radius):
             union += int(keep.sum())
             kept.append(np.flatnonzero(keep & (num != 0)))
             nums.append(num[kept[-1]])
-        groups._check_size("union of the cones", union)
+        groups.check_size("union of the cones", union)
         for t, cap, pos in zip(support, caps, kept):
             ids.append(_Cone(F2, t).gather(cap)[pos])
         ids, nums = np.concatenate(ids), np.concatenate(nums)
         sites = (groups.f2_multiply(t, _heap_word(int(p), "ab"))
                  for t, pos in zip(support, kept) for p in pos)
-    # coordinates are nums / M^(E+1); dividing out the common factor gives
+    # coordinates are nums / power; dividing out the common factor gives
     # the lcm of their reduced denominators
-    power = M ** (E + 1)
     common = math.gcd(power, *nums.tolist())
     nums //= common
     den = power // common
@@ -582,10 +582,10 @@ def _tau_variant(cfg, root, index_lo, eval_sites):
     k = min(_TAU_PREFIX, R)
 
     # the homoclinic coordinate at the carry site: the kernel of phi,
-    # 1/f*, translated to root, as integers over M^(E+1)
+    # 1/f*, translated to root
     f = PolyF(M, F2)
-    nums, E = kernel_convolution(f, {root: 1}, eval_sites, star=True)
-    rhs = {s: Fraction(n, M ** (E + 1)) for s, n in zip(eval_sites, nums)}
+    nums, den = kernel_convolution(f, {root: 1}, eval_sites, star=True)
+    rhs = {s: Fraction(n, den) for s, n in nums.items()}
 
     # levels 0..min(2, R) are the first positions of the window
     shallow = groups.cone_size(F2, min(2, R))
@@ -622,8 +622,8 @@ def _tau_variant(cfg, root, index_lo, eval_sites):
                     word = _heap_word(int(p), "AB")
                     diff[groups.f2_multiply(root, word)] = \
                         int(img[p]) - int(values[p])
-                nums, E = kernel_convolution(f, diff, eval_sites, star=True)
-                exact_matches += all(n % M ** (E + 1) == 0 for n in nums)
+                nums, den = kernel_convolution(f, diff, eval_sites, star=True)
+                exact_matches += all(n % den == 0 for n in nums.values())
 
             buckets.setdefault(img[:prefix].tobytes(), []).append(index)
 

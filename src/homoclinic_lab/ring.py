@@ -6,9 +6,9 @@ whose inverse 1/f is the geometric series sum_k ((a + b)/M)^k / M; each
 coordinate of 1/f at u is an integer over M^(height(u)+1).
 kernel_convolution computes every convolution of an integer window with 1/f
 or 1/f* from the one identity x . f = g (x . f* = g for the star), solved
-site by site as integer numerators over one power of M; Fractions are built
-only by its callers, at their document boundary.  divide_by_f reads the
-same identity level by level over the whole support.
+site by site, as {site: integer numerator} over one power of M; Fractions
+are built only by its callers, at their document boundary.  divide_by_f
+reads the same identity level by level over the whole support.
 """
 
 from dataclasses import dataclass
@@ -17,7 +17,7 @@ from functools import partial
 import math
 
 from . import groups
-from .groups import F2, GroupMismatch, WindowTooLarge, check_group
+from .groups import F2, GroupMismatch, check_group
 
 
 class NotDivisible(Exception):
@@ -212,8 +212,9 @@ class PolyF:
 
     def inv_coeff(self, el):
         """Exact coefficient of 1/f at el."""
-        [n], E = kernel_convolution(self, {groups.identity(self.group): 1}, [el])
-        return Fraction(n, self.M ** (E + 1))
+        nums, den = kernel_convolution(self, {groups.identity(self.group): 1},
+                                       [el])
+        return Fraction(nums[el], den)
 
 
 def _pull(group, terms, star):
@@ -261,24 +262,24 @@ def kernel_convolution(f, terms, window, star=False):
     at heights <= |t| + |s| <= E, with E = max |t| + max |s|.  So
     N_u = M^(E+1) x_u is an integer, and N_u = (g_u M^(E+1) + N_{u x} +
     N_{u y}) / M divides exactly.
-    The reached sites are solved once each, by height.  Returns (numerators
-    in window order, E).  Window elements and terms are validated once
-    here; the recurrence runs unchecked.
+    The reached sites are solved once each, by height.  Returns ({site:
+    N_s}, M^(E+1)), one key per distinct window site in window order.
+    Window elements and terms are validated once here, and the window's
+    size by groups.check_size; the recurrence runs unchecked.
     """
-    [nums], E = kernel_convolutions(f, [terms], window, star)
-    return nums, E
+    [nums], den = kernel_convolutions(f, [terms], window, star)
+    return nums, den
 
 
 def kernel_convolutions(f, term_maps, window, star=False):
     """kernel_convolution for several term maps over one window: one
     validation and one walk of the sites reached from the union of their
-    supports, then the recurrence once per map.  Returns (one numerator
-    list per map, E), all over the one power M^(E+1), E taken over the
-    union of the supports."""
+    supports, then the recurrence once per map.  Returns (one {site:
+    numerator} per map, den), all over the one den = M^(E+1), E taken over
+    the union of the supports."""
     group = f.group
     window = list(window)
-    if len(window) > groups.MAX_ELEMENTS:
-        raise WindowTooLarge(f"window of {len(window)} elements exceeds the guard")
+    groups.check_size("window", len(window))
     for s in window:
         groups.check_element(group, s)
     checked = set()
@@ -298,7 +299,7 @@ def kernel_convolutions(f, term_maps, window, star=False):
     step, live = _pull(group, support, star)
     length = partial(groups.word_length, group)
     E = max(map(length, support), default=0) + max(map(length, window), default=0)
-    M, scale = f.M, f.M ** (E + 1)
+    M, den = f.M, f.M ** (E + 1)
     successors = {}
     todo = list(window)
     while todo:
@@ -312,10 +313,10 @@ def kernel_convolutions(f, term_maps, window, star=False):
         nums = {}
         for u in order:
             ux, uy = successors[u]
-            nums[u] = (items.get(u, 0) * scale + nums.get(ux, 0)
+            nums[u] = (items.get(u, 0) * den + nums.get(ux, 0)
                        + nums.get(uy, 0)) // M
-        out.append([nums.get(s, 0) for s in window])
-    return out, E
+        out.append({s: nums.get(s, 0) for s in window})
+    return out, den
 
 
 def quotient_coordinates(g, f, window):
@@ -326,13 +327,11 @@ def quotient_coordinates(g, f, window):
         raise TypeError("f must be a PolyF")
     if g.group != f.group:
         raise GroupMismatch(f"{g.group} element divided by {f.group} polynomial")
-    window = list(window)
     # a non-integral g is scaled to integers and divided back at the end
     scale = math.lcm(*(c.denominator for c in g.terms.values()))
     terms = {t: int(c * scale) for t, c in g.terms.items()}
-    nums, E = kernel_convolution(f, terms, window)
-    den = scale * f.M ** (E + 1)
-    return {s: Fraction(n, den) for s, n in zip(window, nums)}
+    nums, den = kernel_convolution(f, terms, window)
+    return {s: Fraction(n, scale * den) for s, n in nums.items()}
 
 
 def divide_by_f(g, f):
@@ -471,7 +470,7 @@ class _ExprParser:
         if kind == "int":
             return RingElement.one(self.group) * value
         if kind == "letter":
-            el = value if self.group == F2 else groups._Z2_STEP[value]
+            el = value if self.group == F2 else groups.Z2_STEP[value]
             return RingElement(self.group, {el: 1})
         if kind == "(":
             inner = self.parse_expr()

@@ -5,10 +5,11 @@ the site keyed by a canonical 64-bit id: free-group ids chain one finalizer
 round per letter from a fixed root, so the id of a word is independent of
 which window or cone enumerated it.  Every symbol is drawn from its own
 site's id by one blocked, in-place kernel (draw) for the streams of a range
-or an ascending array of indices, and read as rows of symbols (symbol_rows,
-symbols) or as one integer-weighted total per stream (symbol_sums): each
-level of a cone fold and each Fourier pairing is such a total.  Only this
-module reads the draw's block layout.  No global state anywhere.
+or an ascending array of indices, which yields 2-d blocks of the symbol
+matrix, read as rows of symbols (symbol_rows, symbols) or as one
+integer-weighted total per stream (symbol_sums): each level of a cone fold
+and each Fourier pairing is such a total.  Only this module reads the
+draw's blocking policy.  No global state anywhere.
 """
 
 import numpy as np
@@ -121,13 +122,13 @@ def draw(seed, rows, ids, M):
     """The draw kernel: uniform symbols in {0,...,M-1}, one per id, for
     each stream of rows, a range or an ascending int array.
 
-    The symbols form a matrix, one row per stream, yielded as (start,
-    block) for consecutive flat blocks in row order: start is the position
-    of the block's first symbol in the flattened matrix.  Rows shorter
+    The symbols form a matrix, one row per stream, yielded block by block
+    in row order as (r0, c0, block): block is the matrix of the symbols of
+    rows[r0:r0 + len(block)] at ids[c0:c0 + block.shape[1]].  Rows shorter
     than _BLOCK are drawn _BLOCK // len(ids) whole rows to a block, each
     row xored with its own stream key; longer rows are drawn block by block
-    within the row.  Each block is a uint64 view of a buffer that the next
-    block overwrites.
+    within the row.  Each block is a 2-d uint64 view of a buffer that the
+    next block overwrites.
 
     Unbiased via rejection: draws landing in the final partial block of the
     64-bit range are re-finalized until they fall below it.
@@ -148,10 +149,9 @@ def draw(seed, rows, ids, M):
         r1 = min(r0 + per, len(rows))
         for c0 in range(0, n, width):
             c1 = min(c0 + width, n)
-            v = buf[:(r1 - r0) * (c1 - c0)]
-            t = tmp[:len(v)]
-            grid = v.reshape(r1 - r0, c1 - c0)
-            np.bitwise_xor(ids[c0:c1], keys[r0:r1, None], out=grid)
+            v = buf[:(r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
+            t = tmp[:v.size].reshape(v.shape)
+            np.bitwise_xor(ids[c0:c1], keys[r0:r1, None], out=v)
             _mix(v, t)
             if rem and v.max() >= limit:
                 mask = v >= limit
@@ -165,16 +165,15 @@ def draw(seed, rows, ids, M):
             np.floor_divide(v, m, out=t)
             t *= m
             np.subtract(v, t, out=t)
-            yield r0 * n + c0, t
+            yield r0, c0, t
 
 
 def symbol_rows(seed, rows, ids, M, dtype=np.int64):
     """The symbols of draw() for the streams of rows, as a matrix of the
     given dtype with one row per stream."""
     out = np.empty((len(rows), len(ids)), dtype=dtype)
-    flat = out.reshape(-1)
-    for lo, vals in draw(seed, rows, ids, M):
-        flat[lo:lo + len(vals)] = vals
+    for r0, c0, block in draw(seed, rows, ids, M):
+        out[r0:r0 + len(block), c0:c0 + block.shape[1]] = block
     return out
 
 
@@ -190,7 +189,6 @@ def symbol_sums(seed, rows, ids, M, weights=None):
     rows, as a 1-d array: int64 when every total provably fits, (M - 1) *
     max|w| * len(ids) < 2^63, Python ints (object) otherwise.  Each block
     of the draw adds its row totals, so no symbol row is kept."""
-    n = len(ids)
     w, top = None, 1
     if weights is not None:
         # anything but int64 is read as Python ints: numpy reads a
@@ -200,18 +198,17 @@ def symbol_sums(seed, rows, ids, M, weights=None):
         if w.dtype != np.int64:
             w = np.asarray(weights, dtype=object)
         top = max(int(w.max(initial=0)), -int(w.min(initial=0)))
-    dtype = np.int64 if (M - 1) * top * n < 1 << 63 else object
+    dtype = np.int64 if (M - 1) * top * len(ids) < 1 << 63 else object
     if w is not None:
         w = w.astype(dtype, copy=False)
     sums = np.zeros(len(rows), dtype=dtype)
-    for start, vals in draw(seed, rows, ids, M):
-        r, c = divmod(start, n)
-        block = vals.view(np.int64).reshape(-1, min(n, len(vals)))
+    for r0, c0, block in draw(seed, rows, ids, M):
+        block = block.view(np.int64)
         if w is not None:
-            part = w[c:c + block.shape[1]]
+            part = w[c0:c0 + block.shape[1]]
             # the draw overwrites the block next, so int64 products may
             # take its place
             block = block * part if dtype is object else \
                 np.multiply(block, part, out=block)
-        sums[r:r + len(block)] += block.sum(axis=1)
+        sums[r0:r0 + len(block)] += block.sum(axis=1)
     return sums

@@ -184,12 +184,17 @@ def configurations(draw):
 @given(convolution_cases())
 def test_kernel_convolution_matches_the_fraction_loop(case):
     f, terms, window, star = case
-    nums, E = kernel_convolution(f, terms, window, star=star)
-    assert len(nums) == len(window)
-    assert all(isinstance(n, int) for n in nums)
+    nums, den = kernel_convolution(f, terms, window, star=star)
+    # one key per distinct window site, in window order, over M^(E+1)
+    assert list(nums) == list(dict.fromkeys(window))
+    assert all(isinstance(n, int) for n in nums.values())
+    length = lambda el: groups.word_length(f.group, el)
+    E = (max((length(t) for t, c in terms.items() if c), default=0)
+         + max(map(length, window), default=0))
+    assert den == f.M ** (E + 1)
     want = reference_convolution(f, terms, window, star)
-    for s, n in zip(window, nums):
-        assert Fraction(n, f.M ** (E + 1)) == want[s]
+    for s, n in nums.items():
+        assert Fraction(n, den) == want[s]
 
 
 @pytest.mark.parametrize("group", [F2, Z2])
@@ -209,7 +214,12 @@ def test_kernel_convolution_validates_once_at_entry():
         kernel_convolution(f, {(0, 1): 1}, [""])
     with pytest.raises(TypeError):
         kernel_convolution(f, {"a": Fraction(1, 2)}, [""])
-    assert kernel_convolution(f, {}, []) == ([], 0)
+    assert kernel_convolution(f, {}, []) == ({}, 3)
+    # a repeated site is one key, at its first place
+    nums, den = kernel_convolution(f, {"": 1}, ["A", "", "A", "B", ""],
+                                   star=True)
+    assert nums == {"A": 1, "": 3, "B": 1} and list(nums) == ["A", "", "B"]
+    assert den == 9
     # groups' helpers trust their callers: the ring's boundaries check
     for group, el in ((F2, (0, 0)), (Z2, "a")):
         with pytest.raises(GroupMismatch):
@@ -240,9 +250,9 @@ def test_phi_recurrence_matches_kernel_convolution(case):
     # is kernel_convolution with the star and matches the Fraction loop
     group, terms, window, M = case
     f = PolyF.standard(M, group)
-    nums, E = kernel_convolution(f, terms, window, star=True)
+    nums, den = kernel_convolution(f, terms, window, star=True)
     want = reference_convolution(f, terms, window, star=True)
-    assert [Fraction(n, M ** (E + 1)) for n in nums] == [want[s] for s in window]
+    assert [Fraction(nums[s], den) for s in window] == [want[s] for s in window]
     d = Configuration(group, terms, (-3, 3))
     got = phi_exact(d, window, M)
     assert list(got) == list(dict.fromkeys(window))
@@ -253,14 +263,15 @@ def test_phi_recurrence_matches_kernel_convolution(case):
 def test_phi_recurrence_of_an_empty_d_and_a_missed_window(group):
     f = PolyF.standard(3, group)
     window = BALLS[group]
-    assert kernel_convolution(f, {}, window, star=True)[0] == [0] * len(window)
+    assert kernel_convolution(f, {}, window, star=True)[0] == dict.fromkeys(
+        window, 0)
     # supp(d).{A,B}* misses every site above the support
     t = {F2: "BAB", Z2: (-2, -1)}[group]
-    nums, E = kernel_convolution(f, {t: -2}, window, star=True)
+    nums, den = kernel_convolution(f, {t: -2}, window, star=True)
     want = reference_convolution(f, {t: -2}, window, star=True)
-    assert [Fraction(n, 3 ** (E + 1)) for n in nums] == [want[s] for s in window]
+    assert [Fraction(nums[s], den) for s in window] == [want[s] for s in window]
     above = [s for s in window if groups.height(group, s) > groups.height(group, t)]
-    assert above and all(n == 0 for s, n in zip(window, nums) if s in above)
+    assert above and all(n == 0 for s, n in nums.items() if s in above)
 
 
 def test_phi_validates_the_window_once_at_entry(monkeypatch):
@@ -279,9 +290,9 @@ def test_phi_validates_the_window_once_at_entry(monkeypatch):
     # the window is built first: ball reads the same budget
     window = groups.ball(F2, 1)
     monkeypatch.setattr(groups, "MAX_ELEMENTS", 4)
-    with pytest.raises(WindowTooLarge, match="exceeds the guard"):
+    with pytest.raises(WindowTooLarge, match=r"window has 5 elements \(limit 4\)"):
         phi_exact(d, window, 3)
-    with pytest.raises(WindowTooLarge, match="exceeds the guard"):
+    with pytest.raises(WindowTooLarge, match=r"window has 5 elements \(limit 4\)"):
         phi_windowed(d, window, 3)
 
 
@@ -406,9 +417,9 @@ def test_cone_tail_matches_the_recursive_walk(case, M):
     # phi_windowed's tail: the full mass 1/(M-2) less phi of the indicator
     group, s, window = case
     indicator = dict.fromkeys(window, 1)
-    [inside], E = kernel_convolution(PolyF.standard(M, group), indicator, [s],
-                                     star=True)
-    inside = Fraction(inside, M ** (E + 1))
+    nums, den = kernel_convolution(PolyF.standard(M, group), indicator, [s],
+                                   star=True)
+    inside = Fraction(nums[s], den)
     assert inside == reference_convolution(
         PolyF.standard(M, group), indicator, [s], star=True)[s]
     max_len = max((groups.word_length(group, t) for t in window), default=-1)
@@ -452,12 +463,10 @@ def reference_fourier_plan(g, f, radius):
     sites = {}
     for t in g.support():
         sites.update(dict.fromkeys(groups.cone_sites(F2, t, radius - len(t))))
-    sites = list(sites)
-    nums, E = kernel_convolution(
+    nums, power = kernel_convolution(
         f, {t: int(c) for t, c in g.terms.items()}, sites)
-    power = f.M ** (E + 1)
-    common = math.gcd(power, *nums)
-    kept = {s: n // common for s, n in zip(sites, nums) if n}
+    common = math.gcd(power, *nums.values())
+    kept = {s: n // common for s, n in nums.items() if n}
     den = power // common
     exact = den == 1 and RingElement(F2, kept) * f.as_ring() == g
     tail = 0 if exact else quotient_tail_l1(g, f, radius)

@@ -152,6 +152,6 @@ _Z2_SITES = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
 def test_steps_is_multiply_by_each_letter(group, letters, data):
     u = data.draw(_F2_WORDS if group == F2 else _Z2_SITES)
     x, y = (letters if group == F2
-            else (groups._Z2_STEP[letters[0]], groups._Z2_STEP[letters[1]]))
+            else (groups.Z2_STEP[letters[0]], groups.Z2_STEP[letters[1]]))
     assert groups.steps(group, letters)(u) == (
         groups.multiply(group, u, x), groups.multiply(group, u, y))

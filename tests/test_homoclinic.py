@@ -18,10 +18,10 @@ from homoclinic_lab.rng import element_ids, symbols
 def kernel_on(M, group, window):
     """Coefficients of the homoclinic kernel 1/f* on the window, read as the
     CLI kernel document reads them."""
-    window = list(window)
-    nums, E = kernel_convolution(PolyF.standard(M, group),
-                                 {groups.identity(group): 1}, window, star=True)
-    return {s: Fraction(n, M ** (E + 1)) for s, n in zip(window, nums)}
+    nums, den = kernel_convolution(PolyF.standard(M, group),
+                                   {groups.identity(group): 1}, window,
+                                   star=True)
+    return {s: Fraction(n, den) for s, n in nums.items()}
 
 
 def test_kernel_coefficients_f2():

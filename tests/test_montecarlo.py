@@ -151,7 +151,7 @@ def test_haar_flags_degenerate_sampler(monkeypatch):
     cfg = cfg_with(samples=120, sample_radius=8, bins=6)
 
     def zeros(seed, rows, ids, M):
-        yield 0, np.zeros(len(rows) * len(ids), dtype=np.uint64)
+        yield 0, 0, np.zeros((len(rows), len(ids)), dtype=np.uint64)
 
     monkeypatch.setattr(rng, "draw", zeros)
     rep = haar_window_test(cfg)
@@ -368,8 +368,8 @@ def _whole_window_variant(cfg, root, index_lo, eval_sites):
         freq[np.arange(shallow), i[:shallow]] += 1
         diff = {sites[p]: int(i[p]) - int(v[p]) for p in np.nonzero(i != v)[0]}
         diff[root] = diff.get(root, 0) - 1
-        nums, E = kernel_convolution(f, diff, eval_sites, star=True)
-        matches += all(n % M ** (E + 1) == 0 for n in nums)
+        nums, den = kernel_convolution(f, diff, eval_sites, star=True)
+        matches += all(n % den == 0 for n in nums.values())
         images.add(i.tobytes())
         inputs.add(v.tobytes())
     retained = cfg.samples - discarded
@@ -679,6 +679,25 @@ def test_empirical_fourier_non_member_stays_in_band():
     assert rep["bias_bound"] > 0
 
 
+@pytest.mark.parametrize("M, radius", [(3, 12), (4, 8), (5, 6)])
+def test_fourier_plans_of_criterion_11_are_one_k_over_m_or_integral(M, radius):
+    # a truncated estimate has mean exactly 0 when the plan holds exactly
+    # one coordinate equal to k/M mod 1 (0 < k < M), as for 1 and a; the
+    # plans of f and (1+a)f are integral and untruncated
+    f = PolyF(M, F2)
+    plans = [montecarlo._fourier_plan(g, f, radius) for g in (
+        parse_ring_element("1"), parse_ring_element("a"), f.as_ring(),
+        parse_ring_element("1 + a") * f.as_ring())]
+    for _, nums, den, _ in plans[:2]:
+        assert sum(n * M % den == 0 and n % den != 0
+                   for n in nums.tolist()) == 1
+    for _, _, den, tail in plans[2:]:
+        assert den == 1 and tail == 0
+    if M == 3:
+        assert [(len(ids), den) for ids, _, den, _ in plans] == [
+            (8191, 3 ** 13), (4095, 3 ** 12), (1, 1), (2, 1)]
+
+
 def test_empirical_fourier_jobs_identical():
     cfg = cfg_with(samples=60, sample_radius=8)
     g = parse_ring_element("a - b")
@@ -717,7 +736,7 @@ def test_fourier_plan_guard_fails_before_any_cone_grows(no_growth):
 
 def test_fourier_plan_refuses_a_union_past_the_guard(no_growth):
     # two disjoint cones of 2^20 - 1 sites each: each fits, the union does
-    # not, as kernel_convolutions refuses a window of that many sites
+    # not, as groups.check_size refuses a union of that many sites
     with pytest.raises(WindowTooLarge, match="2097150"):
         empirical_fourier(cfg_with(samples=5, sample_radius=20),
                           parse_ring_element("a + b"))

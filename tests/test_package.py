@@ -51,6 +51,34 @@ def test_only_rng_reads_the_draw_block():
             assert "_BLOCK" not in names, (path.name, node.lineno)
 
 
+def test_no_module_reads_another_modules_private_names():
+    # a module's single-underscore names are its own: no package module
+    # reads one of another's, as mod._x or as from .mod import _x
+    package = pathlib.Path(homoclinic_lab.__file__).resolve().parent
+    stems = {path.stem for path in package.glob("*.py")}
+    assert {"groups", "montecarlo", "ring"} <= stems
+
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        # the package modules this module imports, by the names it binds
+        modules = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1
+                   and node.module is None for alias in node.names}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and private(node.attr)
+                    and getattr(node.value, "id", None) in modules):
+                found.append((path.name, node.lineno, node.attr))
+            if (isinstance(node, ast.ImportFrom) and node.level == 1
+                    and node.module in stems - {path.stem}):
+                found += [(path.name, node.lineno, alias.name)
+                          for alias in node.names if private(alias.name)]
+    assert found == []
+
+
 def test_only_boundaries_validate_group_elements():
     # an element is checked once, where it enters; groups' helpers trust
     # their callers, so in groups only these functions call the checks

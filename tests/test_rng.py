@@ -196,12 +196,12 @@ def test_symbol_sums_are_run_totals(M, n, letter, rows, seed, index, kind):
 
 
 def drawn_matrix(seed, rows, ids, M):
-    """rng.draw of a range of streams, its flat blocks put back together as
+    """rng.draw of a range of streams, its 2-d blocks put back together as
     one row per stream."""
-    flat = np.full(len(rows) * len(ids), -1, dtype=np.int64)
-    for lo, vals in rng.draw(seed, rows, ids, M):
-        flat[lo:lo + len(vals)] = vals
-    return flat.reshape(len(rows), len(ids))
+    out = np.full((len(rows), len(ids)), -1, dtype=np.int64)
+    for r0, c0, block in rng.draw(seed, rows, ids, M):
+        out[r0:r0 + len(block), c0:c0 + block.shape[1]] = block
+    return out
 
 
 @pytest.mark.parametrize("M, rows", [
@@ -338,9 +338,18 @@ def test_block_rows_are_the_one_stream_draws(n, rows):
 
 
 def test_draw_yields_consecutive_blocks():
+    # a long row block by block within the row, short rows B // n whole
+    # rows to a block; every block a 2-d view of the one buffer
     ids = random_ids(2 * B + 5, 0)
-    starts = [(lo, len(vals)) for lo, vals in rng.draw(1, range(2, 3), ids, 3)]
-    assert starts == [(0, B), (B, B), (2 * B, 5)]
+    for rows, n, want in ((range(2, 3), 2 * B + 5,
+                           [(0, 0, (1, B)), (0, B, (1, B)), (0, 2 * B, (1, 5))]),
+                          (range(4, 4 + 2 * (B // 3) + 1), 3,
+                           [(0, 0, (B // 3, 3)), (B // 3, 0, (B // 3, 3)),
+                            (2 * (B // 3), 0, (1, 3))])):
+        blocks = list(rng.draw(1, rows, ids[:n], 3))
+        assert [(r0, c0, block.shape) for r0, c0, block in blocks] == want
+        assert all(np.shares_memory(block, blocks[0][2])
+                   for _, _, block in blocks)
     assert list(rng.draw(1, range(2, 3), ids[:0], 3)) == []
 
 
