@@ -130,6 +130,7 @@ def _cmd_kernel(args):
 
 
 def _cmd_cover(args):
+    symbolic.check_M(args.M)
     if args.radius < 0:
         raise ValueError("radius must be nonnegative")
     window = groups.ball(args.group, args.radius)
@@ -147,6 +148,7 @@ def _cmd_cover(args):
 
 
 def _cmd_tau(args):
+    symbolic.check_M(args.M)
     window = groups.negative_monoid(F2, args.radius)
     d = _load_config_arg(args, F2, window, (0, args.M - 1))
     site = groups.parse_element(F2, args.site)

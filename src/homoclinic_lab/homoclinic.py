@@ -67,10 +67,13 @@ class Configuration:
         """Inverse of to_json_dict; ValueError for any other shape."""
         try:
             group = data["group"]
-            values = {groups.parse_element(group, entry["w"]): int(entry["v"])
+            values = {groups.parse_element(group, entry["w"]): entry["v"]
                       for entry in data["values"]}
-            lo, hi = data["alphabet"]
-            return cls(group, values, (int(lo), int(hi)))
+            alphabet = tuple(data["alphabet"])
+            if len(alphabet) != 2 or any(type(v) is not int for v in
+                                         [*alphabet, *values.values()]):
+                raise TypeError("values and alphabet bounds must be integers")
+            return cls(group, values, alphabet)
         except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError("malformed configuration document (%s: %s)"
                              % (type(exc).__name__, exc)) from exc

@@ -5,12 +5,12 @@ counter-based hashes of (seed, sample index, canonical site id), so results
 do not depend on evaluation order and parallel runs reduce exact integer
 tallies; reports are reproducible bit for bit for a fixed config.
 
-Coordinate values are never floating point estimates: a sampled coordinate
-is certified to lie in [num, num + tail] / M^(depth+1), an interval whose
-width is the exact l1 tail of the kernel beyond the sampled cone depth.
-Histogram bins are only assigned when the whole interval lands in one bin;
-straddling samples deepen their cone adaptively and are counted as
-ambiguous if they still straddle at the maximum depth.
+Coordinate values are never floating point estimates: a fold encloses a
+sampled coordinate in [num, num + t] / M^(depth+1), t the kernel's l1 tail
+past the cone depth (PolyF.tail_l1_beyond) times M - 1, rounded up
+(_ConeFolds.enclosure).  Bins are only assigned when the whole interval
+lands in one bin; straddling samples deepen their cone adaptively and are
+counted as ambiguous if they still straddle at the maximum depth.
 """
 
 import cmath
@@ -48,8 +48,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         groups.check_group(self.group)
-        if self.M < 3:
-            raise ValueError("M must be at least 3")
+        symbolic.check_M(self.M)
         if self.samples < 1:
             raise ValueError("samples must be positive")
         if not 0 <= self.eval_radius < self.sample_radius:
@@ -183,25 +182,13 @@ class _Cone:
         return out
 
 
-def _tail_units(M, depth):
-    """ceil of the kernel l1 tail beyond the given cone depth, in units of
-    M^-(depth+1): tail <= (M-1) 2^(depth+1) / (M-2) in those units."""
-    t = (M - 1) * (1 << (depth + 1))
-    return -(-t // (M - 2))
-
-
-def _assign_bin(num, depth, M, bins):
-    """Histogram bin of the enclosed coordinate, or None if the enclosure
-    wraps past an integer or straddles a bin boundary."""
-    den = M ** (depth + 1)
-    nm = num % den
-    hi = nm + _tail_units(M, depth)
-    if hi >= den:
-        return None
-    lo_bin = nm * bins // den
-    if lo_bin != hi * bins // den:
-        return None
-    return lo_bin
+def _assign_bins(nums, t, den, bins):
+    """The bin of each enclosure [n mod den, n mod den + t] / den, n of nums,
+    or -1 where it wraps past an integer or straddles a bin edge."""
+    lo = nums % den
+    lo_bin = lo * bins // den
+    # an end past den lies in bin bins or above, so a wrap is a straddle
+    return np.where(lo_bin == (lo + t) * bins // den, lo_bin, -1)
 
 
 class _ConeFolds:
@@ -216,6 +203,7 @@ class _ConeFolds:
         self.indices = indices
         self.M = M
         self.depth = depth
+        self.f = PolyF(M, cone.group)
         self._levels = cone.walk()
         self.nums = np.zeros(len(indices), dtype=object)
         for parts in itertools.islice(self._levels, depth + 1):
@@ -228,6 +216,14 @@ class _ConeFolds:
         rows = np.arange(self.indices.start, self.indices.stop)[pos]
         self.nums[pos] = _fold(self.seed, rows, self.M, next(self._levels),
                                self.nums[pos])
+
+    def enclosure(self, pos):
+        """(nums, t, den): the coordinate at each position of pos lies in
+        [n, n + t] / den mod 1, n its entry of nums, den = M^(depth+1) and
+        t = ceil((M - 1) tail den), tail the kernel's l1 tail past depth."""
+        den = self.M ** (self.depth + 1)
+        tail = (self.M - 1) * self.f.tail_l1_beyond(self.depth)
+        return self.nums[pos], math.ceil(tail * den), den
 
 
 def _fold(seed, indices, M, parts, nums):
@@ -304,9 +300,7 @@ def _certified_bins(cfg, site, indices, max_extra):
     for extra in range(max_extra + 1):
         if extra:
             folds.deepen(pos)
-        got = [_assign_bin(num, folds.depth, cfg.M, cfg.bins)
-               for num in folds.nums[pos]]
-        found[pos] = [-1 if b is None else b for b in got]
+        found[pos] = _assign_bins(*folds.enclosure(pos), cfg.bins)
         pos = pos[found[pos] < 0]
         if not len(pos):
             break
@@ -780,19 +774,22 @@ def collision_search(cfg, control=64, pair_depth=8, max_extra=6):
 
     # (ii) independent pairs, samples base + i and base + n + i: the folds
     # of all of them start from base folds drawn at once, and the close
-    # pairs deepen together one level at a time
+    # pairs deepen together one level at a time until their enclosures are
+    # disjoint mod 1 at some site
     n_pairs = cfg.samples
     indices = range(1 << 20, (1 << 20) + 2 * n_pairs)
     folds = [_ConeFolds(_Cone(group, s), cfg.seed, indices, M, pair_depth)
              for s in eval_sites]
     close = np.arange(n_pairs)
     for extra in range(max_extra + 1):
-        if extra:
-            for fold in folds:
-                fold.deepen(np.r_[close, close + n_pairs])
-        nums = np.array([fold.nums for fold in folds])
-        apart = _pair_separated(nums[:, close], nums[:, close + n_pairs], M,
-                                pair_depth + extra)
+        both = np.r_[close, close + n_pairs]
+        apart = np.zeros(len(close), dtype=bool)
+        for fold in folds:
+            if extra:
+                fold.deepen(both)
+            nums, t, den = fold.enclosure(both)
+            d = (nums[len(close):] - nums[:len(close)]) % den
+            apart |= (t < d) & (d < den - t)
         if not extra:
             deepened = int((~apart).sum())
         close = close[~apart]
@@ -839,13 +836,3 @@ def collision_search(cfg, control=64, pair_depth=8, max_extra=6):
         "collisions_found": 0 if pairs_ok else None,
         "passed": bool(passed),
     }
-
-
-def _pair_separated(na, nb, M, depth):
-    """Whether each pair's enclosures at depth, numerators na and nb (sites
-    by pairs), are disjoint mod 1 at some site: each is [num, num + t] /
-    den, so they are when the distance of the numerators mod den exceeds t
-    both ways round."""
-    t = _tail_units(M, depth)
-    d = (nb - na) % M ** (depth + 1)
-    return ((t < d) & (d < M ** (depth + 1) - t)).any(axis=0)

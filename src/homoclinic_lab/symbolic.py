@@ -130,11 +130,16 @@ def partition_mass_limit(M=3):
     return Fraction(M - 1, M) * (1 - root) / (2 * x)
 
 
+def check_M(M):
+    """Refuse an M below 3, where the l1 series of 1/f diverges."""
+    if M < 3:
+        raise ValueError("M must be at least 3")
+
+
 def allowed_patterns(M, bound):
     """The frozenset of local SFT patterns (k, l, m) = (c_s, c_sa, c_sb) in
     [-bound, bound]^3 allowed by |M k - l - m| <= M - 1."""
-    if M < 3:
-        raise ValueError("M must be at least 3")
+    check_M(M)
     if bound < 0:
         raise ValueError("pattern range must be nonnegative")
     rng = range(-bound, bound + 1)
@@ -215,6 +220,7 @@ def reduce_cover(d, M):
     {0,...,M-1}; carries to sites outside the window are returned as spill
     and are never fired.
     """
+    check_M(M)
     _check_values(d, 0, M)
     work = dict(d.values)
     fired, spill = _topple(d.group, work, M, work)
@@ -229,6 +235,7 @@ def carry_add(d, site, M):
     The result equals d + delta_site - carry * f'.  A carry leaving the
     window raises BoundaryOverflow at the first site it reached.
     """
+    check_M(M)
     _check_values(d, 0, M - 1)
     group = d.group
     groups.check_element(group, site)

@@ -50,3 +50,24 @@ def empty_store():
     montecarlo._KEPT.clear()
     yield montecarlo._KEPT
     montecarlo._KEPT.clear()
+
+
+@pytest.fixture
+def scalar_bin():
+    """The scalar certification rule that montecarlo._assign_bins
+    vectorises, one coordinate at a time: assign_bin(num, depth, M, bins) is
+    the histogram bin of [num, num + t] / M^(depth+1) mod 1, t the ceiling
+    of the kernel's l1 tail past depth in those units, (M - 1) 2^(depth+1)
+    / (M - 2), or None where that interval wraps past an integer or
+    straddles a bin boundary."""
+    def assign_bin(num, depth, M, bins):
+        den = M ** (depth + 1)
+        nm = num % den
+        hi = nm - (-(M - 1) * (1 << (depth + 1)) // (M - 2))
+        if hi >= den:
+            return None
+        lo_bin = nm * bins // den
+        if lo_bin != hi * bins // den:
+            return None
+        return lo_bin
+    return assign_bin

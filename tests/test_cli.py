@@ -3,6 +3,7 @@ import contextlib
 from fractions import Fraction
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -306,7 +307,14 @@ def test_haar_test_too_deep_exits_one():
     "[1, 2]",
     '{"group": "f2", "alphabet": [0, 3], "values": [{"w": ""}]}',
     None,  # no such file
-], ids=["empty", "list", "entry-without-v", "missing-file"])
+    # values and alphabet bounds are ints, never coerced
+    '{"group": "f2", "alphabet": [0, 3], "values": [{"w": "", "v": 2.9}]}',
+    '{"group": "f2", "alphabet": [0, 3], "values": [{"w": "", "v": "3"}]}',
+    '{"group": "f2", "alphabet": [0, 3], "values": [{"w": "", "v": true}]}',
+    '{"group": "f2", "alphabet": [0.5, 3], "values": [{"w": "", "v": 1}]}',
+    '{"group": "f2", "alphabet": [0, 1, 3], "values": [{"w": "", "v": 1}]}',
+], ids=["empty", "list", "entry-without-v", "missing-file", "float-value",
+        "string-value", "bool-value", "float-bound", "three-bounds"])
 def test_malformed_config_exits_one(tmp_path, text):
     path = tmp_path / "input.json"
     if text is not None:
@@ -315,6 +323,7 @@ def test_malformed_config_exits_one(tmp_path, text):
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+    assert text is None or "malformed configuration document" in err
 
 
 def test_parse_error_exits_one():
@@ -327,6 +336,11 @@ def test_m_below_three_exits_one():
     code, _, err = run_cli("patterns", "--M", "2")
     assert code == 1
     assert "error:" in err
+    # cover and tau refuse before their seeded fill draws anything
+    for command, M in itertools.product(("cover", "tau"), ("2", "0", "-1")):
+        code, out, err = run_cli(command, "--M", M)
+        assert (code, out) == (1, "")
+        assert err == "error: M must be at least 3\n"
 
 
 def test_kernel_rejects_a_negative_radius_and_small_m():

@@ -1,5 +1,6 @@
 from itertools import islice
 import os
+import random
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from homoclinic_lab import groups, montecarlo, rng, symbolic
 from homoclinic_lab.groups import F2, Z2, GroupMismatch, WindowTooLarge
 from homoclinic_lab.homoclinic import Configuration
 from homoclinic_lab.montecarlo import (EnclosureTooWide, ExperimentConfig,
-                                       _assign_bin, collision_search,
+                                       _assign_bins, collision_search,
                                        empirical_fourier, haar_window_test,
                                        tau_invariance_test)
 from homoclinic_lab.ring import kernel_convolution, parse_ring_element, PolyF
@@ -80,14 +81,41 @@ def test_rng_rough_uniformity():
 
 
 def test_assign_bin_certification():
-    # depth 2: den 27, tail 16 units
-    assert _assign_bin(5, 2, 3, 3) is None    # [5, 21] straddles bins
-    assert _assign_bin(20, 2, 3, 3) is None   # [20, 36] wraps past 27
-    # depth 8: den 19683, tail 1024 units
-    assert _assign_bin(0, 8, 3, 10) == 0      # [0, 1024] inside bin 0
-    assert _assign_bin(2000, 8, 3, 10) == 1
-    assert _assign_bin(19683 + 2000, 8, 3, 10) == 1  # numerator mod den
-    assert _assign_bin(1960, 8, 3, 10) is None       # crosses 19683/10
+    # depth 2: den 27, tail 16 units.  [5, 21] straddles bins, [20, 36]
+    # wraps past 27
+    nums = np.array([5, 20], dtype=object)
+    assert _assign_bins(nums, 16, 27, 3).tolist() == [-1, -1]
+    # depth 8: den 19683, tail 1024 units.  [0, 1024] is inside bin 0, a
+    # numerator counts mod den, and [1960, 2984] crosses 19683/10
+    nums = np.array([0, 2000, 19683 + 2000, 1960], dtype=object)
+    assert _assign_bins(nums, 1024, 19683, 10).tolist() == [0, 1, 1, -1]
+
+
+@pytest.mark.parametrize("group, M, depth, bins", [
+    (F2, 3, 6, 3), (F2, 3, 8, 10), (Z2, 3, 14, 30), (F2, 4, 5, 7),
+    (Z2, 5, 9, 2), (Z2, 7, 3, 30), (Z2, 39, 20, 11)])
+def test_assign_bins_matches_the_scalar_rule(scalar_bin, group, M, depth,
+                                             bins):
+    # a fold's enclosure is [n, n + t] / M^(depth+1), t read from the
+    # kernel tail of PolyF; its vectorised bins are the scalar rule's, on
+    # random numerators up to three times den and on those that put an end
+    # of the enclosure at a bin edge or at the wrap, one unit either side
+    cone = montecarlo._Cone(group, groups.identity(group))
+    folds = montecarlo._ConeFolds(cone, 5, range(4), M, depth - 1)
+    folds.deepen(np.array([1, 3]))
+    nums, t, den = folds.enclosure(np.array([1, 3]))
+    assert den == M ** (depth + 1)
+    assert t == -(-(M - 1) * 2 ** (depth + 1) // (M - 2))
+    assert nums.tolist() == folds.nums[[1, 3]].tolist()
+    edges = [-(-k * den // bins) + s for k in range(bins + 1)
+             for s in (-1, 0, 1)]
+    draw = random.Random(depth).randrange
+    nums = np.array(nums.tolist() + [draw(3 * den) for _ in range(500)]
+                    + edges + [e - t for e in edges], dtype=object)
+    got = _assign_bins(nums, t, den, bins).tolist()
+    want = [scalar_bin(n, depth, M, bins) for n in nums]
+    assert got == [-1 if b is None else b for b in want]
+    assert -1 in got and len(set(got)) > 1
 
 
 def test_haar_window_test_passes_and_is_deterministic():

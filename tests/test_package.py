@@ -113,6 +113,23 @@ def test_only_the_f2_walk_reads_the_kept_levels():
                      "montecarlo._kept_bytes"}
 
 
+def test_only_the_cone_folds_read_their_numerators():
+    # a fold hands its callers finished enclosures (_ConeFolds.enclosure):
+    # in the package no code outside _ConeFolds' own methods reads a
+    # fold's .nums or .depth
+    package = pathlib.Path(homoclinic_lab.__file__).resolve().parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {id(node) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name == "_ConeFolds"
+                  for node in ast.walk(cls)}
+        found |= {"%s:%d" % (path.name, node.lineno)
+                  for node in ast.walk(tree) if id(node) not in inside
+                  and getattr(node, "attr", None) in ("nums", "depth")}
+    assert found == set()
+
+
 def test_documents_do_not_depend_on_the_hash_seed():
     # the determinism contract, tested: each command prints the same bytes
     # under two hash seeds, so no set or hash order reaches a document

@@ -495,7 +495,8 @@ def test_deepening_some_positions_matches_the_reference(group, root,
     assert montecarlo._kept_bytes() <= montecarlo._STORE_BYTES // 4
 
 
-def test_haar_chunk_walks_each_cone_once(monkeypatch, empty_store):
+def test_haar_chunk_walks_each_cone_once(monkeypatch, empty_store,
+                                         scalar_bin):
     # past room for one cone to level 3, each level is built from its
     # parents' ids once per cone of the chunk, however many folds read it:
     # the chunk calls child_ids as often as one walk of each cone to the
@@ -516,7 +517,7 @@ def test_haar_chunk_walks_each_cone_once(monkeypatch, empty_store):
             num = 0
             for depth, total in enumerate(totals):
                 num = num * M + total
-                if depth >= base and montecarlo._assign_bin(
+                if depth >= base and scalar_bin(
                         num, depth, M, cfg.bins) is not None:
                     break
             else:

@@ -134,6 +134,15 @@ def test_reduce_cover_checks_alphabet():
         reduce_cover(Configuration(F2, {"": 4}, (0, 4)), 3)
 
 
+def test_reduce_cover_and_carry_add_refuse_m_below_three():
+    d = Configuration(F2, {"": 0}, (0, 0))
+    for M in (2, 0, -1):
+        with pytest.raises(ValueError, match="M must be at least 3"):
+            reduce_cover(d, M)
+        with pytest.raises(ValueError, match="M must be at least 3"):
+            carry_add(d, "", M)
+
+
 def test_carry_add_oracle():
     d = Configuration(F2, {"": 2, "A": 0, "B": 1}, (0, 2))
     res = carry_add(d, "", 3)
